@@ -24,19 +24,6 @@ import (
 	"math"
 )
 
-// validateRow checks a constraint against the solver's structural width.
-func (s *Solver) validateRow(c *Constraint) error {
-	for v := range c.Coeffs {
-		if v < 0 || v >= s.nStruct {
-			return fmt.Errorf("lp: row references variable %d, want [0,%d)", v, s.nStruct)
-		}
-	}
-	if c.Rel != LE && c.Rel != GE && c.Rel != EQ {
-		return fmt.Errorf("lp: row has unknown relation %d", c.Rel)
-	}
-	return nil
-}
-
 // AppendRows adds constraint rows to the problem and rebuilds the solve
 // state. Existing column indices are unchanged (row i's slack stays column
 // nStruct+i); the new rows' slacks occupy the columns past the old ones.
@@ -48,8 +35,8 @@ func (s *Solver) AppendRows(rows []Constraint) error {
 		return nil
 	}
 	for i := range rows {
-		if err := s.validateRow(&rows[i]); err != nil {
-			return err
+		if err := validateRow(&rows[i], s.nStruct); err != nil {
+			return fmt.Errorf("lp: appended row %d %w", i, err)
 		}
 	}
 	s.cons = append(s.cons, rows...)
@@ -167,8 +154,8 @@ func (s *Solver) ColBounds(j int) (lo, hi float64) { return s.lo[j], s.hi[j] }
 // TableauRow returns row i of B^-1 [A I] for the most recent solve's
 // basis: the coefficients of every column (structural then slack) in the
 // row whose basic variable is BasicVar(i). Computed by one sparse BTRAN
-// (rho = B^-T e_i) gathered through the pristine rows on the sparse
-// kernels; the dense kernel reads its tableau directly. The returned slice
+// (rho = B^-T e_i) gathered through the pristine rows on the FT kernel;
+// the dense oracle reads its tableau directly. The returned slice
 // is kernel scratch, valid until the next TableauRow, pivot or solve —
 // copy what must be kept.
 func (s *Solver) TableauRow(i int) []float64 { return s.k.row(i) }

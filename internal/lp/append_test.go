@@ -16,7 +16,6 @@ func TestAppendRowsWarmReentry(t *testing.T) {
 		mk   func(*Problem) (*Solver, error)
 	}{
 		{"ft", NewSolver},
-		{"eta", NewEtaSolver},
 		{"dense", NewDenseSolver},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

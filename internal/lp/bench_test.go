@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkSolveAssignment measures the simplex on n x n assignment LPs,
-// the structure closest to the wavelength-assignment relaxations.
+// BenchmarkSolveAssignment measures one-shot cold solves (solver build
+// included) on n x n assignment LPs, the structure closest to the
+// wavelength-assignment relaxations.
 func BenchmarkSolveAssignment(b *testing.B) {
 	for _, n := range []int{5, 10, 20} {
 		n := n
@@ -28,7 +29,7 @@ func BenchmarkSolveAssignment(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := Solve(p)
+				s, err := solveCold(NewSolver, p)
 				if err != nil || s.Status != Optimal {
 					b.Fatalf("%v %v", err, s.Status)
 				}
@@ -37,7 +38,8 @@ func BenchmarkSolveAssignment(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveDense measures random dense LE systems.
+// BenchmarkSolveDense measures one-shot cold solves of random dense LE
+// systems.
 func BenchmarkSolveDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const n, m = 40, 60
@@ -54,7 +56,7 @@ func BenchmarkSolveDense(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p); err != nil {
+		if _, err := solveCold(NewSolver, p); err != nil {
 			b.Fatal(err)
 		}
 	}

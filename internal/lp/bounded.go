@@ -2,48 +2,42 @@ package lp
 
 // Bounded-variable simplex with warm starting.
 //
-// The two-phase solver in lp.go treats every variable as x >= 0 and turns
-// any other bound into an explicit constraint row. That is fine for one-shot
-// solves but ruinous inside branch and bound, where the thousands of node
-// LPs differ from the root only in variable bounds: every node pays for a
-// bigger tableau, a fresh phase-1 run to drive out artificials, and a full
-// reallocation of everything.
-//
-// Solver keeps the problem in computational standard form instead —
+// Solver keeps the problem in computational standard form —
 //
 //	minimise c.x  subject to  Ax + s = b,  lo <= (x,s) <= hi
 //
 // with one slack per row whose bounds encode the relation (LE: s in [0,inf),
 // GE: s in (-inf,0], EQ: s = 0). Variable bounds are data, not rows, so a
-// branch-and-bound child costs no extra tableau columns, and no artificial
-// variables exist at all. The same Solver value is reused for every node:
-// bound arrays, status flags and the kernel's scratch are allocated once and
-// overwritten per solve (a per-solver arena), which is what removes the
-// per-node allocation cost of the old path.
+// branch-and-bound child — which differs from the root only in variable
+// bounds — costs no extra tableau columns, and no artificial variables
+// exist at all. The same Solver value is reused for every node: bound
+// arrays, status flags and the kernel's scratch are allocated once and
+// overwritten per solve (a per-solver arena).
 //
 // The pivot loops are linear-algebra agnostic: they read reduced costs from
 // Solver.d, fetch tableau columns/rows from a kernel, and tell the kernel
-// when a basis exchange happened. Two kernels implement that contract:
+// when a basis exchange happened. One production kernel and one oracle
+// implement that contract:
 //
-//   - denseKernel (this file): the original dense Gauss-Jordan tableau.
-//     Every pivot rewrites the full m x nCols block. Retained as the
-//     reference implementation and for cross-checking.
-//   - sparseKernel (sparse.go): the sparse revised simplex — compressed
-//     sparse columns, a product-form LU factorisation of the basis, eta
-//     updates between periodic refactorisations, and partial (sparse)
-//     pricing updates of the reduced-cost row. The default.
+//   - ftKernel (forrest_tomlin.go, sparse.go): the sparse revised simplex —
+//     compressed sparse columns and rows, an LU factorisation of the basis
+//     kept current by Forrest-Tomlin updates between refactorisations, and
+//     partial (sparse) pricing updates of the reduced-cost row. NewSolver
+//     builds it.
+//   - denseKernel (this file): the dense Gauss-Jordan tableau. Every pivot
+//     rewrites the full m x nCols block. NewDenseSolver builds it; it is
+//     the reference the FT kernel is cross-checked against.
 //
 // All pivot *selection* (entering/leaving rules, tie-breaking, Bland
 // switching, the bound-flipping dual ratio test, the deterministic cost
 // perturbation) lives in the Solver and is shared verbatim by both kernels,
-// which is what keeps their pivot sequences — and therefore golden outputs
-// and parallel determinism — aligned.
+// which is what keeps their pivot sequences aligned.
 //
 // Two entry points:
 //
 //   - SolveBounded: cold solve. Starts from the all-slack basis, restores
-//     primal feasibility with a zero-objective dual simplex (no artificials,
-//     no phase-1 objective), then runs the bounded primal simplex.
+//     primal feasibility with a dual simplex (no artificials, no phase-1
+//     objective), then runs the bounded primal simplex.
 //   - SolveDual: warm solve from a Basis snapshot. The kernel state is
 //     rebuilt by canonical refactorisation (a pure function of the basis
 //     set, so every caller — sequential or speculative worker — computes
@@ -77,7 +71,7 @@ const (
 // It is the whole warm-start state — a few kilobytes, cheap enough to attach
 // to every branch-and-bound node — and is immutable once taken.
 //
-// When the sparse kernel warm-starts from a Basis it memoises the canonical
+// When the FT kernel warm-starts from a Basis it memoises the canonical
 // LU factorisation of the basis on the snapshot itself, so sibling
 // branch-and-bound nodes (and speculative workers, which share the snapshot
 // pointer) exchange the LU factor instead of each refactorising from
@@ -88,7 +82,7 @@ type Basis struct {
 	AtUpper []bool  // len nCols: nonbasic column rests at its upper bound
 
 	// factor memoises the canonical LU factorisation of this basis set
-	// (sparse kernel only). Concurrent warm starts may race to fill it;
+	// (FT kernel only). Concurrent warm starts may race to fill it;
 	// both compute identical content, so either store is fine.
 	factor atomic.Pointer[luFactor]
 }
@@ -140,8 +134,10 @@ type kernel interface {
 	// pivot applies the basis exchange (leaving row, entering column) to
 	// the representation, rhsBar, d and (when active) pert. The Solver has
 	// already updated basis/inBasis/atUpper/xB, and has fetched column(enter)
-	// since the previous pivot.
-	pivot(leave, enter int)
+	// since the previous pivot. It returns false when the kernel cannot
+	// represent the new basis (numerically singular); the representation is
+	// then stale and the pivot loop must stop.
+	pivot(leave, enter int) bool
 	// computeXB recomputes s.xB from rhsBar and the nonbasic resting values.
 	computeXB()
 	// solveStats copies per-solve kernel statistics into the Solution.
@@ -182,7 +178,7 @@ type Solver struct {
 	inBasis []bool    // len nCols
 	lo, hi  []float64 // len nCols: bounds of the current solve
 
-	k kernel // linear-algebra engine (sparse by default)
+	k kernel // linear-algebra engine (FT unless built by NewDenseSolver)
 
 	// pert is a second reduced-cost row holding a tiny deterministic cost
 	// perturbation, active only while usePert is set (the dual simplex
@@ -193,7 +189,7 @@ type Solver struct {
 	// row transforms under pivots exactly like the true cost row, the true
 	// row is never touched, and the perturbation is switched off before the
 	// primal clean-up certifies the true optimum. pert0 keeps the initial
-	// perturbation pattern so the sparse kernel can rebuild the transformed
+	// perturbation pattern so the FT kernel can rebuild the transformed
 	// row exactly at a refactorisation (pert = pert0 - y'.A with
 	// B'y' = pert0_B).
 	pert    []float64
@@ -207,7 +203,7 @@ type Solver struct {
 	// inherits the previous solve's cycling suspicion.
 	blandAfterOverride int
 
-	// refactorEveryOverride, when positive, replaces the sparse kernel's
+	// refactorEveryOverride, when positive, replaces the FT kernel's
 	// default refactorisation interval. Test hook for exercising
 	// refactorisation-boundary behaviour.
 	refactorEveryOverride int
@@ -263,26 +259,10 @@ func NewSolver(p *Problem) (*Solver, error) {
 	return s, nil
 }
 
-// NewEtaSolver is NewSolver with the product-form-eta sparse kernel (see
-// sparse.go) — the previous default, kept as a cross-checked oracle: at
-// refactorEveryOverride=1 its pivot sequence is bit-identical to the
-// Forrest-Tomlin kernel's, because both reinstall the identical canonical
-// factor after every pivot.
-func NewEtaSolver(p *Problem) (*Solver, error) {
-	s, err := newSolverCore(p)
-	if err != nil {
-		return nil, err
-	}
-	s.newKernel = func(s *Solver, p *Problem) kernel { return newSparseKernel(s, p) }
-	s.k = s.newKernel(s, p)
-	return s, nil
-}
-
 // NewDenseSolver is NewSolver with the dense full-tableau kernel: every
-// pivot rewrites the whole (m+1) x nCols tableau. It is the reference
-// implementation the sparse kernel is cross-checked against and the escape
-// hatch for numerically hostile problems; both kernels share every pivot
-// rule, so their pivot sequences coincide up to floating-point tie noise.
+// pivot rewrites the whole m x nCols tableau. It is the test oracle the FT
+// kernel is cross-checked against; both kernels share every pivot rule, so
+// their pivot sequences coincide up to floating-point tie noise.
 func NewDenseSolver(p *Problem) (*Solver, error) {
 	s, err := newSolverCore(p)
 	if err != nil {
@@ -656,7 +636,9 @@ func (s *Solver) primalSimplex(st *iterState) Status {
 		s.inBasis[enter] = true
 		s.basis[leave] = int32(enter)
 		s.xB[leave] = enterVal
-		s.k.pivot(leave, enter)
+		if !s.k.pivot(leave, enter) {
+			return IterLimit
+		}
 	}
 }
 
@@ -822,7 +804,9 @@ func (s *Solver) dualSimplex(st *iterState, zeroCosts bool) Status {
 		s.inBasis[enter] = true
 		s.basis[leave] = int32(enter)
 		s.xB[leave] = enterVal
-		s.k.pivot(leave, enter)
+		if !s.k.pivot(leave, enter) {
+			return IterLimit
+		}
 	}
 }
 
@@ -929,9 +913,11 @@ func (s *Solver) SolveBounded(lo, hi []float64, deadline time.Time) (*Solution, 
 
 // SolveDual re-solves the problem under new bounds, warm-starting from a
 // basis snapshot (typically the optimal basis of a parent branch-and-bound
-// node). ok is false when the snapshot cannot be used — wrong shape or a
-// numerically singular refactorisation — in which case the caller should
-// fall back to SolveBounded; the Solver state is then unspecified but valid
+// node). ok is false when the snapshot cannot be used — wrong shape, a
+// numerically singular refactorisation, or a dual walk that stopped short
+// without running out of time (the pivot cap, or a basis exchange the
+// kernel could not represent) — in which case the caller should fall back
+// to SolveBounded; the Solver state is then unspecified but valid
 // for a subsequent solve. On ok, the Solution reports the solve through the
 // warm-start fields: DualPivots (plus any primal clean-up pivots in
 // Phase2Pivots) and WarmStarted.
@@ -955,7 +941,7 @@ func (s *Solver) SolveDual(bas *Basis, lo, hi []float64, deadline time.Time) (so
 	// A warm re-solve after one or two bound changes should take a handful
 	// of pivots. Cap the dual walk well below the general iteration limit:
 	// on dual-degenerate models the walk can stall in zero-progress pivots,
-	// and a cold two-phase solve is far cheaper than riding the Bland
+	// and a cold solve is far cheaper than riding the Bland
 	// anti-cycling guard to completion. The cap is a pivot count, so the
 	// fallback decision is deterministic.
 	if pivotCap := 4*s.m + 100; st.maxIter > pivotCap {
@@ -1005,7 +991,7 @@ func (s *Solver) finish(sol *Solution) *Solution {
 // NumVars returns the structural variable count the Solver was built for.
 func (s *Solver) NumVars() int { return s.nStruct }
 
-// denseKernel is the original dense Gauss-Jordan engine: the full
+// denseKernel is the dense Gauss-Jordan oracle: the full
 // m x nCols tableau B^-1 [A|I] is materialised and every pivot rewrites all
 // of it (plus the reduced-cost rows). Simple and predictable, but each
 // pivot costs O(m*nCols) regardless of sparsity.
@@ -1150,7 +1136,10 @@ func (k *denseKernel) column(j int) []float64 {
 
 func (k *denseKernel) row(i int) []float64 { return k.a[i] }
 
-func (k *denseKernel) pivot(leave, enter int) { k.pivotTableau(leave, enter) }
+func (k *denseKernel) pivot(leave, enter int) bool {
+	k.pivotTableau(leave, enter)
+	return true
+}
 
 // computeXB recomputes the basic values from rhsBar (B^-1 b) and the
 // current nonbasic resting values: xB[i] = rhsBar[i] - sum over nonbasic j

@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// solveBothWays solves p with the legacy two-phase solver and with a cold
-// Solver solve under default bounds, and checks they agree on status and
-// objective.
+// solveBothWays solves p cold under default bounds with the FT kernel and
+// with the legacy dense-tableau kernel (the oracle), and checks they agree
+// on status and objective.
 func solveBothWays(t *testing.T, p *Problem) (*Solution, *Solver) {
 	t.Helper()
-	legacy, err := Solve(p)
+	dense, err := solveCold(NewDenseSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,20 +24,20 @@ func solveBothWays(t *testing.T, p *Problem) (*Solution, *Solver) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != legacy.Status {
-		t.Fatalf("bounded status = %v, legacy %v", sol.Status, legacy.Status)
+	if sol.Status != dense.Status {
+		t.Fatalf("bounded status = %v, dense %v", sol.Status, dense.Status)
 	}
 	if sol.Status == Optimal {
-		if !approx(sol.Objective, legacy.Objective, 1e-6) {
-			t.Fatalf("bounded objective = %v, legacy %v", sol.Objective, legacy.Objective)
+		if !approx(sol.Objective, dense.Objective, 1e-6) {
+			t.Fatalf("bounded objective = %v, dense %v", sol.Objective, dense.Objective)
 		}
 		checkFeasible(t, p, sol.X, 1e-6)
 	}
 	return sol, s
 }
 
-// The fixed textbook problems of lp_test.go, replayed through the bounded
-// solver.
+// Fixed textbook problems, replayed through the FT kernel and checked
+// against the legacy dense-tableau kernel.
 func TestBoundedMatchesLegacyFixed(t *testing.T) {
 	prod := &Problem{NumVars: 2, Objective: []float64{-3, -5}}
 	prod.AddConstraint(LE, 4, map[int]float64{0: 1})
@@ -70,13 +70,13 @@ func TestBoundedMatchesLegacyFixed(t *testing.T) {
 }
 
 // Bounds passed to the Solver must behave exactly like explicit constraint
-// rows given to the legacy solver.
+// rows under the default bounds, solved by the dense oracle.
 func TestBoundedBoundsMatchRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		p, lo, hi := randomBoundedProblem(rng)
 
-		// Legacy: bounds as rows.
+		// Oracle: bounds as rows, dense kernel.
 		rowP := &Problem{NumVars: p.NumVars, Objective: p.Objective}
 		rowP.Constraints = append(rowP.Constraints, p.Constraints...)
 		for j := 0; j < p.NumVars; j++ {
@@ -87,7 +87,7 @@ func TestBoundedBoundsMatchRows(t *testing.T) {
 				rowP.AddConstraint(LE, hi[j], map[int]float64{j: 1})
 			}
 		}
-		legacy, err := Solve(rowP)
+		dense, err := solveCold(NewDenseSolver, rowP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +100,13 @@ func TestBoundedBoundsMatchRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sol.Status != legacy.Status {
-			t.Fatalf("trial %d: bounded status = %v, legacy %v (problem %+v lo=%v hi=%v)",
-				trial, sol.Status, legacy.Status, p, lo, hi)
+		if sol.Status != dense.Status {
+			t.Fatalf("trial %d: bounded status = %v, dense %v (problem %+v lo=%v hi=%v)",
+				trial, sol.Status, dense.Status, p, lo, hi)
 		}
-		if sol.Status == Optimal && !approx(sol.Objective, legacy.Objective, 1e-5) {
-			t.Fatalf("trial %d: bounded objective = %v, legacy %v (problem %+v lo=%v hi=%v)",
-				trial, sol.Objective, legacy.Objective, p, lo, hi)
+		if sol.Status == Optimal && !approx(sol.Objective, dense.Objective, 1e-5) {
+			t.Fatalf("trial %d: bounded objective = %v, dense %v (problem %+v lo=%v hi=%v)",
+				trial, sol.Objective, dense.Objective, p, lo, hi)
 		}
 	}
 }
@@ -248,13 +248,14 @@ func TestDegenerateBlandSwitch(t *testing.T) {
 		return p
 	}
 
-	// Legacy solver: must terminate and find the optimum -0.05.
-	legacy, err := Solve(beale())
+	// Dense oracle at the default Bland trigger: must terminate and find
+	// the optimum -0.05.
+	dense, err := solveCold(NewDenseSolver, beale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Status != Optimal || !approx(legacy.Objective, -0.05, 1e-9) {
-		t.Fatalf("legacy: %+v, want optimal -0.05", legacy)
+	if dense.Status != Optimal || !approx(dense.Objective, -0.05, 1e-9) {
+		t.Fatalf("dense: %+v, want optimal -0.05", dense)
 	}
 
 	s, err := NewSolver(beale())

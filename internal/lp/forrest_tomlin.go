@@ -1,19 +1,16 @@
 package lp
 
-// Forrest-Tomlin basis updates.
+// The Forrest-Tomlin kernel: the one production simplex kernel.
 //
-// The eta kernel (sparse.go) represents basis changes as a product-form
-// eta file layered over a frozen LU factorisation: every FTRAN/BTRAN pays
-// for the whole file, so pivot cost degrades linearly with the distance to
-// the last refactorisation. The Forrest-Tomlin kernel updates the U factor
-// itself: a basis exchange replaces one U column with the spike
-// w = L^-1 a_q (transformed through the earlier FT etas), cyclically
-// permutes it to the last elimination position, and restores triangularity
-// by eliminating the leaving row's remaining U entries with one composite
-// row eta. FTRAN/BTRAN then cost the (permuted, slightly filled) factor
-// itself — the representation tightens instead of deepening, and the eta
-// file holds one *row* transform per pivot whose length is the leaving
-// row's U fill, typically far below a full product-form column.
+// A basis change does not rebuild the LU factorisation (sparse.go); it
+// updates the U factor in place. The exchange replaces one U column with
+// the spike w = L^-1 a_q (transformed through the earlier FT etas),
+// cyclically permutes it to the last elimination position, and restores
+// triangularity by eliminating the leaving row's remaining U entries with
+// one composite row eta. FTRAN/BTRAN then cost the (permuted, slightly
+// filled) factor itself — the representation tightens instead of deepening,
+// and the eta file holds one *row* transform per pivot whose length is the
+// leaving row's U fill.
 //
 // Representation. U is held column-wise in m slots. Slot t carries its
 // pivot row (slotPiv), reciprocal pivot (slotInv) and off-pivot column
@@ -38,25 +35,23 @@ package lp
 // rows[p_j] strictly rightward (the invariant above guarantees it). The
 // pairs form ONE row eta E: (Ev)[r] = v[r] - sum m_j v[p_j], applied
 // ascending in FTRAN between L and U, transposed descending in BTRAN.
-// |mu| <= pivTol rejects the update (roll back, refactorise); a rejected
-// refactorisation falls back to the product-form eta file (etaMode) so the
-// solve always finishes on some representation.
+// |mu| <= pivTol rejects the update: the kernel refactorises for the new
+// basis instead, and if even that rebuild is singular the pivot reports
+// failure and the pivot loop stops the solve (counted in lp.ft.fallbacks).
 //
 // Refactorisation policy: every defaultFTRefactorEvery updates
 // (refactorEveryOverride replaces it in tests), or earlier when the
 // accumulated fill — spike entries plus eta pairs — crosses half the
 // pristine factored nonzeros (plus a small slack so tiny factors don't
-// thrash). Rebuilds go through the shared Markowitz-ordered elimination in
-// sparse.go with row labels pinned, exactly like the eta kernel, so at
-// refactorEveryOverride=1 both kernels reinstall the identical factor
-// after every pivot and their pivot sequences are bit-identical — the
-// cross-check the fuzz suite leans on.
+// thrash). Rebuilds run the Markowitz-ordered elimination of sparse.go
+// with row labels pinned, relabelling through free pivoting only when the
+// pinned elimination goes singular.
 
 import "math"
 
 // defaultFTRefactorEvery is the Forrest-Tomlin update count that triggers
 // a periodic refactorisation. FT updates keep the factor tight, so the
-// interval is much longer than the eta kernel's.
+// interval can be long.
 const defaultFTRefactorEvery = 64
 
 // ftFillSlack is the absolute fill allowance added to the relative
@@ -65,8 +60,8 @@ const defaultFTRefactorEvery = 64
 const ftFillSlack = 16
 
 // singularRetryInterval is how many pivots the periodic refactorisation
-// triggers stay silent after a pinned-row rebuild came out singular,
-// bounding the cost of repeated failed elimination attempts to at most
+// triggers stay silent after a rebuild came out singular even under free
+// pivoting, bounding the cost of repeated failed elimination attempts to at most
 // one per interval while still escaping the degenerate basis that caused
 // the failure.
 const singularRetryInterval = 8
@@ -77,16 +72,52 @@ type ftEntry struct {
 	val  float64
 }
 
-// ftKernel implements kernel with Forrest-Tomlin updates over the shared
-// sparse machinery. It owns the U representation; the embedded
-// sparseKernel supplies the pristine matrix, scratch arenas, the
-// Markowitz/peel elimination ordering, the factor builder, and the
-// product-form eta file used as the etaMode fallback. Composition, not
-// embedding: sparseKernel's own methods must never resolve to FT state.
+// ftKernel implements kernel with the sparse revised simplex and
+// Forrest-Tomlin updates: the pristine matrix, the scratch arenas and the
+// factor builder of sparse.go, plus the updated U file.
 type ftKernel struct {
-	sk *sparseKernel
+	s *Solver
+
+	// Pristine structural matrix, column- and row-compressed.
+	ccStart []int32 // len nStruct+1
+	ccRow   []int32
+	ccVal   []float64
+	crStart []int32 // len m+1
+	crCol   []int32
+	crVal   []float64
+	nnz     int
+	sig     matrixSig
 
 	base *luFactor // pristine factor under the updates; nil = slack identity
+
+	// Two-slot ring of mid-solve factor arenas: the slot being rebuilt is
+	// never the live base, so an aborted rebuild leaves the current
+	// representation intact.
+	midFactor [2]*luFactor
+	midNext   int
+	// buildTmp is the reusable scratch the warm-start elimination writes
+	// into before the exact-size clone is memoised on the Basis snapshot.
+	buildTmp *luFactor
+
+	colScratch  []float64 // len m: column handed to the pivot loops
+	rowScratch  []float64 // len nCols: row handed to the dual loop
+	rho         []float64 // len m: BTRAN work
+	work        []float64 // len m: internal FTRAN work
+	xbScratch   []float64 // len m: accuracy-check snapshot
+	rowOf       []int32   // len nCols: column -> current row, refactor scratch
+	pivotedRows []bool    // len m: factor-build row state
+	rowValidFor int       // row index rowScratch currently holds, -1 if none
+
+	// Elimination-ordering scratch (orderBasisColumns).
+	basicCols []int32 // ascending basic columns
+	ordCols   []int32 // emitted elimination order
+	ordPref   []int32 // structurally chosen pivot row per step, -1 if none
+	rcStart   []int32 // len m+1: row -> basic-column incidence offsets
+	rcIdx     []int32
+	colCnt    []int32 // len nCols: active-row counts per basic column
+	rowCnt    []int32 // len m: active-basic-column counts per row
+	colActive []bool  // len nCols
+	rowActive []bool  // len m
 
 	// U slots. Slot t's column entries live in colRow/colVal[t] once
 	// cowed[t]; before that they alias base's uRow/uVal (or are empty for
@@ -111,12 +142,6 @@ type ftKernel struct {
 	ftRowIdx []int32
 	ftVal    []float64
 
-	// etaMode: a rejected update whose rescue refactorisation also failed
-	// parks the kernel on the product-form eta file (the sparseKernel
-	// arrays) layered over the frozen FT representation; a later
-	// successful refactorisation escapes back to FT updates.
-	etaMode bool
-
 	wScratch   []float64 // len m: spike work
 	posScratch []float64 // len m: position-indexed elimination row
 
@@ -125,49 +150,70 @@ type ftKernel struct {
 	updates  int // FT updates since the last refactorisation
 
 	// rebuildCooloff suppresses the periodic refactorisation triggers for
-	// this many pivots after a pinned-row rebuild came out singular. The
-	// singularity is a property of the basis the rescue was attempted at,
-	// not of the solve: a later basis usually rebuilds fine, so the
-	// kernel retries on a deterministic cadence instead of freezing
-	// refactorisation — an unboundedly growing eta file turns the
-	// remaining pivots quadratic, which is the one failure mode this
-	// kernel must never introduce.
+	// this many pivots after a rebuild came out singular. The singularity
+	// is a property of the basis the rebuild was attempted at, not of the
+	// solve: a later basis usually rebuilds fine, so the kernel retries on
+	// a deterministic cadence, bounding the cost of failed elimination
+	// attempts to at most one per interval.
 	rebuildCooloff int
 
 	// Per-solve statistics (reset by beginSolve).
+	stRefactor  int
+	stFill      int
+	stAccFail   int
+	stSingular  int // mid-solve pinned-row rebuilds that went singular
 	stUpdates   int
 	stSpikeNNZ  int
 	stFallbacks int
 }
 
 func newFTKernel(s *Solver, p *Problem) *ftKernel {
-	m := len(p.Constraints)
+	m := s.m
 	k := &ftKernel{
-		sk:         newSparseKernel(s, p),
-		slotPiv:    make([]int32, m),
-		slotInv:    make([]float64, m),
-		cowed:      make([]bool, m),
-		colRow:     make([][]int32, m),
-		colVal:     make([][]float64, m),
-		order:      make([]int32, m),
-		orderPos:   make([]int32, m),
-		rowSlot:    make([]int32, m),
-		rows:       make([][]ftEntry, m),
-		wScratch:   make([]float64, m),
-		posScratch: make([]float64, m),
+		s:           s,
+		rowValidFor: -1,
+		colScratch:  make([]float64, m),
+		rowScratch:  make([]float64, s.nCols),
+		rho:         make([]float64, m),
+		work:        make([]float64, m),
+		xbScratch:   make([]float64, m),
+		rowOf:       make([]int32, s.nCols),
+		pivotedRows: make([]bool, m),
+		rcStart:     make([]int32, m+1),
+		colCnt:      make([]int32, s.nCols),
+		rowCnt:      make([]int32, m),
+		colActive:   make([]bool, s.nCols),
+		rowActive:   make([]bool, m),
+		slotPiv:     make([]int32, m),
+		slotInv:     make([]float64, m),
+		cowed:       make([]bool, m),
+		colRow:      make([][]int32, m),
+		colVal:      make([][]float64, m),
+		order:       make([]int32, m),
+		orderPos:    make([]int32, m),
+		rowSlot:     make([]int32, m),
+		rows:        make([][]ftEntry, m),
+		wScratch:    make([]float64, m),
+		posScratch:  make([]float64, m),
 	}
+	k.loadMatrix(p)
 	k.ftStart = append(k.ftStart, 0)
 	k.installBase(nil)
 	return k
 }
 
 func (k *ftKernel) beginSolve() {
-	k.sk.beginSolve()
+	k.stRefactor, k.stFill, k.stAccFail, k.stSingular = 0, 0, 0, 0
 	k.stUpdates, k.stSpikeNNZ, k.stFallbacks = 0, 0, 0
 }
 
 func (k *ftKernel) solveStats(sol *Solution) {
-	k.sk.solveStats(sol)
+	sol.Sparse = true
+	sol.SparseNNZ = k.nnz
+	sol.SparseRefactorizations = k.stRefactor
+	sol.SparseFillIn = k.stFill
+	sol.SparseAccuracyFailures = k.stAccFail
+	sol.SparseSingularRefactors = k.stSingular
 	sol.FTUpdates = k.stUpdates
 	sol.FTSpikeNNZ = k.stSpikeNNZ
 	sol.FTFallbacks = k.stFallbacks
@@ -197,11 +243,11 @@ func (k *ftKernel) materialize(t int32) {
 }
 
 // installBase points the slot file at a fresh factor (nil: the slack
-// identity) in O(m): identity order, no cowed columns, empty eta files,
-// etaMode off. The factor is immutable and may be shared (memoised on a
+// identity) in O(m): identity order, no cowed columns, an empty eta file.
+// The factor is immutable and may be shared (memoised on a
 // Basis snapshot), which is exactly why columns are copy-on-write.
 func (k *ftKernel) installBase(f *luFactor) {
-	m := k.sk.s.m
+	m := k.s.m
 	k.base = f
 	for t := 0; t < m; t++ {
 		if f != nil {
@@ -221,8 +267,6 @@ func (k *ftKernel) installBase(f *luFactor) {
 	k.ftStart = k.ftStart[:1]
 	k.ftRowIdx = k.ftRowIdx[:0]
 	k.ftVal = k.ftVal[:0]
-	k.etaMode = false
-	k.sk.resetEtas()
 	k.updates = 0
 	k.addedNnz = 0
 	k.baseNnz = m
@@ -235,7 +279,7 @@ func (k *ftKernel) installBase(f *luFactor) {
 // the first update after a refactorisation and maintained incrementally
 // from then on.
 func (k *ftKernel) buildRows() {
-	m := k.sk.s.m
+	m := k.s.m
 	for r := 0; r < m; r++ {
 		k.rows[r] = k.rows[r][:0]
 	}
@@ -334,20 +378,17 @@ func (k *ftKernel) solveUT(v []float64) {
 	}
 }
 
-// ftran overwrites v with B^-1 v: L, FT row etas, the updated U, then the
-// product-form fallback file (empty unless etaMode engaged).
+// ftran overwrites v with B^-1 v: L, the FT row etas, then the updated U.
 func (k *ftKernel) ftran(v []float64) {
 	if k.base != nil {
 		k.base.ftranL(v)
 	}
 	k.applyFTEtas(v)
 	k.solveU(v)
-	k.sk.applyEtas(v)
 }
 
 // btran overwrites v with B^-T v: the exact transpose of ftran, reversed.
 func (k *ftKernel) btran(v []float64) {
-	k.sk.applyEtasT(v)
 	k.solveUT(v)
 	k.applyFTEtasT(v)
 	if k.base != nil {
@@ -356,46 +397,156 @@ func (k *ftKernel) btran(v []float64) {
 }
 
 func (k *ftKernel) loadSlack() {
-	k.sk.loadSlack()
+	k.rowValidFor = -1
 	k.installBase(nil)
 }
 
 func (k *ftKernel) column(j int) []float64 {
-	k.sk.scatter(k.sk.colScratch, j)
-	k.ftran(k.sk.colScratch)
-	return k.sk.colScratch
+	k.scatter(k.colScratch, j)
+	k.ftran(k.colScratch)
+	return k.colScratch
 }
 
-func (k *ftKernel) row(i int) []float64 { return k.sk.rowWith(k, i) }
+// row assembles tableau row i: rho = B^-T e_i gathered across the CSR rows
+// rho touches.
+func (k *ftKernel) row(i int) []float64 {
+	s := k.s
+	rho := k.rho
+	for r := range rho {
+		rho[r] = 0
+	}
+	rho[i] = 1
+	k.btran(rho)
+	out := k.rowScratch
+	for j := range out {
+		out[j] = 0
+	}
+	for r := 0; r < s.m; r++ {
+		yr := rho[r]
+		if yr == 0 {
+			continue
+		}
+		for t := k.crStart[r]; t < k.crStart[r+1]; t++ {
+			out[k.crCol[t]] += yr * k.crVal[t]
+		}
+		out[s.nStruct+r] = yr
+	}
+	k.rowValidFor = i
+	return out
+}
 
-func (k *ftKernel) computeRHSBar() { k.sk.computeRHSBarWith(k) }
-func (k *ftKernel) computeD()      { k.sk.priceIntoWith(k, k.sk.s.d, k.sk.s.obj) }
-func (k *ftKernel) computePert()   { k.sk.priceIntoWith(k, k.sk.s.pert, k.sk.s.pert0) }
-func (k *ftKernel) computeXB()     { k.sk.computeXBWith(k) }
+// priceUpdate is the partial pricing update: d (and the perturbation row)
+// change only at the columns where the pivot row is nonzero. alpha_j * inv is the dense kernel's scaled
+// pivot row entry.
+func (k *ftKernel) priceUpdate(alpha []float64, inv float64, enter int) {
+	s := k.s
+	if f := s.d[enter]; f != 0 {
+		for j := 0; j < s.nCols; j++ {
+			if a := alpha[j]; a != 0 {
+				s.d[j] -= f * (a * inv)
+			}
+		}
+		s.d[enter] = 0
+	}
+	if s.usePert {
+		if f := s.pert[enter]; f != 0 {
+			for j := 0; j < s.nCols; j++ {
+				if a := alpha[j]; a != 0 {
+					s.pert[j] -= f * (a * inv)
+				}
+			}
+			s.pert[enter] = 0
+		}
+	}
+}
 
-// refactorize mirrors sparseKernel.refactorize — same memoisation, same
-// canonical elimination — but installs the factor as the FT base.
+// computeRHSBar recomputes rhsBar = B^-1 b through the current factor.
+func (k *ftKernel) computeRHSBar() {
+	copy(k.s.rhsBar, k.s.rhs)
+	k.ftran(k.s.rhsBar)
+}
+
+// priceInto recomputes a transformed cost row from its pristine form:
+// out_j = c_j - y . A_j with B^T y = c_B, exact zeros on basic columns.
+func (k *ftKernel) priceInto(out, c []float64) {
+	s := k.s
+	y := k.work
+	for r := 0; r < s.m; r++ {
+		y[r] = c[s.basis[r]]
+	}
+	k.btran(y)
+	copy(out, c[:s.nStruct])
+	for r := 0; r < s.m; r++ {
+		yr := y[r]
+		if yr != 0 {
+			for t := k.crStart[r]; t < k.crStart[r+1]; t++ {
+				out[k.crCol[t]] -= yr * k.crVal[t]
+			}
+		}
+		out[s.nStruct+r] = c[s.nStruct+r] - yr
+	}
+	for r := 0; r < s.m; r++ {
+		out[s.basis[r]] = 0
+	}
+}
+
+func (k *ftKernel) computeD()    { k.priceInto(k.s.d, k.s.obj) }
+func (k *ftKernel) computePert() { k.priceInto(k.s.pert, k.s.pert0) }
+
+// computeXB mirrors the dense kernel: start from rhsBar and subtract each
+// nonbasic column at a nonzero resting value, columns in ascending order.
+func (k *ftKernel) computeXB() {
+	s := k.s
+	copy(s.xB, s.rhsBar)
+	for j := 0; j < s.nCols; j++ {
+		if s.inBasis[j] {
+			continue
+		}
+		v := s.boundVal(j)
+		if v == 0 {
+			continue
+		}
+		k.scatter(k.colScratch, j)
+		k.ftran(k.colScratch)
+		col := k.colScratch
+		for i := 0; i < s.m; i++ {
+			if aij := col[i]; aij != 0 {
+				s.xB[i] -= aij * v
+			}
+		}
+	}
+}
+
+// refactorize rebuilds the representation for a warm-start basis and
+// installs it as the FT base. The elimination — fill-reducing order,
+// structural pivot preferences with largest-|entry| fallback — is a pure
+// function of the matrix and the basis set, so every consumer of a
+// snapshot computes an identical factor; the result is memoised on the
+// snapshot so sibling branch-and-bound nodes and speculative workers
+// exchange the factor instead of re-eliminating.
 func (k *ftKernel) refactorize(bas *Basis) bool {
-	sk := k.sk
-	s := sk.s
-	sk.resetEtas()
-	sk.rowValidFor = -1
+	s := k.s
+	k.rowValidFor = -1
 
-	if f := bas.factor.Load(); f != nil && f.sig == sk.sig {
+	if f := bas.factor.Load(); f != nil && f.sig == k.sig {
 		copy(s.basis, f.perm)
 		k.installBase(f)
 		k.installStats(f)
 		return true
 	}
 
-	sk.orderBasisColumns()
-	if sk.buildTmp == nil {
-		sk.buildTmp = &luFactor{}
+	k.orderBasisColumns()
+	// Build into the kernel-owned scratch factor (its append-grown arrays
+	// amortise across solves), then clone exact-size arrays for the memo:
+	// the snapshot outlives this solver, and trimming removes the capacity
+	// slack growslice doubling would otherwise retain per node.
+	if k.buildTmp == nil {
+		k.buildTmp = &luFactor{}
 	}
-	if !sk.buildFactorInto(sk.buildTmp, false) {
+	if !k.buildFactorInto(k.buildTmp, false) {
 		return false // singular within tolerance: caller solves cold
 	}
-	f := sk.buildTmp.clone()
+	f := k.buildTmp.clone()
 	bas.factor.Store(f)
 	copy(s.basis, f.perm)
 	k.installBase(f)
@@ -403,48 +554,43 @@ func (k *ftKernel) refactorize(bas *Basis) bool {
 	return true
 }
 
-// installStats is sparseKernel.installStats routed through the FT
-// representation's FTRAN/BTRAN.
+// installStats records a factor install and recomputes the derived
+// vectors (rhsBar and reduced costs) from pristine data. Memoised and
+// freshly built factors are byte-identical, so the recorded statistics are
+// independent of memo hits — which keeps lp.sparse.* counters bit-equal
+// between sequential and speculative runs.
 func (k *ftKernel) installStats(f *luFactor) {
-	k.sk.stRefactor++
-	k.sk.stFill += f.fill
+	k.stRefactor++
+	k.stFill += f.fill
 	k.computeRHSBar()
 	k.computeD()
 }
 
 // midRefactor rebuilds the factor mid-solve and installs it as a fresh FT
-// base (collapsing the update files and escaping etaMode). The pinned-row
-// elimination is tried first — keeping labels in place costs nothing when
-// it works — but when the current assignment forces a too-small diagonal
-// the rebuild falls back to free pivot selection and relabels: the heading
-// is re-derived from the new pivot assignment, exactly like a warm-start
-// refactorize, and every derived vector below is recomputed in the new
-// order. (The eta oracle keeps the seed's freeze-on-singular semantics:
-// it only rebuilds at cadence bases, where a singular pinned elimination
-// signals real trouble rather than a degenerate moment. The FT kernel, by
-// contrast, asks for rescue rebuilds precisely at numerically sick bases,
-// so a retry path is load-bearing.) Returns false only when even the free
-// elimination goes singular; the representation stays valid, and the
-// periodic triggers back off for singularRetryInterval pivots.
+// base, collapsing the update files. The pinned-row elimination is tried
+// first — keeping labels in place costs nothing when it works — but when
+// the current assignment forces a too-small diagonal the rebuild falls
+// back to free pivot selection and relabels: the heading is re-derived
+// from the new pivot assignment, exactly like a warm-start refactorize,
+// and every derived vector below is recomputed in the new order. Returns
+// false only when even the free elimination goes singular; the
+// representation is then untouched, and the periodic triggers back off
+// for singularRetryInterval pivots.
 func (k *ftKernel) midRefactor() bool {
-	sk := k.sk
-	s := sk.s
-	if sk.noMoreRefactor {
-		return false
-	}
+	s := k.s
 	for r := 0; r < s.m; r++ {
-		sk.rowOf[s.basis[r]] = int32(r)
+		k.rowOf[s.basis[r]] = int32(r)
 	}
-	sk.orderBasisColumns()
-	dst := sk.midFactor[sk.midNext]
+	k.orderBasisColumns()
+	dst := k.midFactor[k.midNext]
 	if dst == nil {
 		dst = &luFactor{}
-		sk.midFactor[sk.midNext] = dst
+		k.midFactor[k.midNext] = dst
 	}
-	copy(sk.xbScratch, s.xB)
-	if !sk.buildFactorInto(dst, true) {
-		sk.stSingular++
-		if !sk.buildFactorInto(dst, false) {
+	copy(k.xbScratch, s.xB)
+	if !k.buildFactorInto(dst, true) {
+		k.stSingular++
+		if !k.buildFactorInto(dst, false) {
 			k.rebuildCooloff = singularRetryInterval
 			return false
 		}
@@ -454,29 +600,29 @@ func (k *ftKernel) midRefactor() bool {
 		// below keeps comparing like with like, then re-derive the basis
 		// heading from the new pivot assignment.
 		for r := 0; r < s.m; r++ {
-			sk.work[r] = s.xB[sk.rowOf[dst.perm[r]]]
+			k.work[r] = s.xB[k.rowOf[dst.perm[r]]]
 		}
-		copy(sk.xbScratch, sk.work)
+		copy(k.xbScratch, k.work)
 		copy(s.basis, dst.perm)
 	}
 	k.rebuildCooloff = 0
-	sk.midNext ^= 1
+	k.midNext ^= 1
 	k.installBase(dst)
-	sk.rowValidFor = -1
-	sk.stRefactor++
-	sk.stFill += dst.fill
+	k.rowValidFor = -1
+	k.stRefactor++
+	k.stFill += dst.fill
 	k.computeRHSBar()
 	k.computeD()
 	if s.usePert {
 		k.computePert()
 	}
-	// Accuracy check, identical to the eta kernel's: the incrementally
-	// maintained basic values (snapshotted above, permuted if the rebuild
-	// relabelled) against their recomputation through the fresh factor.
+	// Accuracy check: the incrementally maintained basic values
+	// (snapshotted above, permuted if the rebuild relabelled) against their
+	// recomputation through the fresh factor.
 	k.computeXB()
 	for i := 0; i < s.m; i++ {
-		if math.Abs(sk.xbScratch[i]-s.xB[i]) > refactorAccTol {
-			sk.stAccFail++
+		if math.Abs(k.xbScratch[i]-s.xB[i]) > refactorAccTol {
+			k.stAccFail++
 			break
 		}
 	}
@@ -487,8 +633,7 @@ func (k *ftKernel) midRefactor() bool {
 // entering column. Returns false (state rolled back, representation
 // untouched) when the new diagonal is numerically unacceptable.
 func (k *ftKernel) ftUpdate(leave, enter int) bool {
-	sk := k.sk
-	s := sk.s
+	s := k.s
 	m := s.m
 
 	// Spike w = (FT etas) L^-1 a_enter: the entering column transformed up
@@ -496,7 +641,7 @@ func (k *ftKernel) ftUpdate(leave, enter int) bool {
 	// transformed column the ratio test used and must stay intact for the
 	// rhsBar sweep, hence the dedicated scratch.
 	w := k.wScratch
-	sk.scatter(w, enter)
+	k.scatter(w, enter)
 	if k.base != nil {
 		k.base.ftranL(w)
 	}
@@ -601,98 +746,61 @@ func (k *ftKernel) ftUpdate(leave, enter int) bool {
 	return true
 }
 
-func (k *ftKernel) pivot(leave, enter int) {
-	sk := k.sk
-	s := sk.s
-	// The reduced-cost update needs row `leave` of the pre-pivot tableau;
-	// see sparseKernel.pivot.
-	if sk.rowValidFor != leave {
+func (k *ftKernel) pivot(leave, enter int) bool {
+	s := k.s
+	// The reduced-cost update needs row `leave` of the pre-pivot tableau.
+	// The dual simplex has just fetched it (row invalidation tracking makes
+	// that reuse exact); a primal pivot computes it here, against the
+	// representation as it stands before this exchange.
+	if k.rowValidFor != leave {
 		k.row(leave)
 	}
-	alpha := sk.rowScratch
-	col := sk.colScratch // FTRAN'd entering column, fetched by the pivot loop
+	alpha := k.rowScratch
+	col := k.colScratch // FTRAN'd entering column, fetched by the pivot loop
+
+	if !k.ftUpdate(leave, enter) {
+		// Rejected update: refactorise for the post-pivot basis (the Solver
+		// has already exchanged it) — that recomputes rhsBar, the cost rows
+		// and xB from pristine data, so the incremental sweeps below are
+		// skipped. If even the rescue is singular, no representation of the
+		// new basis exists: report failure and let the pivot loop stop.
+		k.rowValidFor = -1
+		if !k.midRefactor() {
+			k.stFallbacks++
+			return false
+		}
+		return true
+	}
+
+	// Apply the pivot to rhsBar with the dense kernel's arithmetic.
 	inv := 1 / col[leave]
-
-	refactored := false
-	if !k.etaMode {
-		if !k.ftUpdate(leave, enter) {
-			// Rejected update: refactorise for the post-pivot basis (the
-			// Solver has already exchanged it) — that recomputes rhsBar,
-			// the cost rows and xB from pristine data, so the incremental
-			// sweeps below are skipped. If the rescue also fails, park on
-			// the product-form eta file.
-			if k.midRefactor() {
-				refactored = true
-			} else {
-				k.etaMode = true
-				k.stFallbacks++
-			}
+	rb := s.rhsBar[leave] * inv
+	for i := 0; i < s.m; i++ {
+		if i == leave {
+			continue
+		}
+		if f := col[i]; f != 0 {
+			s.rhsBar[i] -= f * rb
 		}
 	}
+	s.rhsBar[leave] = rb
+	k.priceUpdate(alpha, inv, enter)
+	k.rowValidFor = -1
 
-	if !refactored {
-		// Apply the pivot to rhsBar with the dense kernel's arithmetic; in
-		// etaMode, capture the product-form eta in the same sweep, exactly
-		// like the eta kernel.
-		rb := s.rhsBar[leave] * inv
-		if k.etaMode {
-			for i := 0; i < s.m; i++ {
-				if i == leave {
-					continue
-				}
-				if f := col[i]; f != 0 {
-					sk.etaIdx = append(sk.etaIdx, int32(i))
-					sk.etaVal = append(sk.etaVal, f)
-					s.rhsBar[i] -= f * rb
-				}
-			}
-			sk.etaPiv = append(sk.etaPiv, int32(leave))
-			sk.etaInv = append(sk.etaInv, inv)
-			sk.etaStart = append(sk.etaStart, int32(len(sk.etaIdx)))
-			if n := len(sk.etaPiv); n > sk.stEtaPeak {
-				sk.stEtaPeak = n
-			}
-		} else {
-			for i := 0; i < s.m; i++ {
-				if i == leave {
-					continue
-				}
-				if f := col[i]; f != 0 {
-					s.rhsBar[i] -= f * rb
-				}
-			}
-		}
-		s.rhsBar[leave] = rb
-		sk.priceUpdate(alpha, inv, enter)
-	}
-	sk.rowValidFor = -1
-
-	// Periodic refactorisation. In FT mode: update count (long default
-	// interval, the override replaces it) or accumulated fill crossing
-	// half the pristine factored nonzeros. In etaMode: the eta kernel's
-	// triggers, and a success escapes back to FT updates. A recent
-	// singular rebuild backs the triggers off for a few pivots so failed
-	// elimination attempts stay amortised.
+	// Periodic refactorisation: update count (long default interval, the
+	// override replaces it) or accumulated fill crossing half the pristine
+	// factored nonzeros. A recent singular rebuild backs the triggers off
+	// for a few pivots so failed elimination attempts stay amortised.
 	if k.rebuildCooloff > 0 {
 		k.rebuildCooloff--
-	} else if !sk.noMoreRefactor && !refactored {
-		if k.etaMode {
-			every := defaultRefactorEvery
-			if s.refactorEveryOverride > 0 {
-				every = s.refactorEveryOverride
-			}
-			base := k.baseNnz
-			if len(sk.etaPiv) >= every || len(sk.etaIdx) >= 4*base {
-				k.midRefactor()
-			}
-		} else if k.updates > 0 {
-			every := defaultFTRefactorEvery
-			if s.refactorEveryOverride > 0 {
-				every = s.refactorEveryOverride
-			}
-			if k.updates >= every || 2*k.addedNnz >= k.baseNnz+ftFillSlack {
-				k.midRefactor()
-			}
+	} else if k.updates > 0 {
+		every := defaultFTRefactorEvery
+		if s.refactorEveryOverride > 0 {
+			every = s.refactorEveryOverride
+		}
+		if k.updates >= every || 2*k.addedNnz >= k.baseNnz+ftFillSlack {
+			k.midRefactor()
 		}
 	}
+	return true
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"sring/internal/obs"
 )
 
 // denseRandomLP builds a deterministic, fully dense LP large enough to
@@ -59,7 +61,7 @@ func TestFTRepresentationInvariant(t *testing.T) {
 	}
 	v := make([]float64, s.m)
 	for r := 0; r < s.m; r++ {
-		k.sk.scatter(v, int(s.basis[r]))
+		k.scatter(v, int(s.basis[r]))
 		k.ftran(v)
 		for i := 0; i < s.m; i++ {
 			want := 0.0
@@ -100,9 +102,9 @@ func TestFTFillTriggerRefactorises(t *testing.T) {
 			sol.Phase1Pivots+sol.Phase2Pivots, sol.FTUpdates)
 	}
 	// The post-solve state must respect the trigger invariant: fill either
-	// below threshold or refactorisation frozen by a singular rebuild.
+	// below threshold or the triggers backing off after a singular rebuild.
 	k := s.k.(*ftKernel)
-	if !k.sk.noMoreRefactor && !k.etaMode && k.rebuildCooloff == 0 && k.updates > 0 && 2*k.addedNnz >= k.baseNnz+ftFillSlack {
+	if k.rebuildCooloff == 0 && k.updates > 0 && 2*k.addedNnz >= k.baseNnz+ftFillSlack {
 		t.Fatalf("fill trigger violated at solve end: addedNnz=%d baseNnz=%d", k.addedNnz, k.baseNnz)
 	}
 }
@@ -142,25 +144,124 @@ func TestFTRefactorEveryOverride(t *testing.T) {
 	}
 }
 
-// TestEtaSolverIsEtaKernel pins the oracle constructor: NewEtaSolver must
-// produce the product-form kernel (no FT updates ever reported).
-func TestEtaSolverIsEtaKernel(t *testing.T) {
-	p, lo, hi := denseRandomLP(11, 8, 10)
-	s, err := NewEtaSolver(p)
+// TestFTFailedRescue hands the FT kernel an exchange that leaves the basis
+// singular — a structural column that appears in no row entering the slack
+// basis — and checks the kernel's one failure path: the update is
+// rejected, the rescue refactorisation is singular under pinned and free
+// pivoting alike, pivot reports failure, and lp.ft.fallbacks records it.
+func TestFTFailedRescue(t *testing.T) {
+	p := &Problem{NumVars: 2, Objective: []float64{-1, -1}}
+	p.AddConstraint(LE, 1, map[int]float64{0: 1})
+	p.AddConstraint(LE, 2, map[int]float64{0: 1})
+	s, err := NewSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.k.(*sparseKernel); !ok {
-		t.Fatalf("NewEtaSolver kernel is %T, want *sparseKernel", s.k)
+	if _, err := s.setBounds(nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	sol, err := s.SolveBounded(lo, hi, time.Time{})
+	k := s.k.(*ftKernel)
+	k.beginSolve()
+	s.loadSlackBasis()
+
+	// The Solver's half of the exchange: x1 replaces row 0's slack.
+	for _, a := range k.column(1) {
+		if a != 0 {
+			t.Fatalf("column 1 is not empty: %v", k.colScratch)
+		}
+	}
+	out := s.basis[0]
+	s.inBasis[out] = false
+	s.inBasis[1] = true
+	s.basis[0] = 1
+	if k.pivot(0, 1) {
+		t.Fatal("pivot accepted a singular basis")
+	}
+
+	sol := &Solution{}
+	k.solveStats(sol)
+	if sol.FTFallbacks != 1 || sol.FTUpdates != 0 || sol.SparseSingularRefactors != 1 {
+		t.Fatalf("fallbacks=%d updates=%d singular=%d, want 1/0/1",
+			sol.FTFallbacks, sol.FTUpdates, sol.SparseSingularRefactors)
+	}
+	rec := obs.New()
+	AccumulateStats(rec, sol)
+	if got := rec.Counter("lp.ft.fallbacks").Value(); got != 1 {
+		t.Fatalf("lp.ft.fallbacks = %d, want 1", got)
+	}
+}
+
+// refusingKernel is an FT kernel whose every basis exchange fails, the way
+// a pivot with a singular rescue refactorisation does.
+type refusingKernel struct{ *ftKernel }
+
+func (refusingKernel) pivot(int, int) bool { return false }
+
+// TestFailedPivotStopsLoops checks how the pivot loops treat a kernel that
+// cannot represent the new basis: the primal and dual loops stop with
+// IterLimit after that one pivot, without claiming the deadline, so a warm
+// SolveDual declines (ok=false) and its caller falls back to a cold solve.
+func TestFailedPivotStopsLoops(t *testing.T) {
+	// Primal: max 3x + 5y from the (primal feasible) slack basis.
+	prod := &Problem{NumVars: 2, Objective: []float64{-3, -5}}
+	prod.AddConstraint(LE, 4, map[int]float64{0: 1})
+	prod.AddConstraint(LE, 12, map[int]float64{1: 2})
+	prod.AddConstraint(LE, 18, map[int]float64{0: 3, 1: 2})
+	// Dual: a diet problem, whose slack basis is dual but not primal
+	// feasible.
+	diet := &Problem{NumVars: 2, Objective: []float64{0.6, 1}}
+	diet.AddConstraint(GE, 20, map[int]float64{0: 10, 1: 4})
+	diet.AddConstraint(GE, 20, map[int]float64{0: 5, 1: 5})
+
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		loop func(s *Solver, st *iterState) Status
+	}{
+		{"primal", prod, func(s *Solver, st *iterState) Status { return s.primalSimplex(st) }},
+		{"dual", diet, func(s *Solver, st *iterState) Status {
+			s.initPert()
+			return s.dualSimplex(st, false)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSolver(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.k = refusingKernel{s.k.(*ftKernel)}
+			if _, err := s.setBounds(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			s.k.beginSolve()
+			s.loadSlackBasis()
+			st := s.newIterState(time.Time{})
+			if got := tc.loop(s, &st); got != IterLimit {
+				t.Fatalf("status %v, want IterLimit", got)
+			}
+			if st.deadlineHit {
+				t.Fatal("failed pivot reported as a deadline")
+			}
+			if st.pivots != 1 {
+				t.Fatalf("%d pivots, want the loop to stop at the first", st.pivots)
+			}
+		})
+	}
+
+	// Warm start: the real kernel solves the diet problem, the refusing one
+	// re-enters from its basis under a tightened bound.
+	s, err := NewSolver(diet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.FTUpdates != 0 || sol.FTSpikeNNZ != 0 || sol.FTFallbacks != 0 {
-		t.Fatalf("eta kernel reported FT stats: %+v", sol)
+	sol, err := s.SolveBounded(nil, nil, time.Time{})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("cold solve: %v %v", err, sol.Status)
 	}
-	if !sol.Sparse {
-		t.Fatal("eta solution not flagged Sparse")
+	bas := s.Basis()
+	s.k = refusingKernel{s.k.(*ftKernel)}
+	hi := []float64{sol.X[0] / 2, math.Inf(1)}
+	if _, ok, err := s.SolveDual(bas, nil, hi, time.Time{}); err != nil || ok {
+		t.Fatalf("warm solve over a failed pivot: ok=%v err=%v, want ok=false", ok, err)
 	}
 }

@@ -1,13 +1,16 @@
 // Package lp implements a linear-programming solver: minimisation of a
-// linear objective over linear constraints with non-negative variables,
-// solved by the two-phase primal simplex method on a dense tableau.
+// linear objective over linear constraints and variable bounds, solved by a
+// bounded primal/dual revised simplex (bounded.go) on one sparse kernel —
+// an LU factorisation of the basis kept current by Forrest-Tomlin updates
+// (sparse.go, forrest_tomlin.go). A dense full-tableau kernel shares every
+// pivot rule and stays as the cross-checking oracle.
 //
 // It is the LP substrate underneath the branch-and-bound MILP solver in
 // sring/internal/milp, replacing the commercial solver (Gurobi) used by the
 // SRing paper. Problems at WRONoC-benchmark scale (hundreds to a few
 // thousand variables and rows) solve in milliseconds to seconds.
 //
-// Pivoting uses Dantzig pricing with a ratio-test tie-break; if the
+// Pivoting uses Dantzig pricing with ratio-test tie-breaks; if the
 // iteration count suggests cycling the solver switches to Bland's rule,
 // which guarantees termination.
 package lp
@@ -15,8 +18,6 @@ package lp
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"sring/internal/obs"
 )
@@ -79,7 +80,22 @@ func (p *Problem) AddConstraint(rel Rel, rhs float64, terms map[int]float64) int
 	return len(p.Constraints) - 1
 }
 
-// Validate checks variable indices and dimensions.
+// validateRow checks one constraint against a structural width of nVars:
+// every variable index in range and a known relation. It is the single
+// per-row check behind both Problem.Validate and Solver.AppendRows.
+func validateRow(c *Constraint, nVars int) error {
+	for v := range c.Coeffs {
+		if v < 0 || v >= nVars {
+			return fmt.Errorf("references variable %d, want [0,%d)", v, nVars)
+		}
+	}
+	if c.Rel != LE && c.Rel != GE && c.Rel != EQ {
+		return fmt.Errorf("has unknown relation %v", c.Rel)
+	}
+	return nil
+}
+
+// Validate checks dimensions, variable indices and row relations.
 func (p *Problem) Validate() error {
 	if p.NumVars <= 0 {
 		return errors.New("lp: problem has no variables")
@@ -87,11 +103,9 @@ func (p *Problem) Validate() error {
 	if p.Objective != nil && len(p.Objective) != p.NumVars {
 		return fmt.Errorf("lp: objective has %d coefficients, want %d", len(p.Objective), p.NumVars)
 	}
-	for i, c := range p.Constraints {
-		for v := range c.Coeffs {
-			if v < 0 || v >= p.NumVars {
-				return fmt.Errorf("lp: constraint %d references variable %d (NumVars=%d)", i, v, p.NumVars)
-			}
+	for i := range p.Constraints {
+		if err := validateRow(&p.Constraints[i], p.NumVars); err != nil {
+			return fmt.Errorf("lp: constraint %d %w", i, err)
 		}
 	}
 	return nil
@@ -107,7 +121,9 @@ const (
 	Infeasible
 	// Unbounded: the objective is unbounded below.
 	Unbounded
-	// IterLimit: the iteration limit was hit before convergence.
+	// IterLimit: the solve stopped before convergence — the iteration
+	// limit, the deadline or an interrupt, or a basis exchange the kernel
+	// could not represent.
 	IterLimit
 )
 
@@ -134,9 +150,8 @@ type Solution struct {
 	Objective float64   // c . X, valid when Optimal
 	// Phase1Pivots and Phase2Pivots count the simplex pivots performed in
 	// each phase; BlandPivots counts how many of them ran under Bland's
-	// anti-cycling rule. Always populated, whatever the Status. For a
-	// Solver cold solve, Phase1Pivots counts the zero-cost dual pivots of
-	// the feasibility phase.
+	// anti-cycling rule. Always populated, whatever the Status. For a cold
+	// solve, Phase1Pivots counts the dual pivots of the feasibility phase.
 	Phase1Pivots int
 	Phase2Pivots int
 	BlandPivots  int
@@ -151,22 +166,19 @@ type Solution struct {
 	// attempted and failed (singular basis or iteration trouble); set by
 	// callers that implement the fallback, for telemetry attribution.
 	WarmFallback bool
-	// Sparse marks a solution produced by the sparse revised-simplex
-	// kernel; the Sparse* fields below are populated only then. They are
-	// deterministic per solve (refactorisation points are pivot counts and
-	// the factorisation is a pure function of matrix and basis), so
-	// accumulating them at consumption time matches a sequential run
+	// Sparse marks a solution produced by the sparse Forrest-Tomlin
+	// kernel; the Sparse* and FT* fields below are populated only then.
+	// They are deterministic per solve (refactorisation points are pivot
+	// counts and the factorisation is a pure function of matrix and basis),
+	// so accumulating them at consumption time matches a sequential run
 	// bit-for-bit even when solves ran speculatively.
 	Sparse bool
 	// SparseNNZ is the pristine constraint-matrix nonzero count.
 	SparseNNZ int
 	// SparseRefactorizations counts basis factorisation installs during the
 	// solve (warm-start refactorisations — memoised or freshly built — plus
-	// periodic mid-solve rebuilds of the eta file).
+	// mid-solve rebuilds).
 	SparseRefactorizations int
-	// SparseEtaPeak is the peak update-eta-file length reached between
-	// refactorisations.
-	SparseEtaPeak int
 	// SparseFillIn totals, over the solve's factorisations, the factor
 	// nonzeros beyond the basic columns' own pristine nonzeros.
 	SparseFillIn int
@@ -174,191 +186,35 @@ type Solution struct {
 	// recomputed basic values disagreed with the incrementally maintained
 	// ones beyond tolerance — a nonzero count flags numerical drift.
 	SparseAccuracyFailures int
-	// SparseSingularRefactors counts mid-solve refactorisations aborted
-	// because the pinned-row elimination went singular; the solve then
-	// continues on its current representation without further rebuilds.
+	// SparseSingularRefactors counts mid-solve refactorisations whose
+	// pinned-row elimination went singular; the rebuild then relabels the
+	// rows through free-pivot elimination.
 	SparseSingularRefactors int
-	// FTUpdates counts successful Forrest-Tomlin basis updates
-	// (forrest_tomlin.go); zero under the eta or dense kernels.
+	// FTUpdates counts successful Forrest-Tomlin basis updates.
 	FTUpdates int
 	// FTSpikeNNZ totals the off-diagonal spike-column nonzeros the FT
 	// updates inserted into the U file.
 	FTSpikeNNZ int
-	// FTFallbacks counts pivots where a rejected FT update and a failed
-	// rescue refactorisation parked the kernel on the product-form eta
-	// file for the rest of the solve (or until a refactorisation escapes).
+	// FTFallbacks counts pivots whose FT update was rejected and whose
+	// rescue refactorisation went singular even under free pivoting; the
+	// pivot loop then stops the solve with IterLimit (not a deadline), so
+	// callers treat it as unresolved.
 	FTFallbacks int
 }
 
 const (
 	eps = 1e-9
-	// blandTrigger is the iteration count after which the solver switches
-	// from Dantzig pricing to Bland's rule to escape potential cycling.
+	// blandTriggerFactor scales the iteration count after which the solver
+	// switches from Dantzig pricing to Bland's rule to escape potential
+	// cycling.
 	blandTriggerFactor = 4
 )
 
-// tableau is a dense simplex tableau.
-//
-// Layout: rows 0..m-1 are constraints, row m is the objective. Columns
-// 0..n-1 are variables (structural + slack/surplus + artificial), column n
-// is the RHS.
-type tableau struct {
-	m, n  int
-	a     [][]float64
-	basis []int // basis[r] = column basic in row r
-}
-
-func newTableau(m, n int) *tableau {
-	t := &tableau{m: m, n: n, basis: make([]int, m)}
-	t.a = make([][]float64, m+1)
-	cells := make([]float64, (m+1)*(n+1))
-	for i := range t.a {
-		t.a[i] = cells[i*(n+1) : (i+1)*(n+1)]
-	}
-	return t
-}
-
-// pivot performs a Gauss-Jordan pivot on (row, col).
-func (t *tableau) pivot(row, col int) {
-	pr := t.a[row]
-	pv := pr[col]
-	inv := 1 / pv
-	for j := 0; j <= t.n; j++ {
-		pr[j] *= inv
-	}
-	pr[col] = 1 // exact
-	for i := 0; i <= t.m; i++ {
-		if i == row {
-			continue
-		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ri := t.a[i]
-		for j := 0; j <= t.n; j++ {
-			ri[j] -= f * pr[j]
-		}
-		ri[col] = 0 // exact
-	}
-	t.basis[row] = col
-}
-
-// chooseColumn selects an entering column with a negative reduced cost.
-// Returns -1 when the tableau is optimal. allowed limits the candidate set
-// (nil means all columns).
-func (t *tableau) chooseColumn(bland bool, allowed []bool) int {
-	obj := t.a[t.m]
-	if bland {
-		for j := 0; j < t.n; j++ {
-			if (allowed == nil || allowed[j]) && obj[j] < -eps {
-				return j
-			}
-		}
-		return -1
-	}
-	best, bestVal := -1, -eps
-	for j := 0; j < t.n; j++ {
-		if (allowed == nil || allowed[j]) && obj[j] < bestVal {
-			best, bestVal = j, obj[j]
-		}
-	}
-	return best
-}
-
-// chooseRow performs the minimum-ratio test for entering column col.
-// Returns -1 if the column is unbounded. Ties break toward the smallest
-// basis index (lexicographic enough in combination with Bland's column
-// rule to prevent cycling).
-func (t *tableau) chooseRow(col int) int {
-	bestRow := -1
-	bestRatio := math.Inf(1)
-	for i := 0; i < t.m; i++ {
-		aij := t.a[i][col]
-		if aij <= eps {
-			continue
-		}
-		ratio := t.a[i][t.n] / aij
-		if ratio < bestRatio-eps ||
-			(ratio < bestRatio+eps && (bestRow == -1 || t.basis[i] < t.basis[bestRow])) {
-			bestRatio = ratio
-			bestRow = i
-		}
-	}
-	return bestRow
-}
-
-// runSimplex iterates to optimality. allowed restricts entering columns;
-// a non-zero deadline aborts with IterLimit when exceeded (checked every
-// few iterations). It returns the pivot count and how many of those pivots
-// ran under Bland's rule.
-func (t *tableau) runSimplex(maxIter int, allowed []bool, deadline time.Time) (Status, int, int) {
-	blandAfter := blandTriggerFactor * (t.m + t.n)
-	checkEvery := 16
-	pivots, blandPivots := 0, 0
-	for iter := 0; iter < maxIter; iter++ {
-		if !deadline.IsZero() && iter%checkEvery == 0 && time.Now().After(deadline) {
-			return IterLimit, pivots, blandPivots
-		}
-		bland := iter > blandAfter
-		col := t.chooseColumn(bland, allowed)
-		if col < 0 {
-			return Optimal, pivots, blandPivots
-		}
-		row := t.chooseRow(col)
-		if row < 0 {
-			return Unbounded, pivots, blandPivots
-		}
-		t.pivot(row, col)
-		pivots++
-		if bland {
-			blandPivots++
-		}
-	}
-	return IterLimit, pivots, blandPivots
-}
-
-// Solve solves the problem with the two-phase simplex method.
-//
-// The returned error is non-nil only for malformed input; infeasibility and
-// unboundedness are reported through Solution.Status.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveDeadline(p, time.Time{})
-}
-
-// SolveDeadline is Solve with a wall-clock cutoff: when the deadline passes
-// mid-solve the result carries Status IterLimit. A zero deadline means no
-// cutoff.
-func SolveDeadline(p *Problem, deadline time.Time) (*Solution, error) {
-	return SolveInstrumented(p, deadline, nil)
-}
-
-// SolveInstrumented is SolveDeadline with solver telemetry: pivot counts
-// and Bland-rule activations are accumulated onto the recorder's counters
-// (lp.solves, lp.pivots.phase1, lp.pivots.phase2, lp.bland_pivots,
-// lp.bland_activations). A nil recorder costs nothing; the counts are also
-// always returned in the Solution itself.
-func SolveInstrumented(p *Problem, deadline time.Time, rec *obs.Recorder) (*Solution, error) {
-	start := time.Now()
-	sol, err := solve(p, deadline)
-	if err != nil {
-		return nil, err
-	}
-	// One-shot solves have no Solver to carry registry handles; they are
-	// rare enough that recording into the process default directly is fine.
-	reg := obs.Default()
-	reg.Histogram("lp.solve.ns").RecordSince(start)
-	reg.Histogram("lp.solve.pivots").Record(int64(sol.Phase1Pivots + sol.Phase2Pivots))
-	AccumulateStats(rec, sol)
-	return sol, nil
-}
-
 // AccumulateStats records a solution's pivot counters onto the recorder's
-// lp.* counters. It exists separately from SolveInstrumented so callers
-// that solve speculatively (the parallel branch-and-bound worker pool) can
-// defer counter attribution to the moment a solution is actually consumed,
-// keeping the recorded counts identical to a sequential run. Nil recorder
-// or solution is a no-op.
+// lp.* counters. Callers that solve speculatively (the parallel
+// branch-and-bound worker pool) defer it to the moment a solution is
+// actually consumed, keeping the recorded counts identical to a sequential
+// run. Nil recorder or solution is a no-op.
 func AccumulateStats(rec *obs.Recorder, sol *Solution) {
 	if rec == nil || sol == nil {
 		return
@@ -381,9 +237,6 @@ func AccumulateStats(rec *obs.Recorder, sol *Solution) {
 		rec.Add("lp.sparse.solves", 1)
 		rec.Add("lp.sparse.nnz", int64(sol.SparseNNZ))
 		rec.Add("lp.sparse.refactorizations", int64(sol.SparseRefactorizations))
-		if n := int64(sol.SparseEtaPeak); n > 0 {
-			rec.Add("lp.sparse.eta_peak", n)
-		}
 		rec.Add("lp.sparse.fill_in", int64(sol.SparseFillIn))
 		if sol.SparseAccuracyFailures > 0 {
 			rec.Add("lp.sparse.accuracy_failures", int64(sol.SparseAccuracyFailures))
@@ -399,217 +252,4 @@ func AccumulateStats(rec *obs.Recorder, sol *Solution) {
 			rec.Add("lp.ft.fallbacks", int64(sol.FTFallbacks))
 		}
 	}
-}
-
-func solve(p *Problem, deadline time.Time) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m := len(p.Constraints)
-	nStruct := p.NumVars
-
-	// Count extra columns: one slack/surplus per inequality, one artificial
-	// per GE/EQ row (and per LE row with negative RHS after normalisation).
-	type rowPlan struct {
-		rel    Rel
-		negate bool
-		slack  int // column of slack/surplus, -1 if none
-		artif  int // column of artificial, -1 if none
-	}
-	plans := make([]rowPlan, m)
-	col := nStruct
-	for i, c := range p.Constraints {
-		pl := rowPlan{rel: c.Rel, slack: -1, artif: -1}
-		rhs := c.RHS
-		rel := c.Rel
-		if rhs < 0 {
-			pl.negate = true
-			rhs = -rhs
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-			pl.rel = rel
-		}
-		switch rel {
-		case LE:
-			pl.slack = col
-			col++
-		case GE:
-			pl.slack = col // surplus (coefficient -1)
-			col++
-			pl.artif = col
-			col++
-		case EQ:
-			pl.artif = col
-			col++
-		}
-		plans[i] = pl
-	}
-	n := col
-
-	t := newTableau(m, n)
-	// Fill constraint rows.
-	for i, c := range p.Constraints {
-		pl := plans[i]
-		sign := 1.0
-		rhs := c.RHS
-		if pl.negate {
-			sign = -1
-			rhs = -rhs
-		}
-		row := t.a[i]
-		for v, coeff := range c.Coeffs {
-			row[v] = sign * coeff
-		}
-		row[n] = rhs
-		if pl.slack >= 0 {
-			if pl.rel == LE {
-				row[pl.slack] = 1
-			} else {
-				row[pl.slack] = -1
-			}
-		}
-		if pl.artif >= 0 {
-			row[pl.artif] = 1
-			t.basis[i] = pl.artif
-		} else {
-			t.basis[i] = pl.slack
-		}
-	}
-
-	maxIter := 200 * (m + n + 10)
-	p1Pivots, p2Pivots, blandPivots := 0, 0, 0
-
-	// Phase 1: minimise the sum of artificials.
-	hasArtif := false
-	for _, pl := range plans {
-		if pl.artif >= 0 {
-			hasArtif = true
-			break
-		}
-	}
-	if hasArtif {
-		obj := t.a[m]
-		for j := range obj {
-			obj[j] = 0
-		}
-		for _, pl := range plans {
-			if pl.artif >= 0 {
-				obj[pl.artif] = 1
-			}
-		}
-		// Price out the artificial basis.
-		for i, pl := range plans {
-			if pl.artif >= 0 {
-				for j := 0; j <= n; j++ {
-					obj[j] -= t.a[i][j]
-				}
-			}
-		}
-		st, piv, bl := t.runSimplex(maxIter, nil, deadline)
-		p1Pivots, blandPivots = piv, bl
-		switch st {
-		case IterLimit:
-			return &Solution{Status: IterLimit, Phase1Pivots: p1Pivots, BlandPivots: blandPivots}, nil
-		case Unbounded:
-			// Phase-1 objective is bounded below by 0; cannot happen.
-			return nil, errors.New("lp: phase 1 reported unbounded")
-		}
-		if -t.a[m][n] > 1e-7 {
-			return &Solution{Status: Infeasible, Phase1Pivots: p1Pivots, BlandPivots: blandPivots}, nil
-		}
-		// Drive any artificials still in the basis out (degenerate rows).
-		artifSet := make(map[int]bool)
-		for _, pl := range plans {
-			if pl.artif >= 0 {
-				artifSet[pl.artif] = true
-			}
-		}
-		for i := 0; i < m; i++ {
-			if !artifSet[t.basis[i]] {
-				continue
-			}
-			pivoted := false
-			for j := 0; j < n && !pivoted; j++ {
-				if artifSet[j] {
-					continue
-				}
-				if math.Abs(t.a[i][j]) > eps {
-					t.pivot(i, j)
-					pivoted = true
-				}
-			}
-			// If no pivot column exists the row is redundant (all zero);
-			// the artificial stays basic at value zero, which is harmless
-			// as long as it cannot re-enter (blocked below).
-		}
-		// Block artificial columns from ever re-entering: zero them out.
-		for i := 0; i <= m; i++ {
-			for j := range artifSet {
-				t.a[i][j] = 0
-			}
-		}
-	}
-
-	// Phase 2: install the real objective and price out the basis.
-	obj := t.a[m]
-	for j := 0; j <= n; j++ {
-		obj[j] = 0
-	}
-	if p.Objective != nil {
-		copy(obj, p.Objective)
-	}
-	for i := 0; i < m; i++ {
-		b := t.basis[i]
-		if b < len(obj) && obj[b] != 0 {
-			f := obj[b]
-			for j := 0; j <= n; j++ {
-				obj[j] -= f * t.a[i][j]
-			}
-			obj[b] = 0
-		}
-	}
-	// Exclude artificial columns from pricing.
-	allowed := make([]bool, n)
-	for j := 0; j < n; j++ {
-		allowed[j] = true
-	}
-	for _, pl := range plans {
-		if pl.artif >= 0 {
-			allowed[pl.artif] = false
-		}
-	}
-	st, piv, bl := t.runSimplex(maxIter, allowed, deadline)
-	p2Pivots = piv
-	blandPivots += bl
-	switch st {
-	case IterLimit:
-		return &Solution{Status: IterLimit, Phase1Pivots: p1Pivots, Phase2Pivots: p2Pivots, BlandPivots: blandPivots}, nil
-	case Unbounded:
-		return &Solution{Status: Unbounded, Phase1Pivots: p1Pivots, Phase2Pivots: p2Pivots, BlandPivots: blandPivots}, nil
-	}
-
-	x := make([]float64, p.NumVars)
-	for i := 0; i < m; i++ {
-		if b := t.basis[i]; b < p.NumVars {
-			x[b] = t.a[i][n]
-		}
-	}
-	var objVal float64
-	for v, c := range x {
-		if p.Objective != nil {
-			objVal += p.Objective[v] * c
-		}
-	}
-	return &Solution{
-		Status:       Optimal,
-		X:            x,
-		Objective:    objVal,
-		Phase1Pivots: p1Pivots,
-		Phase2Pivots: p2Pivots,
-		BlandPivots:  blandPivots,
-	}, nil
 }

@@ -37,7 +37,7 @@ func TestTransportationProblem(t *testing.T) {
 		}
 		p.AddConstraint(EQ, demand[j], terms)
 	}
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestObjectiveScaling(t *testing.T) {
 		for j := 0; j < n; j++ {
 			p.AddConstraint(LE, 1+rng.Float64()*3, map[int]float64{j: 1})
 		}
-		s1, err := Solve(p)
+		s1, err := solveCold(NewSolver, p)
 		if err != nil || s1.Status != Optimal {
 			t.Fatalf("trial %d: %v %v", trial, err, s1.Status)
 		}
@@ -71,7 +71,7 @@ func TestObjectiveScaling(t *testing.T) {
 		for j := range scaled.Objective {
 			scaled.Objective[j] = k * p.Objective[j]
 		}
-		s2, err := Solve(scaled)
+		s2, err := solveCold(NewSolver, scaled)
 		if err != nil || s2.Status != Optimal {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -87,12 +87,12 @@ func TestRedundantConstraintInvariance(t *testing.T) {
 	p.AddConstraint(LE, 4, map[int]float64{0: 1})
 	p.AddConstraint(LE, 12, map[int]float64{1: 2})
 	p.AddConstraint(LE, 18, map[int]float64{0: 3, 1: 2})
-	s1, err := Solve(p)
+	s1, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.AddConstraint(LE, 1000, map[int]float64{0: 1, 1: 1}) // redundant
-	s2, err := Solve(p)
+	s2, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSymmetricCover(t *testing.T) {
 	p.AddConstraint(GE, 4, map[int]float64{0: 1, 1: 1})
 	p.AddConstraint(GE, 4, map[int]float64{1: 1, 2: 1})
 	p.AddConstraint(GE, 4, map[int]float64{0: 1, 2: 1})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRedundantEqualities(t *testing.T) {
 	p.AddConstraint(EQ, 4, map[int]float64{0: 1, 1: 1})
 	p.AddConstraint(EQ, 4, map[int]float64{0: 1, 1: 1}) // duplicate row
 	p.AddConstraint(EQ, 8, map[int]float64{0: 2, 1: 2}) // scaled duplicate
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRedundantEqualities(t *testing.T) {
 	checkFeasible(t, p, s.X, 1e-6)
 }
 
-func TestSolveDeadline(t *testing.T) {
+func TestSolveBoundedDeadline(t *testing.T) {
 	// A deadline in the past must abort promptly with IterLimit.
 	rng := rand.New(rand.NewSource(99))
 	const n = 30
@@ -154,7 +154,11 @@ func TestSolveDeadline(t *testing.T) {
 		}
 		p.AddConstraint(LE, 1+rng.Float64()*5, terms)
 	}
-	s, err := SolveDeadline(p, time.Now().Add(-time.Second))
+	solver, err := NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := solver.SolveBounded(nil, nil, time.Now().Add(-time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestSolveDeadline(t *testing.T) {
 		t.Errorf("status = %v, want iteration-limit", s.Status)
 	}
 	// A zero deadline solves normally.
-	s, err = SolveDeadline(p, time.Time{})
+	s, err = solver.SolveBounded(nil, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

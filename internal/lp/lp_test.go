@@ -4,9 +4,21 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// solveCold builds a solver for p with the given constructor (NewSolver for
+// the FT kernel, NewDenseSolver for the dense oracle) and solves it from
+// scratch under the default bounds x >= 0.
+func solveCold(newSolver func(*Problem) (*Solver, error), p *Problem) (*Solution, error) {
+	s, err := newSolver(p)
+	if err != nil {
+		return nil, err
+	}
+	return s.SolveBounded(nil, nil, time.Time{})
+}
 
 // checkFeasible verifies that x satisfies every constraint of p within tol.
 func checkFeasible(t *testing.T, p *Problem, x []float64, tol float64) {
@@ -45,7 +57,7 @@ func TestProductionProblem(t *testing.T) {
 	p.AddConstraint(LE, 4, map[int]float64{0: 1})
 	p.AddConstraint(LE, 12, map[int]float64{1: 2})
 	p.AddConstraint(LE, 18, map[int]float64{0: 3, 1: 2})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +80,7 @@ func TestDietProblem(t *testing.T) {
 	p.AddConstraint(GE, 20, map[int]float64{0: 10, 1: 4})
 	p.AddConstraint(GE, 20, map[int]float64{0: 5, 1: 5})
 	p.AddConstraint(GE, 12, map[int]float64{0: 2, 1: 6})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +99,7 @@ func TestEqualityConstraints(t *testing.T) {
 	p := &Problem{NumVars: 3, Objective: []float64{1, 2, 3}}
 	p.AddConstraint(EQ, 10, map[int]float64{0: 1, 1: 1, 2: 1})
 	p.AddConstraint(EQ, 2, map[int]float64{1: 1, 2: -1})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +117,7 @@ func TestInfeasible(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: []float64{1}}
 	p.AddConstraint(GE, 5, map[int]float64{0: 1})
 	p.AddConstraint(LE, 3, map[int]float64{0: 1})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestInfeasible(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{-1, 0}}
 	p.AddConstraint(GE, 1, map[int]float64{0: 1, 1: 1})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +142,7 @@ func TestNegativeRHSNormalisation(t *testing.T) {
 	// x - y <= -2 with min x  => flip to y - x >= 2; optimum x=0 (y=2).
 	p := &Problem{NumVars: 2, Objective: []float64{1, 0}}
 	p.AddConstraint(LE, -2, map[int]float64{0: 1, 1: -1})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,7 @@ func TestDegenerateProblem(t *testing.T) {
 	p.AddConstraint(LE, 0, map[int]float64{0: 0.25, 1: -60, 2: -0.04})
 	p.AddConstraint(LE, 0, map[int]float64{0: 0.5, 1: -90, 2: -0.02})
 	p.AddConstraint(LE, 1, map[int]float64{2: 1})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +181,7 @@ func TestZeroObjective(t *testing.T) {
 	// Feasibility problem: any feasible point acceptable.
 	p := &Problem{NumVars: 2}
 	p.AddConstraint(EQ, 4, map[int]float64{0: 1, 1: 1})
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,17 +192,36 @@ func TestZeroObjective(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	if _, err := Solve(&Problem{NumVars: 0}); err == nil {
+	if _, err := solveCold(NewSolver, &Problem{NumVars: 0}); err == nil {
 		t.Error("accepted problem without variables")
 	}
 	p := &Problem{NumVars: 2, Objective: []float64{1}}
-	if _, err := Solve(p); err == nil {
+	if _, err := solveCold(NewSolver, p); err == nil {
 		t.Error("accepted objective of wrong length")
 	}
 	p2 := &Problem{NumVars: 1}
 	p2.AddConstraint(LE, 1, map[int]float64{5: 1})
-	if _, err := Solve(p2); err == nil {
+	if _, err := solveCold(NewSolver, p2); err == nil {
 		t.Error("accepted out-of-range variable index")
+	}
+	// An unknown relation must be rejected, not solved as an equality —
+	// by Validate, by both constructors, and by AppendRows.
+	p3 := &Problem{NumVars: 1, Objective: []float64{-1}}
+	p3.AddConstraint(Rel(7), 3, map[int]float64{0: 1})
+	if err := p3.Validate(); err == nil {
+		t.Error("Validate accepted an unknown relation")
+	}
+	for _, mk := range []func(*Problem) (*Solver, error){NewSolver, NewDenseSolver} {
+		if _, err := mk(p3); err == nil {
+			t.Error("constructor accepted an unknown relation")
+		}
+	}
+	s, err := NewSolver(&Problem{NumVars: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRows([]Constraint{{Coeffs: map[int]float64{0: 1}, Rel: Rel(7), RHS: 3}}); err == nil {
+		t.Error("AppendRows accepted an unknown relation")
 	}
 }
 
@@ -221,7 +252,7 @@ func TestRandomLPsOptimalityAndFeasibility(t *testing.T) {
 			}
 			p.AddConstraint(LE, 1+rng.Float64()*8, terms)
 		}
-		s, err := Solve(p)
+		s, err := solveCold(NewSolver, p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -285,7 +316,7 @@ func TestAssignmentLP(t *testing.T) {
 		p.AddConstraint(EQ, 1, rowTerms)
 		p.AddConstraint(EQ, 1, colTerms)
 	}
-	s, err := Solve(p)
+	s, err := solveCold(NewSolver, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lp
 
-// Sparse revised simplex kernel.
+// Sparse matrix storage and LU factorisation under the Forrest-Tomlin
+// kernel (forrest_tomlin.go).
 //
 // The dense kernel materialises B^-1 [A|I] and rewrites all of it at every
 // pivot — O(m*nCols) per pivot however sparse the model is, and the
@@ -10,14 +11,13 @@ package lp
 // tableau slices on demand:
 //
 //   - The structural matrix A is held twice, in compressed sparse column
-//     form (for FTRAN scatters and pricing) and compressed sparse row form
-//     (for assembling tableau rows from a BTRAN vector). Slack columns are
-//     implicit: column nStruct+i is e_i.
+//     form (for FTRAN scatters and factor builds) and compressed sparse row
+//     form (for assembling tableau rows and prices from a BTRAN vector).
+//     Slack columns are implicit: column nStruct+i is e_i.
 //   - The basis is LU-factorised (see luFactor): Gaussian elimination over
 //     the basic columns in a fill-reducing order, storing the multipliers
-//     as L-etas and the frozen-row remainders as U columns. FTRAN solves
-//     L then U; BTRAN solves U^T then L^T. On top of the factorisation the
-//     kernel accumulates one product-form update eta per pivot.
+//     as L-etas and the frozen-row remainders as U columns. The FT kernel
+//     runs the factor's L sweeps and keeps its own, updated copy of U.
 //   - Tableau column j is FTRAN(A_j); tableau row i is rho^T [A|I] with
 //     rho = BTRAN(e_i), gathered through the CSR rows rho touches.
 //   - The reduced-cost row d lives in the Solver and is updated at each
@@ -26,21 +26,16 @@ package lp
 //     O(nCols) Dantzig scan in the Solver, so the pivot *sequence* follows
 //     the same rules the dense kernel applies.
 //
-// The update-eta file grows with every pivot, so the kernel periodically
-// refactorises: after refactorEvery update etas (or earlier on fill-in
-// growth), it rebuilds the factorisation from the pristine matrix for the
-// current basis, keeping each basic column in its current row — the
-// leaving-row rules key on row labels, which therefore must not move
-// mid-solve. The rebuild recomputes rhsBar, the reduced-cost rows and xB
-// from pristine data; comparing the recomputed xB against the
-// incrementally maintained one is the numerical-accuracy check, counted
-// when it disagrees beyond refactorAccTol. All of this is deterministic —
-// the refactorisation points are pivot counts, and the factorisation
-// (elimination order included) is a pure function of the matrix and the
-// basis — so parallel and sequential runs stay bit-identical.
+// The factorisation — elimination order included — is a pure function of
+// the matrix and the basis, and refactorisation points are pivot counts,
+// so parallel and sequential runs stay bit-identical. A mid-solve rebuild
+// keeps each basic column in its current row where it can — the
+// leaving-row rules key on row labels — and compares the recomputed basic
+// values against the incrementally maintained ones: the numerical-accuracy
+// check, counted when they disagree beyond refactorAccTol.
 //
-// Everything the kernel needs per solve lives in reusable arenas (the eta
-// file, scratch vectors, a two-slot ring of mid-solve factors), so a
+// Everything the kernel needs per solve lives in reusable arenas (scratch
+// vectors, a two-slot ring of mid-solve factors, the U file), so a
 // branch-and-bound node re-solve allocates almost nothing; the exception
 // is a warm start over a basis nobody factorised yet, whose factor is
 // freshly allocated because it outlives the solver on the Basis snapshot.
@@ -50,10 +45,6 @@ import (
 	"sort"
 	"time"
 )
-
-// defaultRefactorEvery is the update-eta count that triggers a periodic
-// refactorisation; Solver.refactorEveryOverride replaces it in tests.
-const defaultRefactorEvery = 8
 
 // refactorAccTol bounds the disagreement between the incrementally
 // maintained basic values and their recomputation from pristine data at a
@@ -115,8 +106,8 @@ func (f *luFactor) clone() *luFactor {
 }
 
 // ftranL overwrites v with L^-1 v: the forward sweep through the
-// elimination multipliers. Split out so the Forrest-Tomlin kernel can run
-// it alone, with its own U representation layered on top.
+// elimination multipliers. The FT kernel layers its own U representation
+// on top.
 func (f *luFactor) ftranL(v []float64) {
 	n := len(f.piv)
 	for t := 0; t < n; t++ {
@@ -142,107 +133,10 @@ func (f *luFactor) btranLT(v []float64) {
 	}
 }
 
-// ftran overwrites v with B^-1 v: forward L sweep, then the
-// column-oriented backward U sweep.
-func (f *luFactor) ftran(v []float64) {
-	n := len(f.piv)
-	f.ftranL(v)
-	for t := n - 1; t >= 0; t-- {
-		r := f.piv[t]
-		x := v[r] * f.inv[t]
-		if x != 0 {
-			for q := f.uStart[t]; q < f.uStart[t+1]; q++ {
-				v[f.uRow[q]] -= f.uVal[q] * x
-			}
-		}
-		v[r] = x
-	}
-}
-
-// btran overwrites v with B^-T v: forward U^T sweep, then the backward L^T
-// sweep.
-func (f *luFactor) btran(v []float64) {
-	n := len(f.piv)
-	for t := 0; t < n; t++ {
-		r := f.piv[t]
-		acc := v[r]
-		for q := f.uStart[t]; q < f.uStart[t+1]; q++ {
-			acc -= f.uVal[q] * v[f.uRow[q]]
-		}
-		v[r] = acc * f.inv[t]
-	}
-	f.btranLT(v)
-}
-
-// sparseKernel implements kernel with the sparse revised simplex.
-type sparseKernel struct {
-	s *Solver
-
-	// Pristine structural matrix, column- and row-compressed.
-	ccStart []int32 // len nStruct+1
-	ccRow   []int32
-	ccVal   []float64
-	crStart []int32 // len m+1
-	crCol   []int32
-	crVal   []float64
-	nnz     int
-	sig     matrixSig
-
-	factor *luFactor // basis factorisation; nil while B is the slack identity
-
-	// Update eta file (arena: truncated, never freed, across solves). Eta e
-	// is a product-form Gauss-Jordan pivot: scale row etaPiv[e] by
-	// etaInv[e], subtract multiplier*scaled from the rows in
-	// etaIdx[etaStart[e]:etaStart[e+1]].
-	etaPiv   []int32
-	etaInv   []float64
-	etaStart []int32 // len(etaPiv)+1
-	etaIdx   []int32
-	etaVal   []float64
-
-	// Two-slot ring of mid-solve factor arenas: the slot being rebuilt is
-	// never the live factor, so an aborted rebuild leaves the current
-	// representation intact.
-	midFactor [2]*luFactor
-	// buildTmp is the reusable scratch the warm-start elimination writes
-	// into before the exact-size clone is memoised on the Basis snapshot.
-	buildTmp *luFactor
-	midNext  int
-
-	colScratch  []float64 // len m: column handed to the pivot loops
-	rowScratch  []float64 // len nCols: row handed to the dual loop
-	rho         []float64 // len m: BTRAN work
-	work        []float64 // len m: internal FTRAN work
-	xbScratch   []float64 // len m: accuracy-check snapshot
-	rowOf       []int32   // len nCols: column -> current row, refactor scratch
-	pivotedRows []bool    // len m: factor-build row state
-	rowValidFor int       // row index rowScratch currently holds, -1 if none
-
-	// Elimination-ordering scratch (orderBasisColumns).
-	basicCols []int32 // ascending basic columns
-	ordCols   []int32 // emitted elimination order
-	ordPref   []int32 // structurally chosen pivot row per step, -1 if none
-	rcStart   []int32 // len m+1: row -> basic-column incidence offsets
-	rcIdx     []int32
-	colCnt    []int32 // len nCols: active-row counts per basic column
-	rowCnt    []int32 // len m: active-basic-column counts per row
-	colActive []bool  // len nCols
-	rowActive []bool  // len m
-
-	noMoreRefactor bool // a mid-solve refactorisation went singular
-
-	// Per-solve statistics (reset by beginSolve).
-	stRefactor int
-	stEtaPeak  int
-	stFill     int
-	stAccFail  int
-	stSingular int // mid-solve refactorisations aborted as singular
-}
-
-func newSparseKernel(s *Solver, p *Problem) *sparseKernel {
-	m, n := s.m, s.nStruct
-	k := &sparseKernel{s: s, rowValidFor: -1}
-
+// loadMatrix builds the pristine CSR and CSC copies of the constraint
+// matrix and its memo signature.
+func (k *ftKernel) loadMatrix(p *Problem) {
+	m, n := k.s.m, k.s.nStruct
 	// CSR: per-row column indices in ascending order (Coeffs is a map, so
 	// sort for a deterministic layout), zero coefficients dropped.
 	k.crStart = make([]int32, m+1)
@@ -285,26 +179,12 @@ func newSparseKernel(s *Solver, p *Problem) *sparseKernel {
 		}
 	}
 
-	k.sig = matrixSig{m: m, nCols: s.nCols, nnz: k.nnz, sum: k.checksum()}
-	k.etaStart = append(k.etaStart, 0)
-	k.colScratch = make([]float64, m)
-	k.rowScratch = make([]float64, s.nCols)
-	k.rho = make([]float64, m)
-	k.work = make([]float64, m)
-	k.xbScratch = make([]float64, m)
-	k.rowOf = make([]int32, s.nCols)
-	k.pivotedRows = make([]bool, m)
-	k.rcStart = make([]int32, m+1)
-	k.colCnt = make([]int32, s.nCols)
-	k.rowCnt = make([]int32, m)
-	k.colActive = make([]bool, s.nCols)
-	k.rowActive = make([]bool, m)
-	return k
+	k.sig = matrixSig{m: m, nCols: k.s.nCols, nnz: k.nnz, sum: k.checksum()}
 }
 
 // checksum hashes the pristine matrix layout and values (FNV-1a over the
 // CSR arrays) for the factor-memo signature.
-func (k *sparseKernel) checksum() uint64 {
+func (k *ftKernel) checksum() uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(x uint64) {
 		h ^= x
@@ -320,37 +200,8 @@ func (k *sparseKernel) checksum() uint64 {
 	return h
 }
 
-func (k *sparseKernel) beginSolve() {
-	k.stRefactor, k.stEtaPeak, k.stFill, k.stAccFail, k.stSingular = 0, 0, 0, 0, 0
-	k.noMoreRefactor = false
-}
-
-func (k *sparseKernel) solveStats(sol *Solution) {
-	sol.Sparse = true
-	sol.SparseNNZ = k.nnz
-	sol.SparseRefactorizations = k.stRefactor
-	sol.SparseEtaPeak = k.stEtaPeak
-	sol.SparseFillIn = k.stFill
-	sol.SparseAccuracyFailures = k.stAccFail
-	sol.SparseSingularRefactors = k.stSingular
-}
-
-func (k *sparseKernel) resetEtas() {
-	k.etaPiv = k.etaPiv[:0]
-	k.etaInv = k.etaInv[:0]
-	k.etaStart = k.etaStart[:1]
-	k.etaIdx = k.etaIdx[:0]
-	k.etaVal = k.etaVal[:0]
-}
-
-func (k *sparseKernel) loadSlack() {
-	k.factor = nil
-	k.resetEtas()
-	k.rowValidFor = -1
-}
-
 // scatter writes pristine column j of [A|I] into the dense vector v.
-func (k *sparseKernel) scatter(v []float64, j int) {
+func (k *ftKernel) scatter(v []float64, j int) {
 	for i := range v {
 		v[i] = 0
 	}
@@ -363,182 +214,9 @@ func (k *sparseKernel) scatter(v []float64, j int) {
 	}
 }
 
-// applyEtas runs the forward (FTRAN) sweep of the update-eta file over v.
-// Each eta performs a full Gauss-Jordan pivot on a column: scale the pivot
-// row, then subtract multiplier*scaled from the rows the pivot column
-// touched. Skipping the subtractions when the scaled pivot entry is zero
-// can only change the sign of a zero, which no downstream comparison
-// observes.
-func (k *sparseKernel) applyEtas(v []float64) {
-	for e := 0; e < len(k.etaPiv); e++ {
-		r := k.etaPiv[e]
-		vr := v[r] * k.etaInv[e]
-		if vr != 0 {
-			for t := k.etaStart[e]; t < k.etaStart[e+1]; t++ {
-				v[k.etaIdx[t]] -= k.etaVal[t] * vr
-			}
-		}
-		v[r] = vr
-	}
-}
-
-// applyEtasT runs the backward (BTRAN) sweep of the update-eta file: the
-// transposed etas in reverse order. Only the pivot entry changes per eta:
-// it becomes inv * (v[r] - sum multiplier_i * v[i]).
-func (k *sparseKernel) applyEtasT(v []float64) {
-	for e := len(k.etaPiv) - 1; e >= 0; e-- {
-		r := k.etaPiv[e]
-		acc := v[r]
-		for t := k.etaStart[e]; t < k.etaStart[e+1]; t++ {
-			acc -= k.etaVal[t] * v[k.etaIdx[t]]
-		}
-		v[r] = k.etaInv[e] * acc
-	}
-}
-
-// ftran overwrites v with B^-1 v (base factor, then update etas).
-func (k *sparseKernel) ftran(v []float64) {
-	if f := k.factor; f != nil {
-		f.ftran(v)
-	}
-	k.applyEtas(v)
-}
-
-// btran overwrites v with B^-T v (update etas reversed, then base factor).
-func (k *sparseKernel) btran(v []float64) {
-	k.applyEtasT(v)
-	if f := k.factor; f != nil {
-		f.btran(v)
-	}
-}
-
-// triSolver is the FTRAN/BTRAN surface the shared tableau helpers are
-// parametrised over, so the eta kernel and the Forrest-Tomlin kernel (which
-// layers a different U representation over the same pristine matrix) reuse
-// one implementation of row assembly, pricing, rhsBar and xB recomputation.
-type triSolver interface {
-	ftran(v []float64)
-	btran(v []float64)
-}
-
-func (k *sparseKernel) column(j int) []float64 {
-	k.scatter(k.colScratch, j)
-	k.ftran(k.colScratch)
-	return k.colScratch
-}
-
-func (k *sparseKernel) row(i int) []float64 { return k.rowWith(k, i) }
-
-// rowWith assembles tableau row i through tr's BTRAN: rho = B^-T e_i
-// gathered across the CSR rows rho touches.
-func (k *sparseKernel) rowWith(tr triSolver, i int) []float64 {
-	s := k.s
-	rho := k.rho
-	for r := range rho {
-		rho[r] = 0
-	}
-	rho[i] = 1
-	tr.btran(rho)
-	out := k.rowScratch
-	for j := range out {
-		out[j] = 0
-	}
-	for r := 0; r < s.m; r++ {
-		yr := rho[r]
-		if yr == 0 {
-			continue
-		}
-		for t := k.crStart[r]; t < k.crStart[r+1]; t++ {
-			out[k.crCol[t]] += yr * k.crVal[t]
-		}
-		out[s.nStruct+r] = yr
-	}
-	k.rowValidFor = i
-	return out
-}
-
-func (k *sparseKernel) pivot(leave, enter int) {
-	s := k.s
-	// The reduced-cost update needs row `leave` of the pre-pivot tableau.
-	// The dual simplex has just fetched it (row invalidation tracking makes
-	// that reuse exact); a primal pivot computes it here, against the
-	// representation as it stands before this pivot's eta is appended.
-	if k.rowValidFor != leave {
-		k.row(leave)
-	}
-	alpha := k.rowScratch
-	col := k.colScratch // FTRAN'd entering column, fetched by the pivot loop
-	inv := 1 / col[leave]
-
-	// Capture the update eta and apply the pivot to rhsBar in one sweep —
-	// the same scale-then-subtract arithmetic as the dense kernel.
-	rb := s.rhsBar[leave] * inv
-	for i := 0; i < s.m; i++ {
-		if i == leave {
-			continue
-		}
-		if f := col[i]; f != 0 {
-			k.etaIdx = append(k.etaIdx, int32(i))
-			k.etaVal = append(k.etaVal, f)
-			s.rhsBar[i] -= f * rb
-		}
-	}
-	s.rhsBar[leave] = rb
-	k.etaPiv = append(k.etaPiv, int32(leave))
-	k.etaInv = append(k.etaInv, inv)
-	k.etaStart = append(k.etaStart, int32(len(k.etaIdx)))
-
-	k.priceUpdate(alpha, inv, enter)
-	k.rowValidFor = -1
-	if n := len(k.etaPiv); n > k.stEtaPeak {
-		k.stEtaPeak = n
-	}
-
-	// Periodic refactorisation: on eta-file length or fill-in growth.
-	if !k.noMoreRefactor {
-		every := defaultRefactorEvery
-		if s.refactorEveryOverride > 0 {
-			every = s.refactorEveryOverride
-		}
-		base := s.m
-		if f := k.factor; f != nil {
-			base += len(f.lIdx) + len(f.uRow) + len(f.piv)
-		}
-		if len(k.etaPiv) >= every || len(k.etaIdx) >= 4*base {
-			k.midRefactor()
-		}
-	}
-}
-
-// priceUpdate is the partial pricing update shared by the eta and FT
-// kernels: d (and the perturbation row) change only at the columns where
-// the pivot row is nonzero. alpha_j * inv is the dense kernel's scaled
-// pivot row entry.
-func (k *sparseKernel) priceUpdate(alpha []float64, inv float64, enter int) {
-	s := k.s
-	if f := s.d[enter]; f != 0 {
-		for j := 0; j < s.nCols; j++ {
-			if a := alpha[j]; a != 0 {
-				s.d[j] -= f * (a * inv)
-			}
-		}
-		s.d[enter] = 0
-	}
-	if s.usePert {
-		if f := s.pert[enter]; f != 0 {
-			for j := 0; j < s.nCols; j++ {
-				if a := alpha[j]; a != 0 {
-					s.pert[j] -= f * (a * inv)
-				}
-			}
-			s.pert[enter] = 0
-		}
-	}
-}
-
 // basisColsNnz counts the pristine nonzeros of the current basic columns,
 // the baseline against which factor fill-in is measured.
-func (k *sparseKernel) basisColsNnz() int {
+func (k *ftKernel) basisColsNnz() int {
 	s, n := k.s, 0
 	for _, c := range k.s.basis {
 		if int(c) >= s.nStruct {
@@ -560,7 +238,7 @@ func (k *sparseKernel) basisColsNnz() int {
 // structurally forced pivot row in ordPref (-1 when the choice is left to
 // the numerics) — is a pure function of the matrix pattern and the basis
 // set, keeping refactorisation deterministic.
-func (k *sparseKernel) orderBasisColumns() {
+func (k *ftKernel) orderBasisColumns() {
 	s := k.s
 	m := s.m
 
@@ -766,7 +444,7 @@ func (k *sparseKernel) orderBasisColumns() {
 // pivot aborts; otherwise the structural preference is tried first and
 // falls back to the largest remaining |entry| (ties to the lowest row).
 // Returns false on abort, leaving all live state untouched.
-func (k *sparseKernel) buildFactorInto(dst *luFactor, forced bool) bool {
+func (k *ftKernel) buildFactorInto(dst *luFactor, forced bool) bool {
 	factorStart := time.Now()
 	defer k.s.refactorH.RecordSince(factorStart)
 	s := k.s
@@ -855,162 +533,4 @@ func (k *sparseKernel) buildFactorInto(dst *luFactor, forced bool) bool {
 		dst.fill = 0
 	}
 	return true
-}
-
-// refactorize rebuilds the representation for a warm-start basis. The
-// elimination — fill-reducing order, structural pivot preferences with
-// largest-|entry| fallback — is a pure function of the matrix and the
-// basis set, so every consumer of a snapshot computes an identical factor;
-// the result is memoised on the snapshot so sibling branch-and-bound nodes
-// and speculative workers exchange the factor instead of re-eliminating.
-func (k *sparseKernel) refactorize(bas *Basis) bool {
-	s := k.s
-	k.resetEtas()
-	k.rowValidFor = -1
-
-	if f := bas.factor.Load(); f != nil && f.sig == k.sig {
-		k.factor = f
-		copy(s.basis, f.perm)
-		k.installStats(f)
-		return true
-	}
-
-	k.orderBasisColumns()
-	// Build into the kernel-owned scratch factor (its append-grown arrays
-	// amortise across solves), then clone exact-size arrays for the memo:
-	// the snapshot outlives this solver, and trimming removes the capacity
-	// slack growslice doubling would otherwise retain per node.
-	if k.buildTmp == nil {
-		k.buildTmp = &luFactor{}
-	}
-	if !k.buildFactorInto(k.buildTmp, false) {
-		return false // singular within tolerance: caller solves cold
-	}
-	f := k.buildTmp.clone()
-	bas.factor.Store(f)
-	k.factor = f
-	copy(s.basis, f.perm)
-	k.installStats(f)
-	return true
-}
-
-// installStats records a factor install and recomputes the derived
-// vectors (rhsBar and reduced costs) from pristine data. Memoised and
-// freshly built factors are byte-identical, so the recorded statistics are
-// independent of memo hits — which keeps lp.sparse.* counters bit-equal
-// between sequential and speculative runs.
-func (k *sparseKernel) installStats(f *luFactor) {
-	k.stRefactor++
-	k.stFill += f.fill
-	k.computeRHSBar()
-	k.computeD()
-}
-
-// midRefactor rebuilds the factorisation for the current basis in the
-// middle of a solve, collapsing the eta file. Each basic column keeps its
-// current row, so a pivot that is too small with the prescribed row aborts
-// the rebuild: the eta representation is still valid, and the kernel just
-// stops refactorising for the rest of the solve.
-func (k *sparseKernel) midRefactor() {
-	s := k.s
-	for r := 0; r < s.m; r++ {
-		k.rowOf[s.basis[r]] = int32(r)
-	}
-	k.orderBasisColumns()
-	dst := k.midFactor[k.midNext]
-	if dst == nil {
-		dst = &luFactor{}
-		k.midFactor[k.midNext] = dst
-	}
-	if !k.buildFactorInto(dst, true) {
-		k.noMoreRefactor = true
-		k.stSingular++
-		return
-	}
-	k.midNext ^= 1
-	k.factor = dst
-	k.resetEtas()
-	k.rowValidFor = -1
-	k.stRefactor++
-	k.stFill += dst.fill
-	k.computeRHSBar()
-	k.computeD()
-	if s.usePert {
-		k.computePert()
-	}
-	// Accuracy check against the pristine matrix: the incrementally
-	// maintained basic values must agree with their recomputation through
-	// the fresh factorisation.
-	copy(k.xbScratch, s.xB)
-	k.computeXB()
-	for i := 0; i < s.m; i++ {
-		if math.Abs(k.xbScratch[i]-s.xB[i]) > refactorAccTol {
-			k.stAccFail++
-			break
-		}
-	}
-}
-
-// computeRHSBar recomputes rhsBar = B^-1 b through the current factor.
-func (k *sparseKernel) computeRHSBar() { k.computeRHSBarWith(k) }
-
-func (k *sparseKernel) computeRHSBarWith(tr triSolver) {
-	s := k.s
-	copy(s.rhsBar, s.rhs)
-	tr.ftran(s.rhsBar)
-}
-
-// priceInto recomputes a transformed cost row from its pristine form:
-// out_j = c_j - y . A_j with B^T y = c_B, exact zeros on basic columns.
-func (k *sparseKernel) priceInto(out, c []float64) { k.priceIntoWith(k, out, c) }
-
-func (k *sparseKernel) priceIntoWith(tr triSolver, out, c []float64) {
-	s := k.s
-	y := k.work
-	for r := 0; r < s.m; r++ {
-		y[r] = c[s.basis[r]]
-	}
-	tr.btran(y)
-	copy(out, c[:s.nStruct])
-	for r := 0; r < s.m; r++ {
-		yr := y[r]
-		if yr != 0 {
-			for t := k.crStart[r]; t < k.crStart[r+1]; t++ {
-				out[k.crCol[t]] -= yr * k.crVal[t]
-			}
-		}
-		out[s.nStruct+r] = c[s.nStruct+r] - yr
-	}
-	for r := 0; r < s.m; r++ {
-		out[s.basis[r]] = 0
-	}
-}
-
-func (k *sparseKernel) computeD()    { k.priceInto(k.s.d, k.s.obj) }
-func (k *sparseKernel) computePert() { k.priceInto(k.s.pert, k.s.pert0) }
-
-// computeXB mirrors the dense kernel: start from rhsBar and subtract each
-// nonbasic column at a nonzero resting value, columns in ascending order.
-func (k *sparseKernel) computeXB() { k.computeXBWith(k) }
-
-func (k *sparseKernel) computeXBWith(tr triSolver) {
-	s := k.s
-	copy(s.xB, s.rhsBar)
-	for j := 0; j < s.nCols; j++ {
-		if s.inBasis[j] {
-			continue
-		}
-		v := s.boundVal(j)
-		if v == 0 {
-			continue
-		}
-		k.scatter(k.colScratch, j)
-		tr.ftran(k.colScratch)
-		col := k.colScratch
-		for i := 0; i < s.m; i++ {
-			if aij := col[i]; aij != 0 {
-				s.xB[i] -= aij * v
-			}
-		}
-	}
 }

@@ -141,9 +141,9 @@ func bruteForceLP(p *Problem, lo, hi []float64) (float64, bool) {
 }
 
 // TestFuzzAgainstVertexEnumeration is the LP property test: random small
-// LPs are solved by the legacy two-phase solver, the bounded cold solver,
-// and a warm-started dual re-solve, and every optimum is cross-checked
-// against brute-force vertex enumeration.
+// LPs are solved by the FT kernel cold, by the dense oracle with the bounds
+// written as rows, and by a warm-started dual re-solve, and every optimum
+// is cross-checked against brute-force vertex enumeration.
 func TestFuzzAgainstVertexEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 400
@@ -186,7 +186,7 @@ func TestFuzzAgainstVertexEnumeration(t *testing.T) {
 			continue
 		}
 
-		// Legacy solver with bounds expressed as rows must agree.
+		// The dense oracle with bounds expressed as rows must agree.
 		rowP := &Problem{NumVars: p.NumVars, Objective: p.Objective}
 		rowP.Constraints = append(rowP.Constraints, p.Constraints...)
 		for j := 0; j < p.NumVars; j++ {
@@ -197,12 +197,12 @@ func TestFuzzAgainstVertexEnumeration(t *testing.T) {
 				rowP.AddConstraint(LE, hi[j], map[int]float64{j: 1})
 			}
 		}
-		legacy, err := Solve(rowP)
+		dense, err := solveCold(NewDenseSolver, rowP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if legacy.Status != Optimal || !approx(legacy.Objective, want, 1e-5) {
-			t.Fatalf("trial %d: legacy got %v (%v), brute force %v", trial, legacy.Objective, legacy.Status, want)
+		if dense.Status != Optimal || !approx(dense.Objective, want, 1e-5) {
+			t.Fatalf("trial %d: dense got %v (%v), brute force %v", trial, dense.Objective, dense.Status, want)
 		}
 
 		// A warm dual re-solve of the same bounds from the optimal basis
@@ -259,26 +259,23 @@ func degenerateProblem(rng *rand.Rand) (*Problem, []float64, []float64) {
 	return p, lo, hi
 }
 
-// TestFuzzSparseVsDenseKernels cross-checks the three simplex kernels —
-// Forrest-Tomlin (the default), product-form eta, and the dense tableau
-// oracle — on random degenerate and rank-deficient problems: cold solves
-// must agree on status and optimum, for both sparse kernels at several
-// refactorisation cadences (refactorEveryOverride 1 hits a refactorisation
-// boundary on every pivot), and warm dual re-solves after a bound change
-// must agree too. Against the dense kernel only the solution is compared —
-// it assigns pivot rows differently inside the factorisation, which is
-// allowed. Between the FT and eta kernels the contract is stronger: at
-// refactorEveryOverride=1 both reinstall the identical canonical factor
-// after every pivot, so (unless a pinned-row refactorisation went singular
-// and the representations were allowed to diverge) their pivot sequences
-// and final bases must be bit-identical.
+// TestFuzzSparseVsDenseKernels cross-checks the Forrest-Tomlin kernel (the
+// default) against the dense tableau oracle on random degenerate and
+// rank-deficient problems: cold solves must agree on status and optimum at
+// several refactorisation cadences (refactorEveryOverride 1 hits a
+// refactorisation boundary on every pivot), and warm dual re-solves after a
+// bound change must agree too. Only the solution is compared — the dense
+// kernel assigns pivot rows differently inside the factorisation, which is
+// allowed. The FT kernel may not give up where the oracle finishes: a
+// pivot whose update and rescue refactorisation both fail (FTFallbacks)
+// would surface here as an IterLimit the dense kernel does not share.
 func TestFuzzSparseVsDenseKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 600
 	if testing.Short() {
 		trials = 120
 	}
-	agreed, basesChecked, ftUpdates := 0, 0, 0
+	agreed, warmChecked, ftUpdates := 0, 0, 0
 	for trial := 0; trial < trials; trial++ {
 		var p *Problem
 		var lo, hi []float64
@@ -300,8 +297,8 @@ func TestFuzzSparseVsDenseKernels(t *testing.T) {
 			continue
 		}
 
-		// Both sparse kernels at the default cadence and at forced
-		// refactorisation boundaries (every pivot, every 2nd, every 3rd).
+		// The default cadence and forced refactorisation boundaries (every
+		// pivot, every 2nd, every 3rd).
 		for _, every := range []int{0, 1, 2, 3} {
 			ft, err := NewSolver(p)
 			if err != nil {
@@ -312,60 +309,21 @@ func TestFuzzSparseVsDenseKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eta, err := NewEtaSolver(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eta.refactorEveryOverride = every
-			esol, err := eta.SolveBounded(lo, hi, time.Time{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			ftUpdates += fsol.FTUpdates
-			if esol.FTUpdates != 0 {
-				t.Fatalf("trial %d: eta-kernel solution reports FT updates", trial)
+			if !fsol.Sparse {
+				t.Fatalf("trial %d: FT solution not flagged Sparse", trial)
 			}
-			for _, ssol := range []*Solution{fsol, esol} {
-				if ssol.Status == IterLimit {
-					continue
-				}
-				if ssol.Status != dsol.Status {
-					t.Fatalf("trial %d every=%d: sparse status %v, dense %v\n%+v lo=%v hi=%v",
-						trial, every, ssol.Status, dsol.Status, p, lo, hi)
-				}
-				if ssol.Status == Optimal && !approx(ssol.Objective, dsol.Objective, 1e-5) {
-					t.Fatalf("trial %d every=%d: sparse optimum %v, dense %v\n%+v lo=%v hi=%v",
-						trial, every, ssol.Objective, dsol.Objective, p, lo, hi)
-				}
-				if !ssol.Sparse {
-					t.Fatalf("trial %d: sparse solution not flagged Sparse", trial)
-				}
+			if fsol.FTFallbacks != 0 {
+				t.Fatalf("trial %d every=%d: %d failed FT rescues\n%+v lo=%v hi=%v",
+					trial, every, fsol.FTFallbacks, p, lo, hi)
 			}
-
-			// FT vs eta bit-identity at a refactorisation on every pivot.
-			if every == 1 && fsol.Status != IterLimit && esol.Status != IterLimit &&
-				fsol.SparseSingularRefactors == 0 && esol.SparseSingularRefactors == 0 {
-				if fsol.Status != esol.Status ||
-					math.Float64bits(fsol.Objective) != math.Float64bits(esol.Objective) ||
-					fsol.Phase1Pivots != esol.Phase1Pivots ||
-					fsol.Phase2Pivots != esol.Phase2Pivots ||
-					fsol.BlandPivots != esol.BlandPivots {
-					t.Fatalf("trial %d: FT/eta pivot paths diverged at every=1:\nft  %+v\neta %+v\n%+v lo=%v hi=%v",
-						trial, fsol, esol, p, lo, hi)
-				}
-				fb, eb := ft.Basis(), eta.Basis()
-				for i := range fb.Basic {
-					if fb.Basic[i] != eb.Basic[i] {
-						t.Fatalf("trial %d: FT/eta final bases differ at row %d: %d vs %d",
-							trial, i, fb.Basic[i], eb.Basic[i])
-					}
-				}
-				for j := range fb.AtUpper {
-					if fb.AtUpper[j] != eb.AtUpper[j] {
-						t.Fatalf("trial %d: FT/eta AtUpper differ at col %d", trial, j)
-					}
-				}
-				basesChecked++
+			if fsol.Status != dsol.Status {
+				t.Fatalf("trial %d every=%d: FT status %v, dense %v\n%+v lo=%v hi=%v",
+					trial, every, fsol.Status, dsol.Status, p, lo, hi)
+			}
+			if fsol.Status == Optimal && !approx(fsol.Objective, dsol.Objective, 1e-5) {
+				t.Fatalf("trial %d every=%d: FT optimum %v, dense %v\n%+v lo=%v hi=%v",
+					trial, every, fsol.Objective, dsol.Objective, p, lo, hi)
 			}
 
 			if fsol.Status != Optimal || every != 1 {
@@ -381,11 +339,7 @@ func TestFuzzSparseVsDenseKernels(t *testing.T) {
 				ub = 4
 			}
 			hi2[j] = math.Max(lo[j], ub-1)
-			swarm, sok, err := ft.SolveDual(ft.Basis(), lo, hi2, time.Time{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ewarm, eok, err := eta.SolveDual(eta.Basis(), lo, hi2, time.Time{})
+			fwarm, fok, err := ft.SolveDual(ft.Basis(), lo, hi2, time.Time{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,28 +347,29 @@ func TestFuzzSparseVsDenseKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sok || !dok || !eok || swarm.Status == IterLimit || dwarm.Status == IterLimit || ewarm.Status == IterLimit {
+			if !fok || !dok || fwarm.Status == IterLimit || dwarm.Status == IterLimit {
 				continue // warm re-entry declined; cold fallback is the caller's job
 			}
-			if swarm.Status != dwarm.Status || ewarm.Status != dwarm.Status {
-				t.Fatalf("trial %d: warm status ft=%v eta=%v dense=%v", trial, swarm.Status, ewarm.Status, dwarm.Status)
+			if fwarm.Status != dwarm.Status {
+				t.Fatalf("trial %d: warm status ft=%v dense=%v", trial, fwarm.Status, dwarm.Status)
 			}
-			if swarm.Status == Optimal && (!approx(swarm.Objective, dwarm.Objective, 1e-5) || !approx(ewarm.Objective, dwarm.Objective, 1e-5)) {
-				t.Fatalf("trial %d: warm optima ft=%v eta=%v dense=%v\n%+v lo=%v hi2=%v",
-					trial, swarm.Objective, ewarm.Objective, dwarm.Objective, p, lo, hi2)
+			if fwarm.Status == Optimal && !approx(fwarm.Objective, dwarm.Objective, 1e-5) {
+				t.Fatalf("trial %d: warm optima ft=%v dense=%v\n%+v lo=%v hi2=%v",
+					trial, fwarm.Objective, dwarm.Objective, p, lo, hi2)
 			}
+			warmChecked++
 		}
 		agreed++
 	}
 	if agreed < trials*3/4 {
 		t.Errorf("only %d/%d trials were cross-checked", agreed, trials)
 	}
-	if basesChecked == 0 {
-		t.Error("no trial reached the FT-vs-eta basis identity check")
+	if warmChecked == 0 {
+		t.Error("no trial reached the warm re-solve cross-check")
 	}
 	if ftUpdates == 0 {
 		t.Error("no trial exercised a Forrest-Tomlin update")
 	}
-	t.Logf("cross-checked %d/%d trials across 4 refactorisation cadences; %d bit-identical FT/eta bases, %d FT updates",
-		agreed, trials, basesChecked, ftUpdates)
+	t.Logf("cross-checked %d/%d trials across 4 refactorisation cadences; %d warm re-solves, %d FT updates",
+		agreed, trials, warmChecked, ftUpdates)
 }

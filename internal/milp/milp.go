@@ -90,10 +90,10 @@ type Options struct {
 	// Gap is the relative optimality gap at which the search stops early.
 	// Zero means solve to proven optimality.
 	Gap float64
-	// CutRounds caps the cutting-plane rounds run when a node's relaxation
-	// comes back fractional: the root gets the full budget, shallow nodes
-	// (depth ≤ 4) one round, deeper nodes none. Zero means the default (6);
-	// negative disables cut separation entirely. Cuts are separated,
+	// CutRounds caps the cutting-plane rounds run when the root relaxation
+	// comes back fractional; nodes below the root run none (cutMaxDepth is
+	// 0). Zero means the default (30); negative disables cut separation
+	// entirely. Cuts are separated,
 	// selected and purged only at canonical node consumption on the main
 	// goroutine, so any Parallelism setting reproduces the same cuts —
 	// and the same NodeFingerprint — bit for bit.

@@ -98,7 +98,11 @@ func TestRelaxationBoundProperty(t *testing.T) {
 		}
 		p.LP.AddConstraint(lp.LE, math.Round(rng.Float64()*float64(2*n))+1, terms)
 
-		relax, err := lp.Solve(&p.LP)
+		ls, err := lp.NewSolver(&p.LP)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		relax, err := ls.SolveBounded(nil, nil, time.Time{})
 		if err != nil || relax.Status != lp.Optimal {
 			t.Fatalf("trial %d: relaxation failed: %v", trial, err)
 		}

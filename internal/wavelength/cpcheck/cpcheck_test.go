@@ -174,7 +174,7 @@ func TestSolveSeedIncumbent(t *testing.T) {
 	}
 }
 
-func TestSolveDeadline(t *testing.T) {
+func TestSolveExpiredDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomProblem(rng)
 	want, _ := bruteForce(p)

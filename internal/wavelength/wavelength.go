@@ -460,9 +460,9 @@ type Options struct {
 	// GOMAXPROCS, 1 means sequential. The assignment returned is
 	// bit-identical either way.
 	Parallelism int
-	// MaxBinaries skips the MILP when |S| x |Λ| exceeds it (the dense
-	// simplex would be too slow to help within the budget — a single LP
-	// solve can overshoot the time limit). Zero means 500.
+	// MaxBinaries skips the MILP when |S| x |Λ| exceeds it (the LP
+	// relaxations would be too slow to help within the budget — a single
+	// LP solve can overshoot the time limit). Zero means 500.
 	MaxBinaries int
 	// ExtraLambda lets the MILP use up to this many wavelengths beyond the
 	// heuristic's count, enabling the λ-for-splitter trade. Zero means 1.
