@@ -213,6 +213,35 @@ func BenchmarkAblationAssignment(b *testing.B) {
 	})
 }
 
+// BenchmarkImproveScale runs the splitter-aware hill climb on real SRing
+// path sets at scale (ClusterTrials 8, as in the scale goldens). Unlike
+// BenchmarkImprove's clique, where every recolour but a fresh colour is
+// infeasible, these instances score many feasible moves with Eq. 8.
+func BenchmarkImproveScale(b *testing.B) {
+	for _, name := range []string{"D128", "D256"} {
+		b.Run(name, func(b *testing.B) {
+			app, err := Benchmark(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := Synthesize(app, MethodSRing, Options{ClusterTrials: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := wavelength.DefaultWeights()
+			start := wavelength.DSATUR(d.Infos)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var obj wavelength.Objective
+			for i := 0; i < b.N; i++ {
+				obj = wavelength.Evaluate(d.Infos, wavelength.Improve(d.Infos, start, w), w)
+			}
+			b.ReportMetric(obj.Value, "eq8")
+			b.ReportMetric(float64(obj.Splitters), "splitters")
+		})
+	}
+}
+
 // BenchmarkAblationAbsorption compares SRing's absorption-grown sub-rings
 // against naive sequential connection of the same clusters: the metric is
 // the longest signal path (mm).

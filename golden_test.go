@@ -92,3 +92,43 @@ func TestExtendedBenchmarks(t *testing.T) {
 		}
 	}
 }
+
+// Golden values for SRing's heuristic flow at scale (ClusterTrials 8, no
+// MILP): multi-level clustering, absorption and the wavelength hill climb
+// on 128-256-node apps, the path Table I's small benchmarks barely load.
+// D256 is skipped under -short.
+func TestGoldenScale(t *testing.T) {
+	golden := []struct {
+		app     string
+		laserMW float64
+		wl      int
+	}{
+		{"D128", 27.302432, 14},
+		{"D256", 165.048978, 26},
+		{"circ128-1-11", 11.220501, 6},
+		{"32PM-128", 8.940098, 29},
+	}
+	for _, g := range golden {
+		if g.app == "D256" && testing.Short() {
+			continue
+		}
+		app, err := Benchmark(g.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Synthesize(app, MethodSRing, Options{ClusterTrials: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", g.app, err)
+		}
+		met, err := d.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(met.TotalLaserPowerMW-g.laserMW) > 1e-6 {
+			t.Errorf("%s: laser power = %.6f mW, golden %.6f", g.app, met.TotalLaserPowerMW, g.laserMW)
+		}
+		if met.NumWavelengths != g.wl {
+			t.Errorf("%s: #wl = %d, golden %d", g.app, met.NumWavelengths, g.wl)
+		}
+	}
+}

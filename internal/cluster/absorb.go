@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"sring/internal/netlist"
 )
@@ -34,7 +34,6 @@ const absorbEps = 1e-9
 type absorbScratch struct {
 	app    *netlist.Application
 	order  []netlist.NodeID
-	idx    map[netlist.NodeID]int
 	prefix []float64
 	perim  float64
 	// Per segment j (between order[j] and order[j+1]):
@@ -51,21 +50,24 @@ type absorbScratch struct {
 	coverRev, freeRev []float64
 }
 
-func prepareAbsorb(app *netlist.Application, order []netlist.NodeID, msgs []netlist.Message) *absorbScratch {
+// resize reslices buf to length n, growing its capacity amortised (as
+// append does) when it is too short. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// prepareAbsorb rebuilds sc's aggregates, reusing its buffers, for order
+// carrying msgs. rs must hold order's positions.
+func prepareAbsorb(sc *absorbScratch, app *netlist.Application, order []netlist.NodeID, msgs []netlist.Message, rs *ringScratch) {
 	n := len(order)
-	sc := &absorbScratch{
-		app:      app,
-		order:    order,
-		idx:      make(map[netlist.NodeID]int, n),
-		prefix:   make([]float64, n+1),
-		coverFwd: make([]float64, n),
-		freeFwd:  make([]float64, n),
-		coverRev: make([]float64, n),
-		freeRev:  make([]float64, n),
-	}
-	for i, id := range order {
-		sc.idx[id] = i
-	}
+	sc.app = app
+	sc.order = order
+	sc.prefix = resize(sc.prefix, n+1)
+	sc.coverFwd = resize(sc.coverFwd, n)
+	sc.freeFwd = resize(sc.freeFwd, n)
+	sc.coverRev = resize(sc.coverRev, n)
+	sc.freeRev = resize(sc.freeRev, n)
+	sc.prefix[0] = 0
 	for i := 0; i < n; i++ {
 		next := order[(i+1)%n]
 		sc.prefix[i+1] = sc.prefix[i] + app.Pos(order[i]).Manhattan(app.Pos(next))
@@ -74,18 +76,28 @@ func prepareAbsorb(app *netlist.Application, order []netlist.NodeID, msgs []netl
 	for j := 0; j < n; j++ {
 		sc.coverFwd[j] = math.Inf(-1)
 		sc.coverRev[j] = math.Inf(-1)
+		sc.freeFwd[j] = 0
+		sc.freeRev[j] = 0
 	}
 	for _, m := range msgs {
-		si := sc.idx[m.Src]
-		di := sc.idx[m.Dst]
+		si := rs.pos[m.Src]
+		di := rs.pos[m.Dst]
 		fwd := sc.prefix[di] - sc.prefix[si]
 		if fwd < 0 {
 			fwd += sc.perim
 		}
 		rev := sc.perim - fwd
-		for j := 0; j < n; j++ {
-			covered := ((j-si)%n+n)%n < ((di-si)%n+n)%n
-			if covered {
+		// The forward arc covers the span segments si, si+1, ... (mod n).
+		span := di - si
+		if span < 0 {
+			span += n
+		}
+		for k := 0; k < n; k++ {
+			j := si + k
+			if j >= n {
+				j -= n
+			}
+			if k < span {
 				if fwd > sc.coverFwd[j] {
 					sc.coverFwd[j] = fwd
 				}
@@ -102,7 +114,6 @@ func prepareAbsorb(app *netlist.Application, order []netlist.NodeID, msgs []netl
 			}
 		}
 	}
-	return sc
 }
 
 // wrap maps a prefix-sum difference onto [0, perim).
@@ -163,59 +174,96 @@ func (sc *absorbScratch) insertionLongest(c netlist.NodeID, pos int, cTo, cFrom 
 // bestAbsorption tries to absorb each candidate at each ring position
 // (replacing segment (order[i], order[i+1]) with two segments through the
 // candidate) and returns the valid absorption minimising the longest signal
-// path. Trials are screened with the incremental evaluator and only
-// survivors are re-scanned exactly, so the selection is bit-identical to
-// evaluating every trial with ringOrderLongest.
+// path. The sub-ring's members are exactly the nodes of order, and no
+// candidate is a member. Trials are screened with the incremental evaluator
+// and only survivors are re-scanned exactly, so the selection is
+// bit-identical to evaluating every trial with ringOrderLongest. All
+// working buffers live in rs, the growth's scratch, whose position table is
+// left all -1 on return.
 func bestAbsorption(app *netlist.Application, order []netlist.NodeID,
-	members, candidates map[netlist.NodeID]bool, lmax float64) (newOrder []netlist.NodeID, longest float64, cand netlist.NodeID, ok bool) {
+	candidates map[netlist.NodeID]bool, lmax float64, rs *ringScratch) (newOrder []netlist.NodeID, longest float64, cand netlist.NodeID, ok bool) {
 
-	sortedCands := make([]netlist.NodeID, 0, len(candidates))
+	cands := rs.cands[:0]
 	for c := range candidates {
-		sortedCands = append(sortedCands, c)
+		cands = append(cands, c)
 	}
-	sort.Slice(sortedCands, func(i, j int) bool { return sortedCands[i] < sortedCands[j] })
+	slices.Sort(cands)
+	rs.cands = cands
 
-	sc := prepareAbsorb(app, order, messagesWithin(app, members))
-	// Ring positions of each candidate's messages to and from members.
-	cTo := make(map[netlist.NodeID][]int)
-	cFrom := make(map[netlist.NodeID][]int)
+	// One scan over the messages collects the member messages and, per
+	// candidate k, the ring positions of its messages to (cTo[k]) and from
+	// (cFrom[k]) members. During the scan the position table also marks
+	// candidate k as -2-k.
+	rs.place(order)
+	for k, c := range cands {
+		rs.pos[c] = -2 - k
+	}
+	rs.cTo = resize(rs.cTo, len(cands))
+	rs.cFrom = resize(rs.cFrom, len(cands))
+	for k := range cands {
+		rs.cTo[k] = rs.cTo[k][:0]
+		rs.cFrom[k] = rs.cFrom[k][:0]
+	}
+	msgs := rs.msgs[:0]
 	for _, m := range app.Messages {
-		if candidates[m.Src] && members[m.Dst] {
-			cTo[m.Src] = append(cTo[m.Src], sc.idx[m.Dst])
-		}
-		if members[m.Src] && candidates[m.Dst] {
-			cFrom[m.Dst] = append(cFrom[m.Dst], sc.idx[m.Src])
+		ps, pd := rs.pos[m.Src], rs.pos[m.Dst]
+		switch {
+		case ps >= 0 && pd >= 0:
+			msgs = append(msgs, m)
+		case ps <= -2 && pd >= 0:
+			rs.cTo[-2-ps] = append(rs.cTo[-2-ps], pd)
+		case ps >= 0 && pd <= -2:
+			rs.cFrom[-2-pd] = append(rs.cFrom[-2-pd], ps)
 		}
 	}
+	for _, c := range cands {
+		rs.pos[c] = -1
+	}
+	sc := &rs.abs
+	prepareAbsorb(sc, app, order, msgs, rs)
+	rs.unplace(order)
+
+	// Extending the member messages by c's own messages to and from
+	// members gives the messages within members ∪ {c}. trial is a losing
+	// trial's buffer, reused; winners escape to the caller.
+	nMember := len(msgs)
+	trial := rs.trial
 
 	longest = math.Inf(1)
-	for _, c := range sortedCands {
-		var msgs []netlist.Message // lazily: messages within members ∪ {c}
+	for k, c := range cands {
+		cTo, cFrom := rs.cTo[k], rs.cFrom[k]
+		extended := false
 		for pos := 0; pos < len(order); pos++ {
 			bound := lmax
 			if longest < bound {
 				bound = longest
 			}
-			if sc.insertionLongest(c, pos, cTo[c], cFrom[c]) > bound+absorbEps {
+			if sc.insertionLongest(c, pos, cTo, cFrom) > bound+absorbEps {
 				continue
 			}
-			if msgs == nil {
-				members[c] = true
-				msgs = messagesWithin(app, members)
-				delete(members, c)
+			if !extended {
+				msgs = msgs[:nMember]
+				for _, xi := range cTo {
+					msgs = append(msgs, netlist.Message{Src: c, Dst: order[xi]})
+				}
+				for _, xi := range cFrom {
+					msgs = append(msgs, netlist.Message{Src: order[xi], Dst: c})
+				}
+				extended = true
 			}
-			trial := make([]netlist.NodeID, 0, len(order)+1)
-			trial = append(trial, order[:pos+1]...)
+			trial = append(slices.Grow(trial[:0], len(order)+1), order[:pos+1]...)
 			trial = append(trial, c)
 			trial = append(trial, order[pos+1:]...)
-			l, _ := ringOrderLongest(app, trial, msgs)
+			l, _ := ringOrderLongest(app, trial, msgs, rs)
 			if l <= lmax && l < longest {
 				longest = l
-				newOrder = trial
+				newOrder, trial = trial, newOrder
 				cand = c
 				ok = true
 			}
 		}
 	}
+	rs.msgs = msgs
+	rs.trial = trial
 	return newOrder, longest, cand, ok
 }

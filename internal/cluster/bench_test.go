@@ -7,13 +7,27 @@ import (
 )
 
 // BenchmarkSynthesize measures the clustering (the Table II cost centre)
-// per benchmark.
+// per benchmark, plus D128 with 8 initial-vertex trials, the multi-level
+// absorption load of the scale workloads.
 func BenchmarkSynthesize(b *testing.B) {
+	type input struct {
+		app *netlist.Application
+		opt Options
+	}
+	var inputs []input
 	for _, app := range netlist.Benchmarks() {
-		app := app
-		b.Run(app.Name, func(b *testing.B) {
+		inputs = append(inputs, input{app, Options{}})
+	}
+	d128, err := netlist.ByName("D128")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs = append(inputs, input{d128, Options{MaxInitialTrials: 8}})
+	for _, in := range inputs {
+		b.Run(in.app.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Synthesize(app, Options{}); err != nil {
+				if _, err := Synthesize(in.app, in.opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -25,8 +39,10 @@ func BenchmarkSynthesize(b *testing.B) {
 func BenchmarkRingOrderLongest(b *testing.B) {
 	app := netlist.D26()
 	order := app.ActiveNodes()
+	rs := newRingScratch(app)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringOrderLongest(app, order, app.Messages)
+		ringOrderLongest(app, order, app.Messages, rs)
 	}
 }

@@ -277,23 +277,64 @@ func conventionalRingBound(app *netlist.Application) float64 {
 	return worst
 }
 
+// ringScratch is reusable scratch for ring-order evaluation and absorption:
+// a NodeID-indexed position table (Application.Validate guarantees dense
+// IDs) holding -1 for every node off the ring being evaluated, plus the
+// buffers of ringOrderLongest and bestAbsorption. Users restore the table
+// to all -1 after each use, so one scratch serves a whole sub-ring growth
+// without reallocating. Not safe for concurrent use.
+type ringScratch struct {
+	pos    []int
+	prefix []float64
+
+	// bestAbsorption's buffers.
+	cands      []netlist.NodeID
+	cTo, cFrom [][]int
+	msgs       []netlist.Message
+	trial      []netlist.NodeID
+	abs        absorbScratch
+}
+
+func newRingScratch(app *netlist.Application) *ringScratch {
+	pos := make([]int, len(app.Nodes))
+	for i := range pos {
+		pos[i] = -1
+	}
+	return &ringScratch{pos: pos}
+}
+
+// place records the ring position of every node of order.
+func (rs *ringScratch) place(order []netlist.NodeID) {
+	for i, id := range order {
+		rs.pos[id] = i
+	}
+}
+
+// unplace restores the entries place set to -1.
+func (rs *ringScratch) unplace(order []netlist.NodeID) {
+	for _, id := range order {
+		rs.pos[id] = -1
+	}
+}
+
 // ringOrderLongest evaluates a candidate node order carrying the given
 // messages: the longest directed path length, minimised over the two
 // traversal directions. It returns the longest path and whether the order
 // should be reversed to achieve it.
 //
-// Implemented with prefix sums over the cycle (O(len + msgs)); this is the
-// inner loop of the absorption search.
-func ringOrderLongest(app *netlist.Application, order []netlist.NodeID, msgs []netlist.Message) (longest float64, reversed bool) {
+// Implemented with prefix sums over the cycle (O(len + msgs)) in rs's
+// reused buffers; this is the inner loop of the absorption search. Message
+// order does not matter: both directions take a maximum.
+func ringOrderLongest(app *netlist.Application, order []netlist.NodeID, msgs []netlist.Message, rs *ringScratch) (longest float64, reversed bool) {
 	if len(msgs) == 0 {
 		return 0, false
 	}
 	n := len(order)
-	idx := make(map[netlist.NodeID]int, n)
-	for i, id := range order {
-		idx[id] = i
-	}
-	prefix := make([]float64, n+1)
+	rs.place(order)
+	defer rs.unplace(order)
+	rs.prefix = resize(rs.prefix, n+1)
+	prefix := rs.prefix
+	prefix[0] = 0
 	for i := 0; i < n; i++ {
 		next := order[(i+1)%n]
 		prefix[i+1] = prefix[i] + app.Pos(order[i]).Manhattan(app.Pos(next))
@@ -301,9 +342,8 @@ func ringOrderLongest(app *netlist.Application, order []netlist.NodeID, msgs []n
 	perimeter := prefix[n]
 	var lf, lr float64
 	for _, m := range msgs {
-		si, ok1 := idx[m.Src]
-		di, ok2 := idx[m.Dst]
-		if !ok1 || !ok2 || si == di {
+		si, di := rs.pos[m.Src], rs.pos[m.Dst]
+		if si < 0 || di < 0 || si == di {
 			return math.Inf(1), false
 		}
 		fwd := prefix[di] - prefix[si]
@@ -361,7 +401,8 @@ func growCluster(app *netlist.Application, adj map[netlist.NodeID][]netlist.Node
 	}
 	members[nearest] = true
 	order := []netlist.NodeID{initial, nearest}
-	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members))
+	rs := newRingScratch(app)
+	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members), rs)
 	if longest > lmax {
 		// Cannot even pair with the nearest partner: singleton. (Possible
 		// only for L_max below d1, which the search range excludes, but we
@@ -381,7 +422,7 @@ func growCluster(app *netlist.Application, adj map[netlist.NodeID][]netlist.Node
 	addCandidates(nearest)
 
 	for len(candidates) > 0 {
-		order2, longest2, cand, ok := bestAbsorption(app, order, members, candidates, lmax)
+		order2, longest2, cand, ok := bestAbsorption(app, order, candidates, lmax, rs)
 		if !ok {
 			break
 		}
@@ -682,7 +723,8 @@ func growInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 	members[first] = true
 	delete(remaining, first)
 	order := []netlist.NodeID{initial, first}
-	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members))
+	rs := newRingScratch(app)
+	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members), rs)
 	if longest > lmax {
 		return nil, 0, false
 	}
@@ -704,7 +746,7 @@ func growInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 				candidates[u] = true
 			}
 		}
-		order2, longest2, cand, ok := bestAbsorption(app, order, members, candidates, lmax)
+		order2, longest2, cand, ok := bestAbsorption(app, order, candidates, lmax, rs)
 		if !ok {
 			return nil, 0, false // stuck before absorbing everyone
 		}
@@ -722,6 +764,7 @@ func growInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 // path over the messages it carries.
 func assembleResult(app *netlist.Application, clusters []grown, clusterOf map[netlist.NodeID]int, upper []levelGroups) *Result {
 	res := &Result{}
+	rs := newRingScratch(app)
 	ringID := 0
 	intraRingOf := make(map[int]int) // cluster index -> ring ID
 	for ci, g := range clusters {
@@ -733,7 +776,7 @@ func assembleResult(app *netlist.Application, clusters []grown, clusterOf map[ne
 		res.Clusters = append(res.Clusters, memberList)
 		if len(g.order) >= 2 {
 			order := g.order
-			if _, rev := ringOrderLongest(app, order, messagesWithin(app, g.members)); rev {
+			if _, rev := ringOrderLongest(app, order, messagesWithin(app, g.members), rs); rev {
 				order = (&ring.Ring{Order: order}).Reversed().Order
 			}
 			res.Rings = append(res.Rings, &ring.Ring{ID: ringID, Kind: ring.Intra, Order: order})
@@ -764,7 +807,7 @@ func assembleResult(app *netlist.Application, clusters []grown, clusterOf map[ne
 				continue
 			}
 			order := g.order
-			if _, rev := ringOrderLongest(app, order, carried); rev {
+			if _, rev := ringOrderLongest(app, order, carried, rs); rev {
 				order = (&ring.Ring{Order: order}).Reversed().Order
 			}
 			r := &ring.Ring{ID: ringID, Kind: ring.Inter, Level: li + 1, Order: order}

@@ -223,22 +223,22 @@ func TestRingOrderLongest(t *testing.T) {
 	}
 	order := []netlist.NodeID{0, 1, 2, 3}
 	// Single message 0->3: forward goes the long way (3), reverse is 1.
-	l, rev := ringOrderLongest(app, order, []netlist.Message{{Src: 0, Dst: 3}})
+	l, rev := ringOrderLongest(app, order, []netlist.Message{{Src: 0, Dst: 3}}, newRingScratch(app))
 	if math.Abs(l-1) > 1e-9 || !rev {
 		t.Errorf("got (%v, %v), want (1, true)", l, rev)
 	}
 	// Opposing messages: both directions yield max 3.
-	l, _ = ringOrderLongest(app, order, []netlist.Message{{Src: 0, Dst: 3}, {Src: 3, Dst: 0}})
+	l, _ = ringOrderLongest(app, order, []netlist.Message{{Src: 0, Dst: 3}, {Src: 3, Dst: 0}}, newRingScratch(app))
 	if math.Abs(l-3) > 1e-9 {
 		t.Errorf("opposing messages longest = %v, want 3", l)
 	}
 	// Node off the order: infeasible.
-	l, _ = ringOrderLongest(app, order[:2], []netlist.Message{{Src: 0, Dst: 3}})
+	l, _ = ringOrderLongest(app, order[:2], []netlist.Message{{Src: 0, Dst: 3}}, newRingScratch(app))
 	if !math.IsInf(l, 1) {
 		t.Errorf("off-ring message longest = %v, want +Inf", l)
 	}
 	// No messages: zero.
-	if l, _ := ringOrderLongest(app, order, nil); l != 0 {
+	if l, _ := ringOrderLongest(app, order, nil, newRingScratch(app)); l != 0 {
 		t.Errorf("no-message longest = %v, want 0", l)
 	}
 }
@@ -260,7 +260,7 @@ func TestRingOrderLongestMatchesRingPathLength(t *testing.T) {
 		lr = math.Max(lr, b)
 	}
 	want := math.Min(lf, lr)
-	got, _ := ringOrderLongest(app, order, app.Messages)
+	got, _ := ringOrderLongest(app, order, app.Messages, newRingScratch(app))
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("fast path %v, reference %v", got, want)
 	}
@@ -282,9 +282,16 @@ func TestBestAbsorptionPicksMinimalIncrease(t *testing.T) {
 		},
 	}
 	order := []netlist.NodeID{1, 0} // initial cluster {v2, v1}
-	members := map[netlist.NodeID]bool{0: true, 1: true}
 	candidates := map[netlist.NodeID]bool{2: true, 3: true}
-	newOrder, longest, cand, ok := bestAbsorption(app, order, members, candidates, 8)
+	rs := newRingScratch(app)
+	newOrder, longest, cand, ok := bestAbsorption(app, order, candidates, 8, rs)
+	// The scratch's position table must come back all -1: the next step
+	// reads any leftover member position or candidate mark.
+	for id, p := range rs.pos {
+		if p != -1 {
+			t.Errorf("position table left %d at node %d", p, id)
+		}
+	}
 	if !ok {
 		t.Fatal("no valid absorption found")
 	}
@@ -298,7 +305,7 @@ func TestBestAbsorptionPicksMinimalIncrease(t *testing.T) {
 		t.Errorf("longest = %v, want < Lmax", longest)
 	}
 	// With a tight L_max, neither absorption is valid.
-	_, _, _, ok = bestAbsorption(app, order, members, candidates, 0.5)
+	_, _, _, ok = bestAbsorption(app, order, candidates, 0.5, rs)
 	if ok {
 		t.Error("absorption valid under impossible L_max")
 	}

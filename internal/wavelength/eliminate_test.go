@@ -62,7 +62,7 @@ func TestEliminateSplittersEndToEnd(t *testing.T) {
 	adj := conflictAdj(infos)
 	w := DefaultWeights()
 	start := &Assignment{Lambda: []int{0, 1, 0, 1, 2, 2}, NumLambda: 3}
-	cand, obj, ok := eliminateSplitters(infos, start, adj, w)
+	cand, obj, ok := eliminateSplitters(infos, newEvaluator(infos), start, adj, w)
 	if !ok {
 		t.Fatal("eliminateSplitters made no progress")
 	}
@@ -74,7 +74,7 @@ func TestEliminateSplittersEndToEnd(t *testing.T) {
 	}
 	// No splitters at all: early-out branch.
 	clean := &Assignment{Lambda: []int{0, 1, 2, 3, 4, 5}, NumLambda: 6}
-	if _, _, ok := eliminateSplitters(infos, clean, adj, w); ok {
+	if _, _, ok := eliminateSplitters(infos, newEvaluator(infos), clean, adj, w); ok {
 		t.Error("splitter-free assignment should report no progress")
 	}
 }

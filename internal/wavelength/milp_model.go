@@ -111,11 +111,36 @@ func (m *MILPModel) ilMaxVar(l int) int { return m.ilSmaxVar() + 1 + l }
 // IncumbentVector lifts a feasible assignment into the model's variable
 // space, suitable for milp.Options.Incumbent. The assignment is normalised
 // to first-use wavelength order first — the model's symmetry rows assume it.
+// It returns nil, which milp.Options.Incumbent reads as a cold start, when
+// the model cannot represent the assignment: infos or the assignment do not
+// cover the model's S paths, or the assignment uses more wavelengths than
+// the model's palette.
 func (m *MILPModel) IncumbentVector(infos []PathInfo, a *Assignment, w Weights) []float64 {
-	norm := &Assignment{Lambda: append([]int(nil), a.Lambda...), NumLambda: a.NumLambda}
+	if len(infos) != m.s || len(a.Lambda) != m.s {
+		return nil
+	}
+	norm := a.Clone()
 	norm.Normalize()
-	return incumbentVector(infos, norm, m.Prob.LP.NumVars, m.l,
-		m.bVar, m.yVar, m.spVar, m.ilSmaxVar(), m.ilMaxVar, w)
+	if norm.NumLambda > m.l {
+		return nil
+	}
+	e := newEvaluator(infos)
+	obj := e.score(norm, w)
+	x := make([]float64, m.Prob.LP.NumVars)
+	for s, l := range norm.Lambda {
+		x[m.bVar(s, l)] = 1
+	}
+	for l, il := range e.perLambda {
+		x[m.yVar(l)] = 1
+		x[m.ilMaxVar(l)] = il
+	}
+	for i, n := range m.spNodes {
+		if e.nodeSplit(n) {
+			x[m.spVar(i)] = 1
+		}
+	}
+	x[m.ilSmaxVar()] = obj.WorstIL
+	return x
 }
 
 // Decode reads the wavelength assignment out of a solver point.
@@ -752,58 +777,4 @@ func maximalCliques(S int, segPaths map[[2]int][]int) [][]int {
 		return len(a) < len(b)
 	})
 	return out
-}
-
-// incumbentVector lifts a heuristic assignment into the MILP variable space
-// so branch and bound starts with a cutoff.
-func incumbentVector(infos []PathInfo, a *Assignment, numVars, L int,
-	bVar func(int, int) int, yVar func(int) int, spVar func(int) int,
-	ilSmaxVar int, ilMaxVar func(int) int, w Weights) []float64 {
-
-	x := make([]float64, numVars)
-	for s, l := range a.Lambda {
-		x[bVar(s, l)] = 1
-	}
-	for l := 0; l < a.NumLambda && l < L; l++ {
-		x[yVar(l)] = 1
-	}
-	sp := NodeSplitters(infos, a)
-	// Recover sp variable order: spVar indices assigned over sorted nodes
-	// with >= 2 sender rings, mirrored from SolveMILP.
-	nodeRings := make(map[netlist.NodeID]map[int]bool)
-	for _, pi := range infos {
-		n := pi.SenderNode()
-		if nodeRings[n] == nil {
-			nodeRings[n] = make(map[int]bool)
-		}
-		nodeRings[n][pi.SenderRing()] = true
-	}
-	var spNodes []netlist.NodeID
-	for n, rings := range nodeRings {
-		if len(rings) >= 2 {
-			spNodes = append(spNodes, n)
-		}
-	}
-	sort.Slice(spNodes, func(i, j int) bool { return spNodes[i] < spNodes[j] })
-	for i, n := range spNodes {
-		if sp[n] {
-			x[spVar(i)] = 1
-		}
-	}
-	var worst float64
-	perLambda := make([]float64, L)
-	for i, pi := range infos {
-		il := pi.LossDB
-		if sp[pi.SenderNode()] {
-			il += w.SplitterStageDB
-		}
-		worst = math.Max(worst, il)
-		l := a.Lambda[i]
-		perLambda[l] = math.Max(perLambda[l], il)
-	}
-	x[ilSmaxVar] = worst
-	for l := 0; l < L; l++ {
-		x[ilMaxVar(l)] = perLambda[l]
-	}
-	return x
 }

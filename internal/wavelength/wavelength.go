@@ -17,6 +17,7 @@ package wavelength
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -102,45 +103,17 @@ func Verify(infos []PathInfo, a *Assignment) error {
 // NodeSplitters derives which sender nodes need a PDN splitter under the
 // assignment: a node whose senders on two different rings share at least
 // one wavelength (paper Sec. III-B). Nodes with a single sender never need
-// one.
+// one. Wavelengths must be non-negative.
 func NodeSplitters(infos []PathInfo, a *Assignment) map[netlist.NodeID]bool {
-	byNode := make(map[netlist.NodeID]map[int]map[int]bool) // node -> ring -> λ set
-	for i, pi := range infos {
-		n, r := pi.SenderNode(), pi.SenderRing()
-		if byNode[n] == nil {
-			byNode[n] = make(map[int]map[int]bool)
-		}
-		if byNode[n][r] == nil {
-			byNode[n][r] = make(map[int]bool)
-		}
-		byNode[n][r][a.Lambda[i]] = true
+	width := a.NumLambda
+	for _, l := range a.Lambda {
+		width = max(width, l+1)
 	}
-	out := make(map[netlist.NodeID]bool)
-	for n, rings := range byNode {
-		if len(rings) < 2 {
-			continue
-		}
-		// Union-intersection across ring pairs: shared λ anywhere => splitter.
-		var ringIDs []int
-		for r := range rings {
-			ringIDs = append(ringIDs, r)
-		}
-		sort.Ints(ringIDs)
-		shared := false
-	outer:
-		for i := 0; i < len(ringIDs) && !shared; i++ {
-			for j := i + 1; j < len(ringIDs); j++ {
-				for l := range rings[ringIDs[i]] {
-					if rings[ringIDs[j]][l] {
-						shared = true
-						break outer
-					}
-				}
-			}
-		}
-		if shared {
-			out[n] = true
-		}
+	e := newEvaluator(infos)
+	e.markSplitters(a.Lambda, width)
+	out := make(map[netlist.NodeID]bool, e.nSplit)
+	for _, n := range e.splitterNodes(nil) {
+		out[n] = true
 	}
 	return out
 }
@@ -173,53 +146,14 @@ func DefaultWeights() Weights {
 // senders the assignment forces a splitter on (the il_λ^max terms of Eq. 8,
 // without PDN feed losses).
 func PerLambdaLoss(infos []PathInfo, a *Assignment, w Weights) []float64 {
-	sp := NodeSplitters(infos, a)
-	perLambda := make([]float64, a.NumLambda)
-	for i, pi := range infos {
-		il := pi.LossDB
-		if sp[pi.SenderNode()] {
-			il += w.SplitterStageDB
-		}
-		if l := a.Lambda[i]; il > perLambda[l] {
-			perLambda[l] = il
-		}
-	}
-	return perLambda
+	e := newEvaluator(infos)
+	e.score(a, w)
+	return slices.Clone(e.perLambda)
 }
 
 // Evaluate computes the objective of an assignment.
 func Evaluate(infos []PathInfo, a *Assignment, w Weights) Objective {
-	sp := NodeSplitters(infos, a)
-	perLambda := make([]float64, a.NumLambda)
-	var worst float64
-	for i, pi := range infos {
-		il := pi.LossDB
-		if sp[pi.SenderNode()] {
-			il += w.SplitterStageDB
-		}
-		if il > worst {
-			worst = il
-		}
-		if l := a.Lambda[i]; il > perLambda[l] {
-			perLambda[l] = il
-		}
-	}
-	var sum float64
-	used := 0
-	for _, v := range perLambda {
-		sum += v
-		if v > 0 {
-			used++
-		}
-	}
-	obj := Objective{
-		NumLambda:    used,
-		WorstIL:      worst,
-		SumPerLambda: sum,
-		Splitters:    len(sp),
-	}
-	obj.Value = w.Alpha*float64(used) + w.Beta*worst + w.Gamma*sum
-	return obj
+	return newEvaluator(infos).score(a, w)
 }
 
 // conflictAdj builds the conflict adjacency of the paths.
@@ -292,7 +226,8 @@ func Improve(infos []PathInfo, start *Assignment, w Weights) *Assignment {
 	cur := start.Clone()
 	cur.Normalize()
 	adj := conflictAdj(infos)
-	curObj := Evaluate(infos, cur, w)
+	ev := newEvaluator(infos)
+	curObj := ev.score(cur, w)
 
 	feasible := func(i, c int) bool {
 		for _, j := range adj[i] {
@@ -313,19 +248,22 @@ func Improve(infos []PathInfo, start *Assignment, w Weights) *Assignment {
 				if c == old || !feasible(i, c) {
 					continue
 				}
+				num := cur.NumLambda
 				cur.Lambda[i] = c
-				if c == cur.NumLambda {
+				if c == num {
 					cur.NumLambda = c + 1
 				}
-				cand := Evaluate(infos, cur, w)
+				cand := ev.score(cur, w)
 				if cand.Value < curObj.Value-1e-9 {
 					curObj = cand
 					improved = true
 					cur.Normalize()
 					old = cur.Lambda[i]
 				} else {
+					// cur is normalised before every trial, so undoing the
+					// recolour restores the normalised assignment exactly.
 					cur.Lambda[i] = old
-					cur.Normalize()
+					cur.NumLambda = num
 				}
 			}
 		}
@@ -334,7 +272,7 @@ func Improve(infos []PathInfo, start *Assignment, w Weights) *Assignment {
 		// every shared wavelength is resolved), so attempt the whole
 		// elimination for each splitter node and keep it if the objective
 		// improves.
-		if cand, obj, ok := eliminateSplitters(infos, cur, adj, w); ok && obj.Value < curObj.Value-1e-9 {
+		if cand, obj, ok := eliminateSplitters(infos, ev, cur, adj, w); ok && obj.Value < curObj.Value-1e-9 {
 			cur = cand
 			curObj = obj
 			improved = true
@@ -350,17 +288,14 @@ func Improve(infos []PathInfo, start *Assignment, w Weights) *Assignment {
 // eliminateSplitters tries, for each node currently needing a PDN splitter,
 // to recolour the offending paths so its senders' wavelength sets become
 // disjoint. It returns the best resulting assignment and its objective, or
-// ok=false if no elimination attempt changed anything.
-func eliminateSplitters(infos []PathInfo, start *Assignment, adj [][]int, w Weights) (*Assignment, Objective, bool) {
-	splitters := NodeSplitters(infos, start)
-	if len(splitters) == 0 {
+// ok=false if no elimination attempt changed anything. ev must be built
+// over infos.
+func eliminateSplitters(infos []PathInfo, ev *evaluator, start *Assignment, adj [][]int, w Weights) (*Assignment, Objective, bool) {
+	curVal := ev.score(start, w).Value
+	nodes := ev.splitterNodes(nil)
+	if len(nodes) == 0 {
 		return nil, Objective{}, false
 	}
-	nodes := make([]netlist.NodeID, 0, len(splitters))
-	for n := range splitters {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 
 	cur := start.Clone()
 	changed := false
@@ -368,8 +303,9 @@ func eliminateSplitters(infos []PathInfo, start *Assignment, adj [][]int, w Weig
 		cand := cur.Clone()
 		if resolveNode(infos, cand, adj, n) {
 			// Keep the elimination only if it does not worsen Eq. 8.
-			if Evaluate(infos, cand, w).Value <= Evaluate(infos, cur, w).Value+1e-9 {
+			if v := ev.score(cand, w).Value; v <= curVal+1e-9 {
 				cur = cand
+				curVal = v
 				changed = true
 			}
 		}
@@ -378,7 +314,7 @@ func eliminateSplitters(infos []PathInfo, start *Assignment, adj [][]int, w Weig
 		return nil, Objective{}, false
 	}
 	cur.Normalize()
-	return cur, Evaluate(infos, cur, w), true
+	return cur, ev.score(cur, w), true
 }
 
 // resolveNode recolours paths sent by node n until its senders' wavelength
