@@ -221,11 +221,20 @@ type Solver struct {
 	// solve entry and consumed by finish.
 	solveH        *obs.Histogram // lp.solve.ns: wall time per completed solve
 	pivotsH       *obs.Histogram // lp.solve.pivots: total pivots per solve
-	refactorH     *obs.Histogram // lp.sparse.refactor.ns: per LU factorisation
+	refactorH     *obs.Histogram // lp.sparse.refactor.ns: per LU refactorisation, ordering included
 	ftSpikeH      *obs.Histogram // lp.ft.spike.nnz: spike size per FT update
 	sparseSolvesC *obs.Counter   // lp.sparse.solves
 	rowsAppendedC *obs.Counter   // lp.rows.appended
 	solveStart    time.Time
+
+	// Refactorisations by cause, lp.sparse.refactor.*: the FT fill and
+	// cadence triggers, rejected FT updates, warm-start bases eliminated
+	// afresh, and warm-start factors found memoised on the Basis.
+	refactorFillC      *obs.Counter
+	refactorCadenceC   *obs.Counter
+	refactorRejectedC  *obs.Counter
+	refactorWarmBuiltC *obs.Counter
+	refactorWarmMemoC  *obs.Counter
 }
 
 // SetInterrupt installs a cancellation channel (typically a
@@ -243,6 +252,11 @@ func (s *Solver) SetRegistry(reg *obs.Registry) {
 	s.refactorH = r.Histogram("lp.sparse.refactor.ns")
 	s.ftSpikeH = r.Histogram("lp.ft.spike.nnz")
 	s.sparseSolvesC = r.Counter("lp.sparse.solves")
+	s.refactorFillC = r.Counter("lp.sparse.refactor.fill")
+	s.refactorCadenceC = r.Counter("lp.sparse.refactor.cadence")
+	s.refactorRejectedC = r.Counter("lp.sparse.refactor.rejected")
+	s.refactorWarmBuiltC = r.Counter("lp.sparse.refactor.warm_built")
+	s.refactorWarmMemoC = r.Counter("lp.sparse.refactor.warm_memo")
 	s.rowsAppendedC = r.Counter("lp.rows.appended")
 }
 

@@ -105,11 +105,17 @@ type ftKernel struct {
 	work        []float64 // len m: internal FTRAN work
 	xbScratch   []float64 // len m: accuracy-check snapshot
 	rowOf       []int32   // len nCols: column -> current row, refactor scratch
-	pivotedRows []bool    // len m: factor-build row state
 	rowValidFor int       // row index rowScratch currently holds, -1 if none
 
+	// Factor-build scratch (buildFactorInto), allocated with the ordering's
+	// index lists by allocRefactorScratch.
+	stepOf   []int32 // len m: elimination step that pivoted row r, -1 if none
+	seen     []bool  // len m: row touched by the current column
+	touched  []int32 // rows touched by the current column
+	stepHeap []int32 // min-heap of reached elimination steps
+
 	// Elimination-ordering scratch (orderBasisColumns).
-	basicCols []int32 // ascending basic columns
+	basicCols []int32 // ascending basic columns, compacted to the active ones by the Markowitz scan
 	ordCols   []int32 // emitted elimination order
 	ordPref   []int32 // structurally chosen pivot row per step, -1 if none
 	rcStart   []int32 // len m+1: row -> basic-column incidence offsets
@@ -118,6 +124,10 @@ type ftKernel struct {
 	rowCnt    []int32 // len m: active-basic-column counts per row
 	colActive []bool  // len nCols
 	rowActive []bool  // len m
+	colHeap   []int32 // column-singleton candidates of the running sweep
+	colNext   []int32 // column-singleton candidates of the next sweep
+	rowHeap   []int32 // row-singleton candidates, validated when popped
+	sweepPos  int32   // column the running sweep is at, -1 between sweeps
 
 	// U slots. Slot t's column entries live in colRow/colVal[t] once
 	// cowed[t]; before that they alias base's uRow/uVal (or are empty for
@@ -178,7 +188,6 @@ func newFTKernel(s *Solver, p *Problem) *ftKernel {
 		work:        make([]float64, m),
 		xbScratch:   make([]float64, m),
 		rowOf:       make([]int32, s.nCols),
-		pivotedRows: make([]bool, m),
 		rcStart:     make([]int32, m+1),
 		colCnt:      make([]int32, s.nCols),
 		rowCnt:      make([]int32, m),
@@ -529,13 +538,13 @@ func (k *ftKernel) refactorize(bas *Basis) bool {
 	k.rowValidFor = -1
 
 	if f := bas.factor.Load(); f != nil && f.sig == k.sig {
+		s.refactorWarmMemoC.Add(1)
 		copy(s.basis, f.perm)
 		k.installBase(f)
 		k.installStats(f)
 		return true
 	}
 
-	k.orderBasisColumns()
 	// Build into the kernel-owned scratch factor (its append-grown arrays
 	// amortise across solves), then clone exact-size arrays for the memo:
 	// the snapshot outlives this solver, and trimming removes the capacity
@@ -543,7 +552,8 @@ func (k *ftKernel) refactorize(bas *Basis) bool {
 	if k.buildTmp == nil {
 		k.buildTmp = &luFactor{}
 	}
-	if !k.buildFactorInto(k.buildTmp, false) {
+	s.refactorWarmBuiltC.Add(1)
+	if ok, _ := k.refactorInto(k.buildTmp, false); !ok {
 		return false // singular within tolerance: caller solves cold
 	}
 	f := k.buildTmp.clone()
@@ -581,19 +591,21 @@ func (k *ftKernel) midRefactor() bool {
 	for r := 0; r < s.m; r++ {
 		k.rowOf[s.basis[r]] = int32(r)
 	}
-	k.orderBasisColumns()
 	dst := k.midFactor[k.midNext]
 	if dst == nil {
 		dst = &luFactor{}
 		k.midFactor[k.midNext] = dst
 	}
 	copy(k.xbScratch, s.xB)
-	if !k.buildFactorInto(dst, true) {
+	ok, pinnedFailed := k.refactorInto(dst, true)
+	if pinnedFailed {
 		k.stSingular++
-		if !k.buildFactorInto(dst, false) {
-			k.rebuildCooloff = singularRetryInterval
-			return false
-		}
+	}
+	if !ok {
+		k.rebuildCooloff = singularRetryInterval
+		return false
+	}
+	if pinnedFailed {
 		// Free elimination moved the row labels. Carry each basic
 		// variable's incrementally maintained value to its new row first
 		// (rowOf still holds the old assignment), so the accuracy check
@@ -765,6 +777,7 @@ func (k *ftKernel) pivot(leave, enter int) bool {
 		// skipped. If even the rescue is singular, no representation of the
 		// new basis exists: report failure and let the pivot loop stop.
 		k.rowValidFor = -1
+		s.refactorRejectedC.Add(1)
 		if !k.midRefactor() {
 			k.stFallbacks++
 			return false
@@ -798,7 +811,11 @@ func (k *ftKernel) pivot(leave, enter int) bool {
 		if s.refactorEveryOverride > 0 {
 			every = s.refactorEveryOverride
 		}
-		if k.updates >= every || 2*k.addedNnz >= k.baseNnz+ftFillSlack {
+		if k.updates >= every {
+			s.refactorCadenceC.Add(1)
+			k.midRefactor()
+		} else if 2*k.addedNnz >= k.baseNnz+ftFillSlack {
+			s.refactorFillC.Add(1)
 			k.midRefactor()
 		}
 	}

@@ -144,6 +144,60 @@ func TestFTRefactorEveryOverride(t *testing.T) {
 	}
 }
 
+// TestRefactorCauseCounters checks the lp.sparse.refactor.* cause counters
+// against the refactorisations a cold solve and two warm re-solves from one
+// snapshot perform, and that lp.sparse.refactor.ns records exactly one
+// sample per elimination: fill, cadence and rejected-update rebuilds plus
+// fresh warm-start builds. A memo hit eliminates nothing and is not timed.
+func TestRefactorCauseCounters(t *testing.T) {
+	p, lo, hi := denseRandomLP(5, 40, 50)
+	for _, every := range []int{1 << 20, 3} {
+		s, err := NewSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		s.SetRegistry(reg)
+		s.refactorEveryOverride = every
+		sol, err := s.SolveBounded(lo, hi, time.Time{})
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("every=%d: cold solve %v %v", every, err, sol)
+		}
+		installs := sol.SparseRefactorizations
+		bas := s.Basis()
+		hi2 := append([]float64(nil), hi...)
+		hi2[0] /= 2
+		for i := 0; i < 2; i++ {
+			wsol, ok, err := s.SolveDual(bas, lo, hi2, time.Time{})
+			if err != nil || !ok {
+				t.Fatalf("every=%d: warm re-solve %d: ok=%v err=%v", every, i, ok, err)
+			}
+			installs += wsol.SparseRefactorizations
+		}
+
+		snap := reg.Snapshot()
+		c := snap.Counters
+		fill, cadence := c["lp.sparse.refactor.fill"], c["lp.sparse.refactor.cadence"]
+		rejected := c["lp.sparse.refactor.rejected"]
+		built, memo := c["lp.sparse.refactor.warm_built"], c["lp.sparse.refactor.warm_memo"]
+		if built != 1 || memo != 1 {
+			t.Errorf("every=%d: warm_built=%d warm_memo=%d, want 1/1", every, built, memo)
+		}
+		if every == 3 && cadence == 0 {
+			t.Errorf("every=3: no cadence-triggered refactorisation")
+		}
+		if every != 3 && (fill == 0 || cadence != 0) {
+			t.Errorf("every parked: fill=%d cadence=%d, want fill > 0 and no cadence", fill, cadence)
+		}
+		if got := fill + cadence + rejected + built + memo; got != int64(installs) {
+			t.Errorf("every=%d: causes sum to %d, solutions report %d refactorisations", every, got, installs)
+		}
+		if h := snap.Histograms["lp.sparse.refactor.ns"]; h == nil || h.Count != fill+cadence+rejected+built {
+			t.Errorf("every=%d: lp.sparse.refactor.ns has %v samples, want %d", every, h, fill+cadence+rejected+built)
+		}
+	}
+}
+
 // TestFTFailedRescue hands the FT kernel an exchange that leaves the basis
 // singular — a structural column that appears in no row entering the slack
 // basis — and checks the kernel's one failure path: the update is
@@ -157,6 +211,8 @@ func TestFTFailedRescue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	s.SetRegistry(reg)
 	if _, err := s.setBounds(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +244,15 @@ func TestFTFailedRescue(t *testing.T) {
 	AccumulateStats(rec, sol)
 	if got := rec.Counter("lp.ft.fallbacks").Value(); got != 1 {
 		t.Fatalf("lp.ft.fallbacks = %d, want 1", got)
+	}
+	// One refactorisation attempt, caused by the rejected update, timed
+	// once although it ran both the pinned and the free elimination.
+	snap := reg.Snapshot()
+	if got := snap.Counters["lp.sparse.refactor.rejected"]; got != 1 {
+		t.Errorf("lp.sparse.refactor.rejected = %d, want 1", got)
+	}
+	if h := snap.Histograms["lp.sparse.refactor.ns"]; h == nil || h.Count != 1 {
+		t.Errorf("lp.sparse.refactor.ns = %v, want one sample", h)
 	}
 }
 

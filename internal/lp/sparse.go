@@ -18,6 +18,12 @@ package lp
 //     the basic columns in a fill-reducing order, storing the multipliers
 //     as L-etas and the frozen-row remainders as U columns. The FT kernel
 //     runs the factor's L sweeps and keeps its own, updated copy of U.
+//   - A refactorisation costs the nonzeros it touches, not O(m) per
+//     column: the ordering peels singletons from heaps instead of
+//     rescanning the basis (orderBasisColumns), and the elimination visits
+//     only each column's reach through the earlier L-etas
+//     (buildFactorInto). Both reproduce the dense elimination's factor
+//     bit for bit; the dense routines are kept as test oracles.
 //   - Tableau column j is FTRAN(A_j); tableau row i is rho^T [A|I] with
 //     rho = BTRAN(e_i), gathered through the CSR rows rho touches.
 //   - The reduced-cost row d lives in the Solver and is updated at each
@@ -42,6 +48,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -233,14 +240,25 @@ func (k *ftKernel) basisColsNnz() int {
 // the classic triangularisation pre-pass. A column with one remaining
 // active row (or a row with one remaining active column) pivots without
 // producing elimination work in the triangular part; whatever cannot be
-// peeled (the kernel of the basis) is ordered by fewest active rows and
-// left to numerical pivoting. The result — ordCols and, per step, the
-// structurally forced pivot row in ordPref (-1 when the choice is left to
-// the numerics) — is a pure function of the matrix pattern and the basis
-// set, keeping refactorisation deterministic.
+// peeled (the kernel of the basis) is ordered by the Markowitz fill bound,
+// see below. The result — ordCols and, per step, the structurally forced
+// pivot row in ordPref (-1 when the choice is left to the numerics) — is a
+// pure function of the matrix pattern and the basis set, keeping
+// refactorisation deterministic.
+//
+// The order is that of repeated ascending sweeps over every basic column,
+// each emitting the column singletons it meets, with one row singleton
+// (the lowest row) or one Markowitz pivot between sweeps that find nothing.
+// Heaps stand in for the rescans: a column whose count drops to one joins
+// the running sweep when it lies ahead of the sweep position and the next
+// sweep otherwise, exactly where a rescan would meet it, so the cost is
+// O(m + pattern nonzeros) plus the kernel block's Markowitz scans.
 func (k *ftKernel) orderBasisColumns() {
 	s := k.s
 	m := s.m
+	if k.stepOf == nil {
+		k.allocRefactorScratch()
+	}
 
 	k.basicCols = k.basicCols[:0]
 	for j := 0; j < s.nCols; j++ {
@@ -288,9 +306,15 @@ func (k *ftKernel) orderBasisColumns() {
 		}
 	}
 
+	// Active counts and the initial singleton candidates; both lists are
+	// built in ascending order, which is already heap order.
+	k.colHeap, k.colNext, k.rowHeap = k.colHeap[:0], k.colNext[:0], k.rowHeap[:0]
 	for r := 0; r < m; r++ {
 		k.rowActive[r] = true
 		k.rowCnt[r] = k.rcStart[r+1] - k.rcStart[r]
+		if k.rowCnt[r] == 1 {
+			k.rowHeap = append(k.rowHeap, int32(r))
+		}
 	}
 	for _, c := range k.basicCols {
 		k.colActive[c] = true
@@ -299,81 +323,46 @@ func (k *ftKernel) orderBasisColumns() {
 		} else {
 			k.colCnt[c] = k.ccStart[c+1] - k.ccStart[c]
 		}
-	}
-
-	deactivateCol := func(c int32) {
-		k.colActive[c] = false
-		if int(c) >= s.nStruct {
-			r := c - int32(s.nStruct)
-			if k.rowActive[r] {
-				k.rowCnt[r]--
-			}
-			return
-		}
-		for t := k.ccStart[c]; t < k.ccStart[c+1]; t++ {
-			if r := k.ccRow[t]; k.rowActive[r] {
-				k.rowCnt[r]--
-			}
+		if k.colCnt[c] == 1 {
+			k.colHeap = append(k.colHeap, c)
 		}
 	}
-	deactivateRow := func(r int32) {
-		k.rowActive[r] = false
-		for t := k.rcStart[r]; t < k.rcStart[r+1]; t++ {
-			if c := k.rcIdx[t]; k.colActive[c] {
-				k.colCnt[c]--
-			}
-		}
-	}
-	activeRowOf := func(c int32) int32 {
-		if int(c) >= k.s.nStruct {
-			return c - int32(k.s.nStruct)
-		}
-		for t := k.ccStart[c]; t < k.ccStart[c+1]; t++ {
-			if r := k.ccRow[t]; k.rowActive[r] {
-				return r
-			}
-		}
-		return -1
-	}
-	activeColOf := func(r int32) int32 {
-		for t := k.rcStart[r]; t < k.rcStart[r+1]; t++ {
-			if c := k.rcIdx[t]; k.colActive[c] {
-				return c
-			}
-		}
-		return -1
-	}
+	k.sweepPos = -1
 
 	k.ordCols = k.ordCols[:0]
 	k.ordPref = k.ordPref[:0]
-	emit := func(c, r int32) {
-		k.ordCols = append(k.ordCols, c)
-		k.ordPref = append(k.ordPref, r)
-		deactivateCol(c)
-		if r >= 0 {
-			deactivateRow(r)
-		}
-	}
-	for len(k.ordCols) < len(k.basicCols) {
+	for n := len(k.basicCols); len(k.ordCols) < n; {
+		// Column-singleton sweep, ascending.
 		progress := false
-		for _, c := range k.basicCols {
-			if k.colActive[c] && k.colCnt[c] == 1 {
-				if r := activeRowOf(c); r >= 0 {
-					emit(c, r)
-					progress = true
-				}
+		for len(k.colHeap) > 0 {
+			var c int32
+			c, k.colHeap = popMin(k.colHeap)
+			if !k.colActive[c] || k.colCnt[c] != 1 {
+				continue
+			}
+			k.sweepPos = c
+			if r := k.activeRowOf(c); r >= 0 {
+				k.emitOrder(c, r)
+				progress = true
 			}
 		}
+		k.sweepPos = -1
+		slices.Sort(k.colNext) // ascending is heap order
+		k.colHeap, k.colNext = k.colNext, k.colHeap[:0]
 		if progress {
 			continue
 		}
-		for r := int32(0); int(r) < m; r++ {
-			if k.rowActive[r] && k.rowCnt[r] == 1 {
-				if c := activeColOf(r); c >= 0 {
-					emit(c, r)
-					progress = true
-					break
-				}
+		// The lowest row singleton.
+		for len(k.rowHeap) > 0 {
+			var r int32
+			r, k.rowHeap = popMin(k.rowHeap)
+			if !k.rowActive[r] || k.rowCnt[r] != 1 {
+				continue
+			}
+			if c := k.activeColOf(r); c >= 0 {
+				k.emitOrder(c, r)
+				progress = true
+				break
 			}
 		}
 		if progress {
@@ -386,15 +375,17 @@ func (k *ftKernel) orderBasisColumns() {
 		// pattern. The winning row is emitted as a structural *preference* —
 		// buildFactorInto still falls back to largest-|entry| when the
 		// preferred pivot is numerically tiny, so the heuristic can never
-		// cost correctness. Emitting a concrete row (unlike the old
-		// fewest-active-rows rule, which left it to the numerics) also keeps
-		// the active-count bookkeeping exact through the kernel block.
+		// cost correctness. Emitting a concrete row also keeps the
+		// active-count bookkeeping exact through the kernel block. The scan
+		// compacts basicCols to the still-active columns as it goes.
 		bestC, bestR := int32(-1), int32(-1)
 		bestCost := int64(math.MaxInt64)
+		live := k.basicCols[:0]
 		for _, c := range k.basicCols {
 			if !k.colActive[c] {
 				continue
 			}
+			live = append(live, c)
 			cc := int64(k.colCnt[c] - 1)
 			if cc < 0 || cc >= bestCost { // a whole column can't beat the best pair
 				continue
@@ -417,24 +408,160 @@ func (k *ftKernel) orderBasisColumns() {
 				}
 			}
 		}
+		k.basicCols = live
 		if bestC >= 0 {
-			emit(bestC, bestR)
+			k.emitOrder(bestC, bestR)
 			continue
 		}
 		// No active (column, row) pair left — structurally deficient tail;
 		// emit the lowest active column and leave the row to the numerics.
-		best := int32(-1)
-		for _, c := range k.basicCols {
-			if k.colActive[c] {
-				best = c
-				break
-			}
-		}
-		if best < 0 {
+		if len(live) == 0 {
 			break
 		}
-		emit(best, -1)
+		k.emitOrder(live[0], -1)
 	}
+}
+
+// allocRefactorScratch allocates the scratch of the ordering and the
+// factor build on a kernel's first refactorisation. None of the index
+// lists ever outgrows m entries (each holds a row, a step or a basic
+// column at most once), so they share one arena of capped slices.
+func (k *ftKernel) allocRefactorScratch() {
+	m := k.s.m
+	k.seen = make([]bool, m)
+	arena := make([]int32, 9*m)
+	part := func(i int) []int32 { return arena[i*m : i*m : (i+1)*m] }
+	k.stepOf = part(0)[:m]
+	k.touched, k.stepHeap = part(1), part(2)
+	k.basicCols, k.ordCols, k.ordPref = part(3), part(4), part(5)
+	k.colHeap, k.colNext, k.rowHeap = part(6), part(7), part(8)
+}
+
+// emitOrder appends elimination step (c, r) — r = -1 leaves the row to the
+// numerics — and retires the column and the row from the active pattern.
+// Counts that drop to one queue new singleton candidates: a row for the
+// row-singleton heap, a column for the running sweep when it lies past the
+// sweep position and for the next sweep otherwise.
+func (k *ftKernel) emitOrder(c, r int32) {
+	k.ordCols = append(k.ordCols, c)
+	k.ordPref = append(k.ordPref, r)
+	k.colActive[c] = false
+	if nStruct := int32(k.s.nStruct); c >= nStruct {
+		k.dropRowCount(c - nStruct)
+	} else {
+		for t := k.ccStart[c]; t < k.ccStart[c+1]; t++ {
+			k.dropRowCount(k.ccRow[t])
+		}
+	}
+	if r < 0 {
+		return
+	}
+	k.rowActive[r] = false
+	for t := k.rcStart[r]; t < k.rcStart[r+1]; t++ {
+		c := k.rcIdx[t]
+		if !k.colActive[c] {
+			continue
+		}
+		if k.colCnt[c]--; k.colCnt[c] == 1 {
+			if c > k.sweepPos {
+				k.colHeap = pushMin(k.colHeap, c)
+			} else {
+				k.colNext = append(k.colNext, c)
+			}
+		}
+	}
+}
+
+// dropRowCount removes one active column from active row r's count.
+func (k *ftKernel) dropRowCount(r int32) {
+	if !k.rowActive[r] {
+		return
+	}
+	if k.rowCnt[r]--; k.rowCnt[r] == 1 {
+		k.rowHeap = pushMin(k.rowHeap, r)
+	}
+}
+
+// activeRowOf returns the lowest active row of basic column c's pattern
+// (a slack's own row), or -1.
+func (k *ftKernel) activeRowOf(c int32) int32 {
+	if int(c) >= k.s.nStruct {
+		return c - int32(k.s.nStruct)
+	}
+	for t := k.ccStart[c]; t < k.ccStart[c+1]; t++ {
+		if r := k.ccRow[t]; k.rowActive[r] {
+			return r
+		}
+	}
+	return -1
+}
+
+// activeColOf returns the lowest active basic column in row r, or -1.
+func (k *ftKernel) activeColOf(r int32) int32 {
+	for t := k.rcStart[r]; t < k.rcStart[r+1]; t++ {
+		if c := k.rcIdx[t]; k.colActive[c] {
+			return c
+		}
+	}
+	return -1
+}
+
+// pushMin adds x to the binary min-heap h.
+func pushMin(h []int32, x int32) []int32 {
+	h = append(h, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= x {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	return h
+}
+
+// popMin removes and returns the least element of the non-empty min-heap h.
+func popMin(h []int32) (int32, []int32) {
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	if n == 0 {
+		return top, h
+	}
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r] < h[l] {
+			l = r
+		}
+		if x <= h[l] {
+			break
+		}
+		h[i] = h[l]
+		i = l
+	}
+	h[i] = x
+	return top, h
+}
+
+// refactorInto orders the current basic columns and eliminates them into
+// dst, timing the whole refactorisation as one lp.sparse.refactor.ns
+// sample. With pinned set the pinned-row elimination is tried first and
+// the free one only when it goes singular, which pinnedFailed reports.
+func (k *ftKernel) refactorInto(dst *luFactor, pinned bool) (ok, pinnedFailed bool) {
+	start := time.Now()
+	defer k.s.refactorH.RecordSince(start)
+	k.orderBasisColumns()
+	if pinned && k.buildFactorInto(dst, true) {
+		return true, false
+	}
+	return k.buildFactorInto(dst, false), pinned
 }
 
 // buildFactorInto runs the left-looking LU elimination over the basic
@@ -444,9 +571,16 @@ func (k *ftKernel) orderBasisColumns() {
 // pivot aborts; otherwise the structural preference is tried first and
 // falls back to the largest remaining |entry| (ties to the lowest row).
 // Returns false on abort, leaving all live state untouched.
+//
+// The elimination is sparse, Gilbert–Peierls style: the work vector is
+// zero between columns and only the rows a column touches are visited.
+// Its L sweep pops the earlier steps whose pivot rows it reaches from a
+// min-heap, in ascending step order, and skips a step whose pivot entry
+// is zero — exactly the steps, in exactly the order, with exactly the
+// arithmetic of a dense sweep over every earlier step. The pivot search
+// and the L/U split scan the touched rows in ascending order, so the
+// factor is bit-identical to the dense elimination's.
 func (k *ftKernel) buildFactorInto(dst *luFactor, forced bool) bool {
-	factorStart := time.Now()
-	defer k.s.refactorH.RecordSince(factorStart)
 	s := k.s
 	m := s.m
 	dst.sig = k.sig
@@ -463,69 +597,109 @@ func (k *ftKernel) buildFactorInto(dst *luFactor, forced bool) bool {
 	}
 	dst.perm = dst.perm[:m]
 
-	pivoted := k.pivotedRows
-	for r := range pivoted {
-		pivoted[r] = false
+	// stepOf[r] is the step that pivoted row r, -1 while r is unpivoted.
+	v, stepOf, seen := k.work, k.stepOf, k.seen
+	for r := 0; r < m; r++ {
+		v[r] = 0
+		stepOf[r] = -1
+		seen[r] = false
 	}
-	v := k.work
+	touched, heap := k.touched[:0], k.stepHeap[:0]
+	defer func() { k.touched, k.stepHeap = touched, heap }()
+	nStruct := int32(s.nStruct)
 	for t, c := range k.ordCols {
-		k.scatter(v, int(c))
-		// Forward L sweep through the steps built so far.
-		for e := 0; e < len(dst.piv); e++ {
-			f := v[dst.piv[e]]
-			if f != 0 {
-				for q := dst.lStart[e]; q < dst.lStart[e+1]; q++ {
-					v[dst.lIdx[q]] -= dst.lVal[q] * f
-				}
-			}
-		}
-		// Pivot row selection.
-		r := -1
-		if forced {
-			r = int(k.rowOf[c])
-			if math.Abs(v[r]) <= pivTol {
-				return false
+		// Scatter the column's own entries, queueing the steps of the
+		// pivoted rows among them.
+		touched = touched[:0]
+		if c >= nStruct {
+			i := c - nStruct
+			v[i] = 1
+			seen[i] = true
+			touched = append(touched, i)
+			if e := stepOf[i]; e >= 0 {
+				heap = pushMin(heap, e)
 			}
 		} else {
-			if p := k.ordPref[t]; p >= 0 && !pivoted[p] && math.Abs(v[p]) > pivTol {
-				r = int(p)
-			} else {
-				bestAbs := pivTol
-				for i := 0; i < m; i++ {
-					if pivoted[i] {
-						continue
-					}
-					if abs := math.Abs(v[i]); abs > bestAbs {
-						r, bestAbs = i, abs
-					}
-				}
-				if r < 0 {
-					return false // singular within tolerance
+			for q := k.ccStart[c]; q < k.ccStart[c+1]; q++ {
+				i := k.ccRow[q]
+				v[i] = k.ccVal[q]
+				seen[i] = true
+				touched = append(touched, i)
+				if e := stepOf[i]; e >= 0 {
+					heap = pushMin(heap, e)
 				}
 			}
 		}
-		inv := 1 / v[r]
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			f := v[i]
+		// Forward L sweep over the reached steps. An eta only writes rows
+		// pivoted after its own step, so the heap yields steps in
+		// ascending order and each at most once.
+		for len(heap) > 0 {
+			var e int32
+			e, heap = popMin(heap)
+			f := v[dst.piv[e]]
 			if f == 0 {
 				continue
 			}
-			if pivoted[i] {
-				dst.uRow = append(dst.uRow, int32(i))
+			for q := dst.lStart[e]; q < dst.lStart[e+1]; q++ {
+				i := dst.lIdx[q]
+				v[i] -= dst.lVal[q] * f
+				if !seen[i] {
+					seen[i] = true
+					touched = append(touched, i)
+					if e := stepOf[i]; e >= 0 {
+						heap = pushMin(heap, e)
+					}
+				}
+			}
+		}
+		slices.Sort(touched)
+		// Pivot row selection. Untouched rows hold zero, so scanning the
+		// touched ones finds what a scan over all rows would.
+		r := int32(-1)
+		if forced {
+			r = k.rowOf[c]
+			if math.Abs(v[r]) <= pivTol {
+				return false
+			}
+		} else if p := k.ordPref[t]; p >= 0 && stepOf[p] < 0 && math.Abs(v[p]) > pivTol {
+			r = p
+		} else {
+			bestAbs := pivTol
+			for _, i := range touched {
+				if stepOf[i] >= 0 {
+					continue
+				}
+				if abs := math.Abs(v[i]); abs > bestAbs {
+					r, bestAbs = i, abs
+				}
+			}
+			if r < 0 {
+				return false // singular within tolerance
+			}
+		}
+		// Split the column into its L-eta and U entries, clearing the
+		// work vector behind it.
+		inv := 1 / v[r]
+		for _, i := range touched {
+			f := v[i]
+			v[i] = 0
+			seen[i] = false
+			if i == r || f == 0 {
+				continue
+			}
+			if stepOf[i] >= 0 {
+				dst.uRow = append(dst.uRow, i)
 				dst.uVal = append(dst.uVal, f)
 			} else {
-				dst.lIdx = append(dst.lIdx, int32(i))
+				dst.lIdx = append(dst.lIdx, i)
 				dst.lVal = append(dst.lVal, f*inv)
 			}
 		}
-		dst.piv = append(dst.piv, int32(r))
+		dst.piv = append(dst.piv, r)
 		dst.inv = append(dst.inv, inv)
 		dst.lStart = append(dst.lStart, int32(len(dst.lIdx)))
 		dst.uStart = append(dst.uStart, int32(len(dst.uRow)))
-		pivoted[r] = true
+		stepOf[r] = int32(t)
 		dst.perm[r] = c
 	}
 	dst.fill = len(dst.lIdx) + len(dst.uRow) + len(dst.piv) - k.basisColsNnz()

@@ -1,0 +1,135 @@
+package sring
+
+import (
+	"context"
+	"math"
+	"testing"
+	"time"
+
+	"sring/internal/cluster"
+	"sring/internal/design"
+	"sring/internal/loss"
+	"sring/internal/milp"
+	"sring/internal/netlist"
+	"sring/internal/obs"
+	"sring/internal/pipeline"
+	"sring/internal/wavelength"
+)
+
+// mpegBoundNodes is the node budget of the MPEG work-unit pin: deep enough
+// to run every solver layer (presolve, root LP, cut rounds, branching,
+// warm-started node LPs, refactorisations), short enough for CI.
+const mpegBoundNodes = 50
+
+// mpegBoundModel is MPEG's exact wavelength model, built the way the
+// mpeg-bound benchmark workload builds it: SRing construction, layout and
+// loss pricing, then the heuristic assignment's palette plus one
+// wavelength.
+type mpegBoundModel struct {
+	infos []wavelength.PathInfo
+	w     wavelength.Weights
+	heur  *wavelength.Assignment
+}
+
+func newMPEGBoundModel(tb testing.TB) *mpegBoundModel {
+	tb.Helper()
+	app := netlist.MPEG()
+	opt := pipeline.Options{Parallelism: 2}
+	tech, err := loss.Normalize(opt.Tech)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	con, err := cluster.Construct(context.Background(), app, opt, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lay, err := design.RouteLayout(app, con.Rings, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	infos, err := design.PriceLoss(app, con.Rings, con.Paths, lay, tech, con.MRRFullComplement, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := con.Weights
+	w.SplitterStageDB = tech.SplitterStageDB()
+	return &mpegBoundModel{infos: infos, w: w, heur: wavelength.Improve(infos, wavelength.DSATUR(infos), w)}
+}
+
+// solve builds the MILP and solves it from the heuristic incumbent to the
+// node budget, recording the solver's counters under span.
+func (mm *mpegBoundModel) solve(tb testing.TB, nodes int, span *obs.Span) *milp.Result {
+	tb.Helper()
+	m, err := wavelength.BuildMILP(mm.infos, mm.heur.NumLambda+1, mm.w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := milp.SolveContext(context.Background(), m.Prob, milp.Options{
+		TimeLimit:      time.Minute,
+		NodeLimit:      nodes,
+		Parallelism:    2,
+		BranchPriority: m.Priority,
+		Incumbent:      m.IncumbentVector(mm.infos, mm.heur, mm.w),
+		Obs:            span,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.TimeLimitHit {
+		tb.Fatal("MPEG solve hit its safety time limit")
+	}
+	return res
+}
+
+// TestMPEGBoundWorkUnits pins MPEG's exact solve at a 50-node budget: the
+// explored-node fingerprint, incumbent objective and proven bound. Any
+// change to the LP kernel's pivot sequence, the factorisation or the
+// branch-and-bound order moves the fingerprint, so this is a bit-identity
+// guard for the whole exact-assignment stack.
+func TestMPEGBoundWorkUnits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves MPEG's exact model to 50 nodes")
+	}
+	const (
+		wantFingerprint = 0xf1bff249fd9341b0
+		wantObjective   = 51.4369
+		wantBound       = 51.0053
+	)
+	res := newMPEGBoundModel(t).solve(t, mpegBoundNodes, nil)
+	if res.Nodes != mpegBoundNodes {
+		t.Errorf("explored %d nodes, want %d", res.Nodes, mpegBoundNodes)
+	}
+	if res.NodeFingerprint != wantFingerprint {
+		t.Errorf("node fingerprint %#x, want %#x", res.NodeFingerprint, uint64(wantFingerprint))
+	}
+	if math.Abs(res.Objective-wantObjective) > 1e-6 {
+		t.Errorf("objective %.6f, want %.6f", res.Objective, wantObjective)
+	}
+	if math.Abs(res.Bound-wantBound) > 1e-6 {
+		t.Errorf("bound %.6f, want %.6f", res.Bound, wantBound)
+	}
+}
+
+// BenchmarkMPEGBound times MPEG's exact solve to the 50-node budget of
+// TestMPEGBoundWorkUnits (model build included, construction excluded)
+// and reports its deterministic work units: LP pivots and LU
+// refactorisations per solve. CI runs one iteration as a smoke check:
+//
+//	go test -run - -bench BenchmarkMPEGBound -benchtime 1x .
+func BenchmarkMPEGBound(b *testing.B) {
+	mm := newMPEGBoundModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pivots, refactors int64
+	for i := 0; i < b.N; i++ {
+		rec := obs.New()
+		span := rec.StartSpan("mpeg-bound")
+		mm.solve(b, mpegBoundNodes, span)
+		span.End()
+		c := rec.Snapshot().Counters
+		pivots += c["lp.pivots.phase1"] + c["lp.pivots.phase2"] + c["lp.pivots.dual"]
+		refactors += c["lp.sparse.refactorizations"]
+	}
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(refactors)/float64(b.N), "refactorizations/op")
+}
