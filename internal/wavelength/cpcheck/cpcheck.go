@@ -12,6 +12,28 @@
 // the problem in its own minimal terms (paths with a sender node, a sender
 // ring and a loss; a conflict adjacency), which lets the wavelength package
 // import it for the -oracle=cp fallback without a cycle.
+//
+// The search state is kept incrementally, so a search node costs
+// O(degree + palette) and allocates nothing:
+//
+//   - domains: per (path, colour) the number of assigned neighbours on that
+//     colour; a domain bit clears on its 0→1 step and returns on its 1→0
+//     step;
+//   - open colours: per-colour path counts and the mask of colours in use;
+//   - splitters: per (node, colour, local ring) occupancy, the number of
+//     distinct rings per (node, colour), and per node the number of colours
+//     carried by two or more rings — the node needs a splitter while that
+//     last count is positive;
+//   - loss maxima: the per-colour and overall maxima of the priced path
+//     losses, raised on assign (every assigned path of a node is re-priced
+//     when the node's splitter turns on) and restored from an undo trail on
+//     unassign. Search is LIFO, so unassign rewinds the trail to the mark
+//     its assign left.
+//
+// Maxima do not depend on the order they are raised in, and the bound and
+// the objective still sum the per-colour maxima in colour order, so the
+// search explores the same tree, bit for bit, as a solver that recomputes
+// everything at every node (kept in oracle_test.go as the equality oracle).
 package cpcheck
 
 import (
@@ -39,8 +61,9 @@ type Weights struct {
 }
 
 // Problem is one assignment instance. Adj must be a symmetric conflict
-// adjacency over the path indices; MaxLambda caps the palette (at most 64:
-// domains are single-word bitsets).
+// adjacency over the path indices without self-loops; MaxLambda caps the
+// palette (at most 64: domains are single-word bitsets). SplitterDB must
+// not be negative: the bound relies on a splitter never lowering a loss.
 type Problem struct {
 	Paths     []Path
 	Adj       [][]int
@@ -76,16 +99,27 @@ const eps = 1e-9
 type solver struct {
 	p        Problem
 	n        int
+	nl       int     // palette size, p.MaxLambda
 	cliques  [][]int // greedy clique cover, each sorted
 	byVertex [][]int // path -> indices into cliques
 	nodeIdx  []int   // path -> dense sender-node index
 	nodePath [][]int // dense node -> its path indices
-	nRings   []int   // dense node -> number of distinct sender rings
+	occRow   []int   // path -> offset of its (node, ring) row in occ
 
 	lambda  []int    // current partial assignment, -1 = unassigned
-	dom     []uint64 // remaining palette bits per path
-	minLoss float64  // min LossDB over all paths
-	maxLoss float64  // max LossDB over all paths
+	dom     []uint64 // palette bits no assigned neighbour holds, per path
+	maxLoss float64  // max LossDB over all paths, at least 0
+
+	nbrCnt   []int32   // path*nl+c -> assigned neighbours on colour c
+	colCnt   []int32   // colour -> assigned paths
+	used     uint64    // colours with colCnt > 0
+	occ      []int32   // occRow[path]+c -> assigned paths of that node and ring on c
+	ringCnt  []int32   // node*nl+c -> rings of the node carrying colour c
+	multi    []int32   // node -> colours carried by two or more rings
+	perColor []float64 // colour -> max priced loss on it, 0 when none
+	worst    float64   // max priced loss over assigned paths, 0 when none
+	trail    []undo    // prior values of perColor and worst, in raise order
+	mark     []int     // path -> trail length when it was assigned
 
 	best    []int
 	bestVal float64
@@ -96,43 +130,21 @@ type solver struct {
 	aborted  bool
 }
 
+// undo records one overwritten loss maximum: perColor[slot], or worst when
+// slot is -1.
+type undo struct {
+	slot int
+	old  float64
+}
+
 // Solve searches for the optimal assignment. seed, when non-nil, must be a
 // valid assignment; its objective primes the incumbent so the search can
 // prove optimality by exhaustion. A zero deadline means no time limit.
 func Solve(ctx context.Context, p Problem, seed []int, deadline time.Time) (Result, error) {
-	n := len(p.Paths)
-	if n == 0 {
-		return Result{}, fmt.Errorf("cpcheck: no paths")
+	s, err := newSolver(ctx, p, deadline)
+	if err != nil {
+		return Result{}, err
 	}
-	if p.MaxLambda < 1 || p.MaxLambda > MaxLambdaLimit {
-		return Result{}, fmt.Errorf("cpcheck: MaxLambda %d out of range 1..%d", p.MaxLambda, MaxLambdaLimit)
-	}
-	if len(p.Adj) != n {
-		return Result{}, fmt.Errorf("cpcheck: adjacency covers %d paths, want %d", len(p.Adj), n)
-	}
-	s := &solver{
-		p:        p,
-		n:        n,
-		lambda:   make([]int, n),
-		dom:      make([]uint64, n),
-		deadline: deadline,
-		ctx:      ctx,
-		bestVal:  math.Inf(1),
-	}
-	full := uint64(1)<<uint(p.MaxLambda) - 1
-	s.minLoss, s.maxLoss = math.Inf(1), 0
-	for i := range s.lambda {
-		s.lambda[i] = -1
-		s.dom[i] = full
-		if l := p.Paths[i].LossDB; l < s.minLoss {
-			s.minLoss = l
-		}
-		if l := p.Paths[i].LossDB; l > s.maxLoss {
-			s.maxLoss = l
-		}
-	}
-	s.buildCliques()
-	s.buildNodes()
 	if seed != nil {
 		if v, ok := s.evaluate(seed); ok {
 			s.best = append([]int(nil), seed...)
@@ -159,10 +171,88 @@ func Solve(ctx context.Context, p Problem, seed []int, deadline time.Time) (Resu
 	return res, nil
 }
 
+// newSolver validates p and builds the root search state.
+func newSolver(ctx context.Context, p Problem, deadline time.Time) (*solver, error) {
+	n := len(p.Paths)
+	if n == 0 {
+		return nil, fmt.Errorf("cpcheck: no paths")
+	}
+	if p.MaxLambda < 1 || p.MaxLambda > MaxLambdaLimit {
+		return nil, fmt.Errorf("cpcheck: MaxLambda %d out of range 1..%d", p.MaxLambda, MaxLambdaLimit)
+	}
+	if p.W.SplitterDB < 0 {
+		return nil, fmt.Errorf("cpcheck: negative SplitterDB %v", p.W.SplitterDB)
+	}
+	adj, err := adjacencyBits(p.Adj, n)
+	if err != nil {
+		return nil, err
+	}
+	nl := p.MaxLambda
+	s := &solver{
+		p:        p,
+		n:        n,
+		nl:       nl,
+		lambda:   make([]int, n),
+		dom:      make([]uint64, n),
+		nbrCnt:   make([]int32, n*nl),
+		colCnt:   make([]int32, nl),
+		perColor: make([]float64, nl),
+		trail:    make([]undo, 0, 4*n),
+		mark:     make([]int, n),
+		deadline: deadline,
+		ctx:      ctx,
+		bestVal:  math.Inf(1),
+	}
+	full := uint64(1)<<uint(nl) - 1
+	for i := range s.lambda {
+		s.lambda[i] = -1
+		s.dom[i] = full
+		if l := p.Paths[i].LossDB; l > s.maxLoss {
+			s.maxLoss = l
+		}
+	}
+	s.buildCliques(adj)
+	s.buildNodes()
+	return s, nil
+}
+
+// adjacencyBits checks that adj is a symmetric adjacency over n paths with
+// in-range indices and no self-loops, and returns it as bitset rows.
+func adjacencyBits(adj [][]int, n int) ([][]uint64, error) {
+	if len(adj) != n {
+		return nil, fmt.Errorf("cpcheck: adjacency covers %d paths, want %d", len(adj), n)
+	}
+	words := (n + 63) / 64
+	flat := make([]uint64, n*words)
+	rows := make([][]uint64, n)
+	for i := range rows {
+		rows[i] = flat[i*words : (i+1)*words]
+	}
+	for i, nb := range adj {
+		for _, j := range nb {
+			if j < 0 || j >= n {
+				return nil, fmt.Errorf("cpcheck: path %d lists neighbour %d, outside 0..%d", i, j, n-1)
+			}
+			if j == i {
+				return nil, fmt.Errorf("cpcheck: path %d lists itself as a neighbour", i)
+			}
+			rows[i][j/64] |= 1 << uint(j%64)
+		}
+	}
+	for i, nb := range adj {
+		for _, j := range nb {
+			if rows[j][i/64]&(1<<uint(i%64)) == 0 {
+				return nil, fmt.Errorf("cpcheck: asymmetric adjacency: %d lists %d but %d does not list %d", i, j, j, i)
+			}
+		}
+	}
+	return rows, nil
+}
+
 // buildCliques greedily covers the conflict graph with cliques, highest
 // degree first. Each path lists the cliques containing it; the largest
 // clique's size is a chromatic lower bound.
-func (s *solver) buildCliques() {
+func (s *solver) buildCliques(adj [][]uint64) {
 	order := make([]int, s.n)
 	for i := range order {
 		order[i] = i
@@ -174,13 +264,6 @@ func (s *solver) buildCliques() {
 		}
 		return order[a] < order[b]
 	})
-	adjSet := make([]map[int]bool, s.n)
-	for i, nb := range s.p.Adj {
-		adjSet[i] = make(map[int]bool, len(nb))
-		for _, j := range nb {
-			adjSet[i][j] = true
-		}
-	}
 	placed := make([]bool, s.n)
 	s.byVertex = make([][]int, s.n)
 	for _, v := range order {
@@ -197,7 +280,7 @@ func (s *solver) buildCliques() {
 			}
 			ok := true
 			for _, m := range clique {
-				if !adjSet[m][u] {
+				if adj[m][u/64]&(1<<uint(u%64)) == 0 {
 					ok = false
 					break
 				}
@@ -216,67 +299,44 @@ func (s *solver) buildCliques() {
 	}
 }
 
-// buildNodes densifies the sender nodes and counts each node's distinct
-// sender rings (single-ring nodes never need a splitter).
+// buildNodes densifies the sender nodes and, per node, its sender rings:
+// each (node, ring) pair gets one palette-wide row of occupancy counters.
 func (s *solver) buildNodes() {
-	idx := make(map[int]int)
+	nodes := make(map[int]int)
+	rows := make(map[[2]int]int) // (node, ring) -> row offset in occ
 	s.nodeIdx = make([]int, s.n)
+	s.occRow = make([]int, s.n)
 	for i, pt := range s.p.Paths {
-		j, ok := idx[pt.Node]
+		j, ok := nodes[pt.Node]
 		if !ok {
-			j = len(idx)
-			idx[pt.Node] = j
+			j = len(s.nodePath)
+			nodes[pt.Node] = j
 			s.nodePath = append(s.nodePath, nil)
-			s.nRings = append(s.nRings, 0)
 		}
 		s.nodeIdx[i] = j
 		s.nodePath[j] = append(s.nodePath[j], i)
-	}
-	for j, paths := range s.nodePath {
-		rings := make(map[int]bool)
-		for _, i := range paths {
-			rings[s.p.Paths[i].Ring] = true
+		r, ok := rows[[2]int{pt.Node, pt.Ring}]
+		if !ok {
+			r = len(rows) * s.nl
+			rows[[2]int{pt.Node, pt.Ring}] = r
 		}
-		s.nRings[j] = len(rings)
+		s.occRow[i] = r
 	}
-}
-
-// splitters returns, for the paths assigned in lambda, which dense nodes
-// currently require a splitter: two of the node's rings sharing a
-// wavelength. Monotone — extending the assignment never removes one.
-func (s *solver) splitters(lambda []int) []bool {
-	out := make([]bool, len(s.nodePath))
-	for j, paths := range s.nodePath {
-		if s.nRings[j] < 2 {
-			continue
-		}
-		seen := make(map[int]int) // λ -> first ring
-		for _, i := range paths {
-			l := lambda[i]
-			if l < 0 {
-				continue
-			}
-			if r, ok := seen[l]; ok {
-				if r != s.p.Paths[i].Ring {
-					out[j] = true
-					break
-				}
-			} else {
-				seen[l] = s.p.Paths[i].Ring
-			}
-		}
-	}
-	return out
+	s.occ = make([]int32, len(rows)*s.nl)
+	s.ringCnt = make([]int32, len(s.nodePath)*s.nl)
+	s.multi = make([]int32, len(s.nodePath))
 }
 
 // evaluate computes the Eq. 8 objective of a complete assignment; ok=false
-// when the assignment is out of palette or has a conflict collision.
+// when the assignment is out of palette or has a conflict collision. It
+// prices through the search state: assign every path, read the objective,
+// unassign in reverse.
 func (s *solver) evaluate(lambda []int) (float64, bool) {
 	if len(lambda) != s.n {
 		return 0, false
 	}
 	for i, l := range lambda {
-		if l < 0 || l >= s.p.MaxLambda {
+		if l < 0 || l >= s.nl {
 			return 0, false
 		}
 		for _, j := range s.p.Adj[i] {
@@ -285,30 +345,34 @@ func (s *solver) evaluate(lambda []int) (float64, bool) {
 			}
 		}
 	}
-	sp := s.splitters(lambda)
-	perColor := make([]float64, s.p.MaxLambda)
-	var worst float64
 	for i, l := range lambda {
-		il := s.p.Paths[i].LossDB
-		if sp[s.nodeIdx[i]] {
-			il += s.p.W.SplitterDB
-		}
-		if il > worst {
-			worst = il
-		}
-		if il > perColor[l] {
-			perColor[l] = il
-		}
+		s.assign(i, l)
 	}
+	v := s.objective()
+	for i := s.n - 1; i >= 0; i-- {
+		s.unassign(i, lambda[i])
+	}
+	return v, true
+}
+
+// colourSum returns the number of colours with a positive loss maximum and
+// the sum of those maxima, accumulated in colour order.
+func (s *solver) colourSum() (int, float64) {
 	var sum float64
 	used := 0
-	for _, v := range perColor {
+	for _, v := range s.perColor {
 		if v > 0 {
 			used++
 			sum += v
 		}
 	}
-	return s.p.W.Alpha*float64(used) + s.p.W.Beta*worst + s.p.W.Gamma*sum, true
+	return used, sum
+}
+
+// objective is the Eq. 8 value of the current (complete) assignment.
+func (s *solver) objective() float64 {
+	used, sum := s.colourSum()
+	return s.p.W.Alpha*float64(used) + s.p.W.Beta*s.worst + s.p.W.Gamma*sum
 }
 
 // lowerBound computes a monotone bound on any completion of the current
@@ -324,34 +388,11 @@ func (s *solver) evaluate(lambda []int) (float64, bool) {
 //   - the worst loss is at least the largest raw path loss, assigned or
 //     not.
 func (s *solver) lowerBound() float64 {
-	sp := s.splitters(s.lambda)
-	perColor := make([]float64, s.p.MaxLambda)
 	worst := s.maxLoss
-	var usedMask uint64
-	for i, l := range s.lambda {
-		if l < 0 {
-			continue
-		}
-		il := s.p.Paths[i].LossDB
-		if sp[s.nodeIdx[i]] {
-			il += s.p.W.SplitterDB
-		}
-		if il > worst {
-			worst = il
-		}
-		if il > perColor[l] {
-			perColor[l] = il
-		}
-		usedMask |= 1 << uint(l)
+	if s.worst > worst {
+		worst = s.worst
 	}
-	var sum float64
-	used := 0
-	for _, v := range perColor {
-		if v > 0 {
-			used++
-			sum += v
-		}
-	}
+	used, sum := s.colourSum()
 	// Fresh colors forced by domains: per cover clique, unassigned members
 	// whose domains avoid every open color conflict pairwise, so each
 	// needs its own fresh color.
@@ -363,7 +404,7 @@ func (s *solver) lowerBound() float64 {
 			if s.lambda[i] >= 0 {
 				continue
 			}
-			if s.dom[i]&usedMask == 0 {
+			if s.dom[i]&s.used == 0 {
 				forced++
 				if l := s.p.Paths[i].LossDB; l < minFresh {
 					minFresh = l
@@ -437,7 +478,7 @@ func (s *solver) search() {
 	}
 	i := s.pickVar()
 	if i < 0 {
-		if v, ok := s.evaluate(s.lambda); ok && v < s.bestVal-eps {
+		if v := s.objective(); v < s.bestVal-eps {
 			s.best = append(s.best[:0], s.lambda...)
 			s.bestVal = v
 		}
@@ -448,19 +489,14 @@ func (s *solver) search() {
 	}
 	// Value symmetry: colors are interchangeable, so beyond the open ones
 	// only the single lowest fresh color is tried.
-	var usedMask uint64
-	for _, l := range s.lambda {
-		if l >= 0 {
-			usedMask |= 1 << uint(l)
-		}
-	}
-	fresh := bits.TrailingZeros64(^usedMask)
-	for c := 0; c < s.p.MaxLambda; c++ {
+	used := s.used
+	fresh := bits.TrailingZeros64(^used)
+	for c := 0; c < s.nl; c++ {
 		bit := uint64(1) << uint(c)
 		if s.dom[i]&bit == 0 {
 			continue
 		}
-		if usedMask&bit == 0 && c != fresh {
+		if used&bit == 0 && c != fresh {
 			continue
 		}
 		s.assign(i, c)
@@ -474,35 +510,106 @@ func (s *solver) search() {
 	}
 }
 
-// assign sets path i to color c and prunes neighbour domains.
+// assign sets path i to color c: it blocks c in the neighbours' domains,
+// opens c, updates the node's splitter counters and raises the loss
+// maxima — for every assigned path of the node when its splitter turns on.
+// Domains of assigned neighbours are updated too; nothing reads them until
+// the neighbour is unassigned, by which time they are right again.
 func (s *solver) assign(i, c int) {
 	s.lambda[i] = c
+	s.mark[i] = len(s.trail)
 	bit := uint64(1) << uint(c)
 	for _, j := range s.p.Adj[i] {
-		if s.lambda[j] < 0 {
+		k := j*s.nl + c
+		s.nbrCnt[k]++
+		if s.nbrCnt[k] == 1 {
 			s.dom[j] &^= bit
 		}
 	}
-}
+	s.colCnt[c]++
+	s.used |= bit
 
-// unassign undoes assign(i, c), restoring neighbour domains that no other
-// assigned neighbour still blocks.
-func (s *solver) unassign(i, c int) {
-	s.lambda[i] = -1
-	bit := uint64(1) << uint(c)
-	for _, j := range s.p.Adj[i] {
-		if s.lambda[j] >= 0 {
-			continue
-		}
-		blocked := false
-		for _, k := range s.p.Adj[j] {
-			if s.lambda[k] == c {
-				blocked = true
-				break
+	node := s.nodeIdx[i]
+	if s.occupy(node, s.occRow[i]+c, c) {
+		// The node's splitter turns on: re-price its assigned paths, i
+		// among them.
+		for _, j := range s.nodePath[node] {
+			if l := s.lambda[j]; l >= 0 {
+				s.raise(l, s.p.Paths[j].LossDB+s.p.W.SplitterDB)
 			}
 		}
-		if !blocked {
+		return
+	}
+	il := s.p.Paths[i].LossDB
+	if s.multi[node] > 0 {
+		il += s.p.W.SplitterDB
+	}
+	s.raise(c, il)
+}
+
+// occupy counts one more path of node on occupancy slot o (its ring on
+// colour c) and reports whether that turned the node's splitter on.
+func (s *solver) occupy(node, o, c int) bool {
+	s.occ[o]++
+	if s.occ[o] > 1 {
+		return false
+	}
+	k := node*s.nl + c
+	s.ringCnt[k]++
+	if s.ringCnt[k] != 2 {
+		return false
+	}
+	s.multi[node]++
+	return s.multi[node] == 1
+}
+
+// raise lifts the loss maxima of colour c and overall to il, trailing the
+// values it overwrites.
+func (s *solver) raise(c int, il float64) {
+	if il > s.perColor[c] {
+		s.trail = append(s.trail, undo{c, s.perColor[c]})
+		s.perColor[c] = il
+	}
+	if il > s.worst {
+		s.trail = append(s.trail, undo{-1, s.worst})
+		s.worst = il
+	}
+}
+
+// unassign undoes assign(i, c): it rewinds the loss maxima to the mark
+// assign left and reverses every counter step.
+func (s *solver) unassign(i, c int) {
+	m := s.mark[i]
+	for t := len(s.trail) - 1; t >= m; t-- {
+		if u := s.trail[t]; u.slot < 0 {
+			s.worst = u.old
+		} else {
+			s.perColor[u.slot] = u.old
+		}
+	}
+	s.trail = s.trail[:m]
+
+	node := s.nodeIdx[i]
+	o := s.occRow[i] + c
+	s.occ[o]--
+	if s.occ[o] == 0 {
+		k := node*s.nl + c
+		if s.ringCnt[k] == 2 {
+			s.multi[node]--
+		}
+		s.ringCnt[k]--
+	}
+	bit := uint64(1) << uint(c)
+	s.colCnt[c]--
+	if s.colCnt[c] == 0 {
+		s.used &^= bit
+	}
+	for _, j := range s.p.Adj[i] {
+		k := j*s.nl + c
+		s.nbrCnt[k]--
+		if s.nbrCnt[k] == 0 {
 			s.dom[j] |= bit
 		}
 	}
+	s.lambda[i] = -1
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -215,5 +216,79 @@ func TestSolveDeterministic(t *testing.T) {
 				t.Fatalf("trial %d: assignments differ at %d", trial, i)
 			}
 		}
+	}
+}
+
+func TestSolveRejectsMalformedProblem(t *testing.T) {
+	paths := []Path{{0, 0, 4}, {1, 0, 4}, {2, 0, 4}}
+	w := Weights{Alpha: 1, Beta: 1, Gamma: 1, SplitterDB: 3.3}
+	for _, tc := range []struct {
+		name string
+		adj  [][]int
+		w    Weights
+		want string
+	}{
+		{"short adjacency", [][]int{{1}, {0}}, w, "covers 2 paths"},
+		{"index above range", [][]int{{1, 3}, {0}, {}}, w, "outside 0..2"},
+		{"negative index", [][]int{{1}, {0, -1}, {}}, w, "outside 0..2"},
+		{"self-loop", [][]int{{1}, {0}, {2}}, w, "lists itself"},
+		{"asymmetric edge", [][]int{{1, 2}, {0}, {}}, w, "asymmetric"},
+		{"negative splitter loss", [][]int{{1}, {0}, {}}, Weights{Alpha: 1, SplitterDB: -1}, "negative SplitterDB"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Problem{Paths: paths, Adj: tc.adj, MaxLambda: 3, W: tc.w}
+			_, err := Solve(context.Background(), p, nil, time.Time{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Solve error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSearchAllocatesNothing runs warmed root-to-exhaustion searches and
+// demands zero allocations, and that each search leaves the incremental
+// state exactly at the root.
+func TestSearchAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var nodes int64
+	for trial := 0; trial < 40; trial++ {
+		p, seed := oracleProblem(rng)
+		s, err := newSolver(context.Background(), p, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := math.Inf(1)
+		if v, ok := s.evaluate(seed); ok {
+			start = v
+		}
+		run := func() {
+			s.nodes, s.bestVal, s.best = 0, start, s.best[:0]
+			s.search()
+		}
+		if a := testing.AllocsPerRun(3, run); a != 0 {
+			t.Fatalf("trial %d: search allocated %.1f times per run", trial, a)
+		}
+		nodes += s.nodes
+		if s.used != 0 || s.worst != 0 || len(s.trail) != 0 {
+			t.Fatalf("trial %d: search left used=%b worst=%v trail=%d", trial, s.used, s.worst, len(s.trail))
+		}
+		for i, l := range s.lambda {
+			if l >= 0 || s.dom[i] != uint64(1)<<uint(p.MaxLambda)-1 {
+				t.Fatalf("trial %d: path %d left at colour %d, domain %b", trial, i, l, s.dom[i])
+			}
+		}
+		for c, v := range s.perColor {
+			if v != 0 || s.colCnt[c] != 0 {
+				t.Fatalf("trial %d: colour %d left with max %v, %d paths", trial, c, v, s.colCnt[c])
+			}
+		}
+		for node, m := range s.multi {
+			if m != 0 {
+				t.Fatalf("trial %d: node %d left with %d multi-ring colours", trial, node, m)
+			}
+		}
+	}
+	if nodes < 1000 {
+		t.Fatalf("only %d search nodes across the trials: the check exercised too little", nodes)
 	}
 }

@@ -69,7 +69,10 @@ func runOracle(ctx context.Context, infos []PathInfo, best *Assignment, numLambd
 	defer osp.End()
 	reg := obs.OrDefault(opt.Registry)
 	reg.Add("wavelength.oracle.runs", 1)
+	start := time.Now()
 	res, err := SolveCP(ctx, infos, numLambda, w, best, limit)
+	reg.Observe("wavelength.oracle.ns", time.Since(start).Nanoseconds())
+	reg.Add("wavelength.oracle.nodes", res.Nodes)
 	if err != nil && ctx.Err() == nil {
 		return best, err
 	}

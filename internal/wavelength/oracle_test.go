@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sring/internal/netlist"
+	"sring/internal/obs"
 	"sring/internal/pipeline"
 	"sring/internal/wavelength"
 
@@ -121,4 +122,126 @@ func TestOracleFallbackImproves(t *testing.T) {
 	if st.OracleExact && st.MILPGap > 1e-9 {
 		t.Fatalf("oracle proved optimality but the reported gap is %.9f", st.MILPGap)
 	}
+}
+
+// cpInstance is an app's SRing assignment instance.
+func cpInstance(tb testing.TB, app *netlist.Application) ([]wavelength.PathInfo, wavelength.Weights) {
+	tb.Helper()
+	infos, w, err := pipeline.PathInfos(context.Background(), app, "SRing", pipeline.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return infos, w
+}
+
+// TestCPOracleWorkUnits pins the CP oracle's search on the three paper
+// apps it proves (all above the MILP size gate): the node count, the proof
+// and the objective bits. Any change to the search order, the pruning or
+// the bound shows up here first. It also checks that a whole D26 solve —
+// 234k search nodes — allocates only its setup.
+func TestCPOracleWorkUnits(t *testing.T) {
+	for _, tc := range []struct {
+		app        *netlist.Application
+		nodes      int64
+		final, cpv uint64 // Stats.Final.Value and Stats.OracleBound bits
+	}{
+		{netlist.D26(), 234002, 0x4055060aa64c2f84, 0x4055060aa64c2f83},
+		{netlist.PM32(), 15, 0x4052e4b295e9e1b0, 0x4052e4b295e9e1b0},
+		{netlist.PM44(), 23, 0x405a8d182a9930bd, 0x405a8d182a9930bd},
+	} {
+		t.Run(tc.app.Name, func(t *testing.T) {
+			infos, w := cpInstance(t, tc.app)
+			// The generous budget only guards slow (race-instrumented)
+			// runs: the search finishes long before it.
+			_, st, err := wavelength.Assign(infos, wavelength.Options{
+				Weights:       w,
+				UseMILP:       true,
+				Oracle:        wavelength.OracleCP,
+				MILPTimeLimit: 5 * time.Minute,
+				Parallelism:   1,
+				Registry:      obs.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.MILPRan || !st.OracleRan || !st.OracleExact {
+				t.Fatalf("milp ran=%v, oracle ran=%v exact=%v; want only a proving oracle", st.MILPRan, st.OracleRan, st.OracleExact)
+			}
+			if st.OracleNodes != tc.nodes {
+				t.Errorf("oracle nodes = %d, want %d", st.OracleNodes, tc.nodes)
+			}
+			if got := math.Float64bits(st.Final.Value); got != tc.final {
+				t.Errorf("objective bits = %#x (%.9f), want %#x", got, st.Final.Value, tc.final)
+			}
+			if got := math.Float64bits(st.OracleBound); got != tc.cpv {
+				t.Errorf("oracle bound bits = %#x (%.9f), want %#x", got, st.OracleBound, tc.cpv)
+			}
+		})
+	}
+
+	t.Run("D26 allocations", func(t *testing.T) {
+		infos, w := cpInstance(t, netlist.D26())
+		seed := wavelength.Improve(infos, wavelength.DSATUR(infos), w)
+		var nodes int64
+		allocs := testing.AllocsPerRun(1, func() {
+			res, err := wavelength.SolveCP(context.Background(), infos, seed.NumLambda+1, w, seed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = res.Nodes
+		})
+		// Setup allocates per path, per conflict and per cover clique; the
+		// search itself allocates nothing, so the total stays far below one
+		// allocation per search node.
+		if limit := float64(nodes) / 100; allocs > limit {
+			t.Fatalf("SolveCP on D26 allocated %.0f times over %d nodes, want at most %.0f", allocs, nodes, limit)
+		}
+		t.Logf("SolveCP on D26: %.0f allocations, %d nodes", allocs, nodes)
+	})
+}
+
+// TestOracleTelemetry checks that one oracle run records one latency sample
+// and adds its search nodes to the registry.
+func TestOracleTelemetry(t *testing.T) {
+	infos, w := cpInstance(t, netlist.PM32())
+	reg := obs.NewRegistry()
+	_, st, err := wavelength.Assign(infos, wavelength.Options{
+		Weights:     w,
+		UseMILP:     true,
+		Oracle:      wavelength.OracleCP,
+		Parallelism: 1,
+		Registry:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if h := snap.Histograms["wavelength.oracle.ns"]; h == nil || h.Count != 1 {
+		t.Fatalf("wavelength.oracle.ns histogram = %+v, want one sample", h)
+	}
+	if got := snap.Counters["wavelength.oracle.nodes"]; got != st.OracleNodes || got == 0 {
+		t.Fatalf("wavelength.oracle.nodes = %d, want Stats.OracleNodes = %d", got, st.OracleNodes)
+	}
+	if got := snap.Counters["wavelength.oracle.runs"]; got != 1 {
+		t.Fatalf("wavelength.oracle.runs = %d, want 1", got)
+	}
+}
+
+// BenchmarkSolveCP times the CP oracle's proof on D26's SRing instance over
+// the palette the -oracle=cp fallback searches, seeded as the fallback is.
+func BenchmarkSolveCP(b *testing.B) {
+	infos, w := cpInstance(b, netlist.D26())
+	seed := wavelength.Improve(infos, wavelength.DSATUR(infos), w)
+	b.Run("D26", func(b *testing.B) {
+		b.ReportAllocs()
+		var nodes int64
+		for i := 0; i < b.N; i++ {
+			res, err := wavelength.SolveCP(context.Background(), infos, seed.NumLambda+1, w, seed, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes += res.Nodes
+		}
+		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	})
 }
