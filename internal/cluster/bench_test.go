@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkSynthesize measures the clustering (the Table II cost centre)
-// per benchmark, plus D128 with 8 initial-vertex trials, the multi-level
-// absorption load of the scale workloads.
+// per benchmark, plus D128, D256 and circ128-1-11 with 8 initial-vertex
+// trials, the multi-level absorption load of the scale workloads.
 func BenchmarkSynthesize(b *testing.B) {
 	type input struct {
 		app *netlist.Application
@@ -18,11 +18,13 @@ func BenchmarkSynthesize(b *testing.B) {
 	for _, app := range netlist.Benchmarks() {
 		inputs = append(inputs, input{app, Options{}})
 	}
-	d128, err := netlist.ByName("D128")
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"D128", "D256", "circ128-1-11"} {
+		app, err := netlist.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs = append(inputs, input{app, Options{MaxInitialTrials: 8}})
 	}
-	inputs = append(inputs, input{d128, Options{MaxInitialTrials: 8}})
 	for _, in := range inputs {
 		b.Run(in.app.Name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -321,7 +321,7 @@ func TestGrowClusterSingleton(t *testing.T) {
 	}
 	adj := app.Adjacency()
 	// Node 0's only partner is unavailable: singleton.
-	g := growCluster(app, adj, 0, map[netlist.NodeID]bool{0: true}, 10, nil)
+	g := growCluster(app, adj, 0, map[netlist.NodeID]bool{0: true}, 10, nil, newRingScratch(app))
 	if g.order != nil || len(g.members) != 1 {
 		t.Errorf("expected singleton, got order=%v members=%v", g.order, g.members)
 	}
