@@ -103,7 +103,7 @@ func TestCompareMILPNodesNonRegressions(t *testing.T) {
 // stagePercentiles maps registry deltas onto the entry schema, skipping
 // stages that never ran.
 func TestStagePercentiles(t *testing.T) {
-	reg := sring.NewRegistry()
+	reg := sring.DefaultRegistry()
 	before := reg.Snapshot()
 	reg.Histogram("pipeline.stage.construct.ns").Record(1000)
 	reg.Histogram("pipeline.stage.construct.ns").Record(3000)

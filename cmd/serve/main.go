@@ -39,7 +39,6 @@ import (
 	_ "sring" // register the synthesis methods
 
 	"sring/internal/cli"
-	"sring/internal/obs"
 	"sring/internal/serve"
 )
 
@@ -76,7 +75,6 @@ func main() {
 
 	srv := &serve.Server{
 		Cache:          cache,
-		Registry:       obs.Default(),
 		MaxParallelism: *maxJ,
 		MaxInflight:    *maxInflt,
 	}

@@ -490,7 +490,7 @@ func TestClusterWorkUnits(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp.End()
-		if got := rec.Counter("cluster.absorptions").Value(); got != tc.want {
+		if got := rec.Snapshot().Counters["cluster.absorptions"]; got != tc.want {
 			t.Errorf("%s (trials %d): %d absorptions, want %d", tc.name, tc.trials, got, tc.want)
 		}
 	}

@@ -59,11 +59,22 @@ type Options struct {
 	// evaluated bound with its feasibility verdict), absorption-step
 	// counters, and the final cluster/ring counts.
 	Obs *obs.Span
-	// Registry receives aggregate telemetry: cluster.probe.ns, the
-	// distribution of per-candidate feasibility-probe times across runs.
-	// Nil means the process-wide obs.Default() registry.
-	Registry *obs.Registry
 }
+
+// Telemetry in the process registry: the feasibility-probe time per
+// candidate bound, and the selected hierarchy's shape. The cluster.level.*
+// metrics have no span; they are recorded once per construction from the
+// selected solution, so they are deterministic at any Parallelism:
+// cluster.level.depth     — hierarchy depth distribution across runs;
+// cluster.level.rings     — inter rings above level 1 (0 for the paper's
+// two-level shape);
+// cluster.level.escalated — messages carried above level 1.
+var (
+	probeH          = obs.Default().Histogram("cluster.probe.ns")
+	levelDepthH     = obs.Default().Histogram("cluster.level.depth")
+	levelRingsC     = obs.Default().Counter("cluster.level.rings")
+	levelEscalatedC = obs.Default().Counter("cluster.level.escalated")
+)
 
 // Result is a complete sub-ring construction.
 type Result struct {
@@ -127,8 +138,8 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 
 	sp := opt.Obs.StartSpan("cluster.synthesize")
 	defer sp.End()
-	iters := sp.Recorder().Counter("cluster.search.iterations")
-	absorb := sp.Recorder().Counter("cluster.absorptions")
+	iters := sp.Counter("cluster.search.iterations")
+	absorb := sp.Counter("cluster.absorptions")
 
 	d1 := app.MaxCommDistance()
 	d2 := conventionalRingBound(app)
@@ -152,13 +163,16 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	}
 
 	// tryBound evaluates one L_max candidate inline (the sequential path,
-	// also used for the fallback bounds below).
+	// also used for the fallback bounds below). Like a speculative probe it
+	// counts absorptions on a local counter and adds the total once, so the
+	// step loop never touches the process-wide counter.
 	cfg := opt.hierConfig()
-	probeH := obs.OrDefault(opt.Registry).Histogram("cluster.probe.ns")
 	tryBound := func(lmax float64) *Result {
 		probeStart := time.Now()
-		sol := buildSolution(app, adj, lmax, opt.MaxInitialTrials, absorb, cfg)
+		var absorbs obs.Counter
+		sol := buildSolution(app, adj, lmax, opt.MaxInitialTrials, &absorbs, cfg)
 		probeH.RecordSince(probeStart)
+		absorb.Add(absorbs.Value())
 		recordBound(lmax, sol)
 		return sol
 	}
@@ -172,8 +186,8 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	}
 	var pb *prober
 	if workers := resolveSpecWorkers(opt.Parallelism); workers > 1 {
-		pb = newProber(app, adj, opt.MaxInitialTrials, cfg, valueAt, workers, probeH)
-		defer pb.close(sp.Recorder())
+		pb = newProber(app, adj, opt.MaxInitialTrials, cfg, valueAt, workers)
+		defer pb.close(sp)
 	}
 	var best *Result
 	cancelled := false
@@ -237,22 +251,15 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	sp.SetInt("levels", int64(best.Levels))
 	sp.SetFloat("lmax", best.Lmax)
 	sp.SetBool("cancelled", cancelled)
-	// Aggregate hierarchy telemetry, recorded once from the selected
-	// solution so the counters are deterministic at any Parallelism:
-	// cluster.level.depth   — hierarchy depth distribution across runs;
-	// cluster.level.rings   — inter rings above level 1 (0 for the paper's
-	//                         two-level shape);
-	// cluster.level.escalated — messages carried above level 1.
-	reg := obs.OrDefault(opt.Registry)
-	reg.Histogram("cluster.level.depth").Record(int64(best.Levels))
+	levelDepthH.Record(int64(best.Levels))
 	deep := 0
 	for _, r := range best.Rings {
 		if r.Level >= 2 {
 			deep++
 		}
 	}
-	reg.Counter("cluster.level.rings").Add(int64(deep))
-	reg.Counter("cluster.level.escalated").Add(int64(best.Escalated))
+	levelRingsC.Add(int64(deep))
+	levelEscalatedC.Add(int64(best.Escalated))
 	return best, nil
 }
 

@@ -27,7 +27,6 @@ func Construct(ctx context.Context, app *netlist.Application, opt pipeline.Optio
 		MaxInitialTrials: opt.ClusterTrials,
 		Parallelism:      opt.Parallelism,
 		Obs:              parent,
-		Registry:         opt.Registry,
 	})
 	if err != nil {
 		return nil, err

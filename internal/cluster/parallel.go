@@ -42,7 +42,6 @@ type prober struct {
 	cfg       hierConfig
 	valueAt   func(k int) float64
 	workers   int
-	probeH    *obs.Histogram // cluster.probe.ns, shared with the inline path
 
 	wg        sync.WaitGroup
 	probes    map[int]*probe // candidate index -> run; search goroutine only
@@ -51,7 +50,7 @@ type prober struct {
 }
 
 func newProber(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	maxTrials int, cfg hierConfig, valueAt func(k int) float64, workers int, probeH *obs.Histogram) *prober {
+	maxTrials int, cfg hierConfig, valueAt func(k int) float64, workers int) *prober {
 	return &prober{
 		app:       app,
 		adj:       adj,
@@ -59,7 +58,6 @@ func newProber(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 		cfg:       cfg,
 		valueAt:   valueAt,
 		workers:   workers,
-		probeH:    probeH,
 		probes:    map[int]*probe{},
 	}
 }
@@ -78,7 +76,7 @@ func (pb *prober) launch(k int) {
 		defer close(pr.done)
 		probeStart := time.Now()
 		pr.sol = buildSolution(pb.app, pb.adj, pb.valueAt(k), pb.maxTrials, &pr.absorbs, pb.cfg)
-		pb.probeH.RecordSince(probeStart)
+		probeH.RecordSince(probeStart)
 	}()
 }
 
@@ -120,8 +118,8 @@ func (pb *prober) get(k int) (*Result, int64) {
 
 // close waits for outstanding speculative probes and flushes the
 // speculation diagnostics.
-func (pb *prober) close(rec *obs.Recorder) {
+func (pb *prober) close(sp *obs.Span) {
 	pb.wg.Wait()
-	rec.Add("cluster.spec.scheduled", pb.scheduled)
-	rec.Add("cluster.spec.wasted", pb.scheduled-pb.consumed)
+	sp.Count("cluster.spec.scheduled", pb.scheduled)
+	sp.Count("cluster.spec.wasted", pb.scheduled-pb.consumed)
 }

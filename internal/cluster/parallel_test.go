@@ -64,11 +64,11 @@ func TestParallelProbeTelemetryMatchesSequential(t *testing.T) {
 	}
 	seq, par := run(1), run(4)
 	for _, name := range []string{"cluster.search.iterations", "cluster.absorptions"} {
-		if s, g := seq.Counter(name).Value(), par.Counter(name).Value(); s != g {
+		if s, g := seq.Snapshot().Counters[name], par.Snapshot().Counters[name]; s != g {
 			t.Errorf("counter %s: parallel %d, sequential %d", name, g, s)
 		}
 	}
-	if par.Counter("cluster.spec.scheduled").Value() == 0 {
+	if par.Snapshot().Counters["cluster.spec.scheduled"] == 0 {
 		t.Error("parallel run scheduled no speculative probes")
 	}
 }

@@ -41,9 +41,7 @@ func (s *Solver) AppendRows(rows []Constraint) error {
 	}
 	s.cons = append(s.cons, rows...)
 	s.reshape()
-	if s.rowsAppendedC != nil {
-		s.rowsAppendedC.Add(int64(len(rows)))
-	}
+	rowsAppendedC.Add(int64(len(rows)))
 	return nil
 }
 

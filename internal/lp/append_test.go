@@ -96,8 +96,7 @@ func TestAppendRowsValidationAndCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	s.SetRegistry(reg)
+	before := obs.Default().Snapshot()
 	if err := s.AppendRows([]Constraint{{Coeffs: map[int]float64{7: 1}, Rel: LE, RHS: 1}}); err == nil {
 		t.Fatal("out-of-range variable accepted")
 	}
@@ -110,7 +109,7 @@ func TestAppendRowsValidationAndCounter(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Snapshot().Counters["lp.rows.appended"]; got != 2 {
+	if got := obs.Default().Snapshot().Sub(before).Counters["lp.rows.appended"]; got != 2 {
 		t.Fatalf("lp.rows.appended = %d, want 2", got)
 	}
 }

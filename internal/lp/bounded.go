@@ -56,8 +56,6 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
-
-	"sring/internal/obs"
 )
 
 const (
@@ -215,50 +213,14 @@ type Solver struct {
 	// long-running pivot loops.
 	interrupt <-chan struct{}
 
-	// Aggregate telemetry handles, resolved once per registry (the process
-	// default until SetRegistry) so the per-solve recording is a few atomic
-	// adds with no lookups or allocation. solveStart is stamped at each
-	// solve entry and consumed by finish.
-	solveH        *obs.Histogram // lp.solve.ns: wall time per completed solve
-	pivotsH       *obs.Histogram // lp.solve.pivots: total pivots per solve
-	refactorH     *obs.Histogram // lp.sparse.refactor.ns: per LU refactorisation, ordering included
-	ftSpikeH      *obs.Histogram // lp.ft.spike.nnz: spike size per FT update
-	sparseSolvesC *obs.Counter   // lp.sparse.solves
-	rowsAppendedC *obs.Counter   // lp.rows.appended
-	solveStart    time.Time
-
-	// Refactorisations by cause, lp.sparse.refactor.*: the FT fill and
-	// cadence triggers, rejected FT updates, warm-start bases eliminated
-	// afresh, and warm-start factors found memoised on the Basis.
-	refactorFillC      *obs.Counter
-	refactorCadenceC   *obs.Counter
-	refactorRejectedC  *obs.Counter
-	refactorWarmBuiltC *obs.Counter
-	refactorWarmMemoC  *obs.Counter
+	// solveStart is stamped at each solve entry and consumed by finish.
+	solveStart time.Time
 }
 
 // SetInterrupt installs a cancellation channel (typically a
 // context.Context's Done channel) that the pivot loop polls alongside the
 // deadline. A nil channel disables the check.
 func (s *Solver) SetInterrupt(ch <-chan struct{}) { s.interrupt = ch }
-
-// SetRegistry redirects the solver's aggregate telemetry — lp.solve.ns,
-// lp.solve.pivots and lp.sparse.refactor.ns — to reg (nil: the process
-// default, which is also where a fresh Solver records).
-func (s *Solver) SetRegistry(reg *obs.Registry) {
-	r := obs.OrDefault(reg)
-	s.solveH = r.Histogram("lp.solve.ns")
-	s.pivotsH = r.Histogram("lp.solve.pivots")
-	s.refactorH = r.Histogram("lp.sparse.refactor.ns")
-	s.ftSpikeH = r.Histogram("lp.ft.spike.nnz")
-	s.sparseSolvesC = r.Counter("lp.sparse.solves")
-	s.refactorFillC = r.Counter("lp.sparse.refactor.fill")
-	s.refactorCadenceC = r.Counter("lp.sparse.refactor.cadence")
-	s.refactorRejectedC = r.Counter("lp.sparse.refactor.rejected")
-	s.refactorWarmBuiltC = r.Counter("lp.sparse.refactor.warm_built")
-	s.refactorWarmMemoC = r.Counter("lp.sparse.refactor.warm_memo")
-	s.rowsAppendedC = r.Counter("lp.rows.appended")
-}
 
 // NewSolver validates the problem and builds the reusable solve state with
 // the Forrest-Tomlin sparse revised-simplex kernel (see forrest_tomlin.go),
@@ -312,7 +274,6 @@ func newSolverCore(p *Problem) (*Solver, error) {
 		pert:    make([]float64, n+m),
 		pert0:   make([]float64, n+m),
 	}
-	s.SetRegistry(nil)
 	s.cons = append([]Constraint(nil), p.Constraints...)
 	s.baseRows = m
 	s.objStruct = make([]float64, n)
@@ -991,14 +952,11 @@ func (s *Solver) SolveDual(bas *Basis, lo, hi []float64, deadline time.Time) (so
 }
 
 // finish stamps kernel statistics onto the solution and records the solve
-// into the aggregate registry (duration and total pivot count).
+// into the process registry (duration and total pivot count).
 func (s *Solver) finish(sol *Solution) *Solution {
 	s.k.solveStats(sol)
-	s.solveH.RecordSince(s.solveStart)
-	s.pivotsH.Record(int64(sol.Phase1Pivots + sol.Phase2Pivots + sol.DualPivots))
-	if sol.Sparse {
-		s.sparseSolvesC.Add(1)
-	}
+	solveH.RecordSince(s.solveStart)
+	pivotsH.Record(int64(sol.Phase1Pivots + sol.Phase2Pivots + sol.DualPivots))
 	return sol
 }
 

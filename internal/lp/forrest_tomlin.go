@@ -538,7 +538,7 @@ func (k *ftKernel) refactorize(bas *Basis) bool {
 	k.rowValidFor = -1
 
 	if f := bas.factor.Load(); f != nil && f.sig == k.sig {
-		s.refactorWarmMemoC.Add(1)
+		refactorWarmMemoC.Add(1)
 		copy(s.basis, f.perm)
 		k.installBase(f)
 		k.installStats(f)
@@ -552,7 +552,7 @@ func (k *ftKernel) refactorize(bas *Basis) bool {
 	if k.buildTmp == nil {
 		k.buildTmp = &luFactor{}
 	}
-	s.refactorWarmBuiltC.Add(1)
+	refactorWarmBuiltC.Add(1)
 	if ok, _ := k.refactorInto(k.buildTmp, false); !ok {
 		return false // singular within tolerance: caller solves cold
 	}
@@ -752,9 +752,7 @@ func (k *ftKernel) ftUpdate(leave, enter int) bool {
 	k.stUpdates++
 	k.stSpikeNNZ += len(rs)
 	k.addedNnz += len(rs) + etaLen
-	if h := s.ftSpikeH; h != nil {
-		h.Record(int64(len(rs)))
-	}
+	ftSpikeH.Record(int64(len(rs)))
 	return true
 }
 
@@ -777,7 +775,7 @@ func (k *ftKernel) pivot(leave, enter int) bool {
 		// skipped. If even the rescue is singular, no representation of the
 		// new basis exists: report failure and let the pivot loop stop.
 		k.rowValidFor = -1
-		s.refactorRejectedC.Add(1)
+		refactorRejectedC.Add(1)
 		if !k.midRefactor() {
 			k.stFallbacks++
 			return false
@@ -812,10 +810,10 @@ func (k *ftKernel) pivot(leave, enter int) bool {
 			every = s.refactorEveryOverride
 		}
 		if k.updates >= every {
-			s.refactorCadenceC.Add(1)
+			refactorCadenceC.Add(1)
 			k.midRefactor()
 		} else if 2*k.addedNnz >= k.baseNnz+ftFillSlack {
-			s.refactorFillC.Add(1)
+			refactorFillC.Add(1)
 			k.midRefactor()
 		}
 	}

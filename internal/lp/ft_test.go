@@ -156,8 +156,7 @@ func TestRefactorCauseCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := obs.NewRegistry()
-		s.SetRegistry(reg)
+		before := obs.Default().Snapshot()
 		s.refactorEveryOverride = every
 		sol, err := s.SolveBounded(lo, hi, time.Time{})
 		if err != nil || sol.Status != Optimal {
@@ -175,7 +174,7 @@ func TestRefactorCauseCounters(t *testing.T) {
 			installs += wsol.SparseRefactorizations
 		}
 
-		snap := reg.Snapshot()
+		snap := obs.Default().Snapshot().Sub(before)
 		c := snap.Counters
 		fill, cadence := c["lp.sparse.refactor.fill"], c["lp.sparse.refactor.cadence"]
 		rejected := c["lp.sparse.refactor.rejected"]
@@ -211,8 +210,7 @@ func TestFTFailedRescue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	s.SetRegistry(reg)
+	before := obs.Default().Snapshot()
 	if _, err := s.setBounds(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +239,13 @@ func TestFTFailedRescue(t *testing.T) {
 			sol.FTFallbacks, sol.FTUpdates, sol.SparseSingularRefactors)
 	}
 	rec := obs.New()
-	AccumulateStats(rec, sol)
-	if got := rec.Counter("lp.ft.fallbacks").Value(); got != 1 {
+	AccumulateStats(rec.StartSpan("solve"), sol)
+	if got := rec.Snapshot().Counters["lp.ft.fallbacks"]; got != 1 {
 		t.Fatalf("lp.ft.fallbacks = %d, want 1", got)
 	}
 	// One refactorisation attempt, caused by the rejected update, timed
 	// once although it ran both the pinned and the free elimination.
-	snap := reg.Snapshot()
+	snap := obs.Default().Snapshot().Sub(before)
 	if got := snap.Counters["lp.sparse.refactor.rejected"]; got != 1 {
 		t.Errorf("lp.sparse.refactor.rejected = %d, want 1", got)
 	}

@@ -210,46 +210,68 @@ const (
 	blandTriggerFactor = 4
 )
 
-// AccumulateStats records a solution's pivot counters onto the recorder's
+// Kernel telemetry in the process registry. These metrics have no span:
+// they record every solve and refactorisation a Solver runs, speculative
+// ones included, so they are registry-only and never appear in a trace.
+// The per-run lp.* counters are AccumulateStats's.
+var (
+	solveH    = obs.Default().Histogram("lp.solve.ns")           // wall time per completed solve
+	pivotsH   = obs.Default().Histogram("lp.solve.pivots")       // total pivots per solve
+	refactorH = obs.Default().Histogram("lp.sparse.refactor.ns") // per LU refactorisation, ordering included
+	ftSpikeH  = obs.Default().Histogram("lp.ft.spike.nnz")       // spike size per FT update
+
+	rowsAppendedC = obs.Default().Counter("lp.rows.appended")
+
+	// Refactorisations by cause, lp.sparse.refactor.*: the FT fill and
+	// cadence triggers, rejected FT updates, warm-start bases eliminated
+	// afresh, and warm-start factors found memoised on the Basis.
+	refactorFillC      = obs.Default().Counter("lp.sparse.refactor.fill")
+	refactorCadenceC   = obs.Default().Counter("lp.sparse.refactor.cadence")
+	refactorRejectedC  = obs.Default().Counter("lp.sparse.refactor.rejected")
+	refactorWarmBuiltC = obs.Default().Counter("lp.sparse.refactor.warm_built")
+	refactorWarmMemoC  = obs.Default().Counter("lp.sparse.refactor.warm_memo")
+)
+
+// AccumulateStats counts a solution's pivot statistics through sp into the
 // lp.* counters. Callers that solve speculatively (the parallel
 // branch-and-bound worker pool) defer it to the moment a solution is
-// actually consumed, keeping the recorded counts identical to a sequential
-// run. Nil recorder or solution is a no-op.
-func AccumulateStats(rec *obs.Recorder, sol *Solution) {
-	if rec == nil || sol == nil {
+// actually consumed, keeping the counts identical to a sequential run. A
+// nil solution is a no-op.
+func AccumulateStats(sp *obs.Span, sol *Solution) {
+	if sol == nil {
 		return
 	}
-	rec.Add("lp.solves", 1)
-	rec.Add("lp.pivots.phase1", int64(sol.Phase1Pivots))
-	rec.Add("lp.pivots.phase2", int64(sol.Phase2Pivots))
+	sp.Count("lp.solves", 1)
+	sp.Count("lp.pivots.phase1", int64(sol.Phase1Pivots))
+	sp.Count("lp.pivots.phase2", int64(sol.Phase2Pivots))
 	if sol.BlandPivots > 0 {
-		rec.Add("lp.bland_pivots", int64(sol.BlandPivots))
-		rec.Add("lp.bland_activations", 1)
+		sp.Count("lp.bland_pivots", int64(sol.BlandPivots))
+		sp.Count("lp.bland_activations", 1)
 	}
 	if sol.WarmStarted {
-		rec.Add("lp.warmstart.solves", 1)
-		rec.Add("lp.pivots.dual", int64(sol.DualPivots))
+		sp.Count("lp.warmstart.solves", 1)
+		sp.Count("lp.pivots.dual", int64(sol.DualPivots))
 	}
 	if sol.WarmFallback {
-		rec.Add("lp.warmstart.fallbacks", 1)
+		sp.Count("lp.warmstart.fallbacks", 1)
 	}
 	if sol.Sparse {
-		rec.Add("lp.sparse.solves", 1)
-		rec.Add("lp.sparse.nnz", int64(sol.SparseNNZ))
-		rec.Add("lp.sparse.refactorizations", int64(sol.SparseRefactorizations))
-		rec.Add("lp.sparse.fill_in", int64(sol.SparseFillIn))
+		sp.Count("lp.sparse.solves", 1)
+		sp.Count("lp.sparse.nnz", int64(sol.SparseNNZ))
+		sp.Count("lp.sparse.refactorizations", int64(sol.SparseRefactorizations))
+		sp.Count("lp.sparse.fill_in", int64(sol.SparseFillIn))
 		if sol.SparseAccuracyFailures > 0 {
-			rec.Add("lp.sparse.accuracy_failures", int64(sol.SparseAccuracyFailures))
+			sp.Count("lp.sparse.accuracy_failures", int64(sol.SparseAccuracyFailures))
 		}
 		if sol.SparseSingularRefactors > 0 {
-			rec.Add("lp.sparse.singular_refactors", int64(sol.SparseSingularRefactors))
+			sp.Count("lp.sparse.singular_refactors", int64(sol.SparseSingularRefactors))
 		}
 		if sol.FTUpdates > 0 {
-			rec.Add("lp.ft.updates", int64(sol.FTUpdates))
-			rec.Add("lp.ft.spike_nnz", int64(sol.FTSpikeNNZ))
+			sp.Count("lp.ft.updates", int64(sol.FTUpdates))
+			sp.Count("lp.ft.spike_nnz", int64(sol.FTSpikeNNZ))
 		}
 		if sol.FTFallbacks > 0 {
-			rec.Add("lp.ft.fallbacks", int64(sol.FTFallbacks))
+			sp.Count("lp.ft.fallbacks", int64(sol.FTFallbacks))
 		}
 	}
 }

@@ -556,7 +556,7 @@ func popMin(h []int32) (int32, []int32) {
 // the free one only when it goes singular, which pinnedFailed reports.
 func (k *ftKernel) refactorInto(dst *luFactor, pinned bool) (ok, pinnedFailed bool) {
 	start := time.Now()
-	defer k.s.refactorH.RecordSince(start)
+	defer refactorH.RecordSince(start)
 	k.orderBasisColumns()
 	if pinned && k.buildFactorInto(dst, true) {
 		return true, false

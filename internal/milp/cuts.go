@@ -206,7 +206,7 @@ type cutter struct {
 	rs *relaxSolver // dedicated arena: tableau re-establishment + cut rounds
 	// rounds / perRound are the resolved knob values.
 	rounds, perRound int
-	rec              *obs.Recorder
+	sp               *obs.Span
 
 	bySig  map[uint64]*cut // every cut ever admitted, by signature
 	global []*cut          // active global pool, admission order
@@ -218,7 +218,7 @@ type cutter struct {
 	separatedN, appliedN, purgedN, roundsN int64
 }
 
-func newCutter(pp *prepped, rs *relaxSolver, opt Options, rec *obs.Recorder) *cutter {
+func newCutter(pp *prepped, rs *relaxSolver, opt Options, sp *obs.Span) *cutter {
 	rounds := opt.CutRounds
 	if rounds == 0 {
 		rounds = defaultCutRounds
@@ -235,7 +235,7 @@ func newCutter(pp *prepped, rs *relaxSolver, opt Options, rec *obs.Recorder) *cu
 		rs:       rs,
 		rounds:   rounds,
 		perRound: per,
-		rec:      rec,
+		sp:       sp,
 		bySig:    make(map[uint64]*cut),
 	}
 }
@@ -255,19 +255,11 @@ func (ct *cutter) roundsFor(depth int) int {
 }
 
 // flush publishes the run's counters.
-func (ct *cutter) flush(reg *obs.Registry) {
-	if ct.rec != nil {
-		ct.rec.Add("milp.cuts.separated", ct.separatedN)
-		ct.rec.Add("milp.cuts.applied", ct.appliedN)
-		ct.rec.Add("milp.cuts.purged", ct.purgedN)
-		ct.rec.Add("milp.cuts.rounds", ct.roundsN)
-	}
-	if reg != nil {
-		reg.Add("milp.cuts.separated", ct.separatedN)
-		reg.Add("milp.cuts.applied", ct.appliedN)
-		reg.Add("milp.cuts.purged", ct.purgedN)
-		reg.Add("milp.cuts.rounds", ct.roundsN)
-	}
+func (ct *cutter) flush() {
+	ct.sp.Count("milp.cuts.separated", ct.separatedN)
+	ct.sp.Count("milp.cuts.applied", ct.appliedN)
+	ct.sp.Count("milp.cuts.purged", ct.purgedN)
+	ct.sp.Count("milp.cuts.rounds", ct.roundsN)
 }
 
 // prunePool retires global cuts that have been loose for poolPurgeAge
@@ -328,7 +320,7 @@ func (ct *cutter) run(nd *node, sol *lp.Solution, bas *lp.Basis, deadline time.T
 		if err != nil || curSol.Status != lp.Optimal || curBas == nil {
 			return nil, nil, false
 		}
-		lp.AccumulateStats(ct.rec, curSol)
+		lp.AccumulateStats(ct.sp, curSol)
 	}
 	cur := nd.cuts
 	for r := 0; r < rounds; r++ {
@@ -361,7 +353,7 @@ func (ct *cutter) run(nd *node, sol *lp.Solution, bas *lp.Basis, deadline time.T
 		if nsol.Status != lp.Optimal {
 			break
 		}
-		lp.AccumulateStats(ct.rec, nsol)
+		lp.AccumulateStats(ct.sp, nsol)
 		ct.appliedN += int64(len(sel))
 		cur, curSol, curBas = next, nsol, ct.rs.s.Basis()
 	}

@@ -106,16 +106,18 @@ type Options struct {
 	DisablePresolve bool
 	// Obs, when non-nil, is the parent span under which the solve records
 	// its telemetry: a milp.solve span (status, node count, bound, gap), a
-	// milp.presolve span, gap-trajectory events (one per incumbent), and
-	// the milp.nodes / milp.incumbents / lp.* counters.
+	// milp.presolve span and gap-trajectory events (one per incumbent).
+	// The milp.* and lp.* counters count through it, into the process
+	// registry always and into Obs's trace when it has one.
 	Obs *obs.Span
-	// Registry receives aggregate telemetry across solves: per-node LP
-	// times (milp.node.ns), incumbent improvements
-	// (milp.incumbent.delta.micro, objective decrease in micro-units), the
-	// milp.nodes / milp.incumbents counters, and the lp.* kernel
-	// histograms. Nil means the process-wide obs.Default() registry.
-	Registry *obs.Registry
 }
+
+// Histograms in the process registry: per-node LP time, and each incumbent
+// improvement as its objective decrease in micro-units.
+var (
+	nodeH     = obs.Default().Histogram("milp.node.ns")
+	incDeltaH = obs.Default().Histogram("milp.incumbent.delta.micro")
+)
 
 // Status reports the outcome of a MILP solve.
 type Status int
@@ -500,14 +502,8 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) (*Result, error)
 // solveBB is the branch-and-bound core.
 func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	sp := opt.Obs.StartSpan("milp.solve")
-	rec := sp.Recorder()
-	nodesC := rec.Counter("milp.nodes")
-	incumbentsC := rec.Counter("milp.incumbents")
-	reg := obs.OrDefault(opt.Registry)
-	regNodesC := reg.Counter("milp.nodes")
-	regIncumbentsC := reg.Counter("milp.incumbents")
-	nodeH := reg.Histogram("milp.node.ns")
-	incDeltaH := reg.Histogram("milp.incumbent.delta.micro")
+	nodesC := sp.Counter("milp.nodes")
+	incumbentsC := sp.Counter("milp.incumbents")
 	sp.SetInt("vars", int64(p.LP.NumVars))
 	sp.SetInt("constraints", int64(len(p.LP.Constraints)))
 
@@ -527,7 +523,7 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	}
 	// Convert singleton/empty/duplicate rows into root variable bounds so
 	// every node solves a smaller bounded-variable LP.
-	pp := prepRelaxation(p, rec)
+	pp := prepRelaxation(p, sp)
 	if pp == nil {
 		sp.SetString("status", Infeasible.String())
 		sp.End()
@@ -537,7 +533,7 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	// LP solves share the exact same deadline: the simplex checks it
 	// between pivots and returns IterLimit, which the search records as an
 	// unresolved node, so one long relaxation cannot overshoot TimeLimit.
-	eval, err := newEvaluator(pp, opt.Parallelism, deadline, ctx.Done(), rec, reg)
+	eval, err := newEvaluator(pp, opt.Parallelism, deadline, ctx.Done(), sp)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -550,13 +546,13 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	// of its basis, so separation is independent of which worker solved it).
 	var ct *cutter
 	if cutsEnabled(opt) {
-		crs, cerr := newRelaxSolver(pp, ctx.Done(), reg)
+		crs, cerr := newRelaxSolver(pp, ctx.Done())
 		if cerr != nil {
 			sp.End()
 			return nil, cerr
 		}
-		ct = newCutter(pp, crs, opt, rec)
-		defer func() { ct.flush(reg) }()
+		ct = newCutter(pp, crs, opt, sp)
+		defer ct.flush()
 	}
 
 	res := &Result{Status: Unknown, Objective: math.Inf(1), Bound: math.Inf(-1)}
@@ -625,7 +621,6 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		res.Nodes++
 		res.NodeFingerprint = mixNode(res.NodeFingerprint, nd.seq, nd.bound, nd.cutSig)
 		nodesC.Add(1)
-		regNodesC.Add(1)
 
 		nodeStart := time.Now()
 		sol, bas, err := eval.solve(nd, open)
@@ -693,7 +688,6 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 			res.Objective = sol.Objective
 			res.Status = Feasible
 			incumbentsC.Add(1)
-			regIncumbentsC.Add(1)
 			eval.publish(res.Objective)
 			if sp.Enabled() {
 				// Gap trajectory point: the new incumbent against the
@@ -715,8 +709,8 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		if nd.depth == 0 && res.Nodes == 1 {
 			// Root primal heuristic: a deterministic rounding dive seeds the
 			// incumbent so bound pruning bites from the very first branches.
-			if hs, herr := newRelaxSolver(pp, ctx.Done(), reg); herr == nil {
-				if x, obj, ok := diveHeuristic(pp, hs, opt.BranchPriority, sol, bas, nd.cuts, deadline, rec); ok && obj < res.Objective-1e-9 {
+			if hs, herr := newRelaxSolver(pp, ctx.Done()); herr == nil {
+				if x, obj, ok := diveHeuristic(pp, hs, opt.BranchPriority, sol, bas, nd.cuts, deadline, sp); ok && obj < res.Objective-1e-9 {
 					if prev := res.Objective; !math.IsInf(prev, 1) {
 						incDeltaH.Record(int64((prev - obj) * 1e6))
 					}
@@ -724,7 +718,6 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 					res.Objective = obj
 					res.Status = Feasible
 					incumbentsC.Add(1)
-					regIncumbentsC.Add(1)
 					eval.publish(obj)
 					if sp.Enabled() {
 						sp.Event("incumbent", obj, sol.Objective)

@@ -57,16 +57,16 @@ var resolveSpecWorkers = par.ResolveSpeculative
 // installed in every LP solver the evaluator creates, the workers'
 // included. The choice never changes results — both evaluators feed the
 // main loop the same canonical solutions — only where they are computed.
-func newEvaluator(pp *prepped, parallelism int, deadline time.Time, interrupt <-chan struct{}, rec *obs.Recorder, reg *obs.Registry) (evaluator, error) {
-	rs, err := newRelaxSolver(pp, interrupt, reg)
+func newEvaluator(pp *prepped, parallelism int, deadline time.Time, interrupt <-chan struct{}, sp *obs.Span) (evaluator, error) {
+	rs, err := newRelaxSolver(pp, interrupt)
 	if err != nil {
 		return nil, err
 	}
 	size := pp.p.LP.NumVars * (len(pp.p.LP.Constraints) + 1)
 	if workers := resolveSpecWorkers(parallelism); workers > 1 && size >= specMinProblemSize {
-		return newStealPool(pp, rs, workers, deadline, interrupt, rec, reg), nil
+		return newStealPool(pp, rs, workers, deadline, interrupt, sp), nil
 	}
-	return &inlineEvaluator{rs: rs, deadline: deadline, rec: rec}, nil
+	return &inlineEvaluator{rs: rs, deadline: deadline, sp: sp}, nil
 }
 
 // inlineEvaluator is the sequential path: every relaxation is solved on the
@@ -75,13 +75,13 @@ func newEvaluator(pp *prepped, parallelism int, deadline time.Time, interrupt <-
 type inlineEvaluator struct {
 	rs       *relaxSolver
 	deadline time.Time
-	rec      *obs.Recorder
+	sp       *obs.Span
 }
 
 func (e *inlineEvaluator) solve(nd *node, _ *nodeHeap) (*lp.Solution, *lp.Basis, error) {
 	sol, bas, err := e.rs.solve(nd, e.deadline)
 	if err == nil {
-		lp.AccumulateStats(e.rec, sol)
+		lp.AccumulateStats(e.sp, sol)
 	}
 	return sol, bas, err
 }
@@ -147,8 +147,7 @@ type stealPool struct {
 	rs        *relaxSolver // main-goroutine solver for non-speculated nodes
 	deadline  time.Time
 	interrupt <-chan struct{} // installed in each worker's LP solver
-	rec       *obs.Recorder
-	reg       *obs.Registry // aggregate registry for worker LP solvers
+	sp        *obs.Span       // counts consumed solves and the milp.steal.* diagnostics
 	workers   int
 
 	// mu guards the deques; cond wakes idle workers when work is pushed
@@ -177,14 +176,13 @@ type stealPool struct {
 	reclaimed int64
 }
 
-func newStealPool(pp *prepped, rs *relaxSolver, workers int, deadline time.Time, interrupt <-chan struct{}, rec *obs.Recorder, reg *obs.Registry) *stealPool {
+func newStealPool(pp *prepped, rs *relaxSolver, workers int, deadline time.Time, interrupt <-chan struct{}, sp *obs.Span) *stealPool {
 	f := &stealPool{
 		pp:        pp,
 		rs:        rs,
 		deadline:  deadline,
 		interrupt: interrupt,
-		rec:       rec,
-		reg:       reg,
+		sp:        sp,
 		workers:   workers,
 		deques:    make([][]*lpFuture, workers),
 		futures:   make(map[*node]*lpFuture),
@@ -236,7 +234,7 @@ func (f *stealPool) next(w int) (*lpFuture, bool) {
 
 func (f *stealPool) worker(w int) {
 	defer f.wg.Done()
-	rs, err := newRelaxSolver(f.pp, f.interrupt, f.reg)
+	rs, err := newRelaxSolver(f.pp, f.interrupt)
 	for {
 		fut, wasSteal := f.next(w)
 		if fut == nil {
@@ -326,7 +324,7 @@ func (f *stealPool) prefetch(open *nodeHeap) {
 func (f *stealPool) solveInline(nd *node) (*lp.Solution, *lp.Basis, error) {
 	sol, bas, err := f.rs.solve(nd, f.deadline)
 	if err == nil {
-		lp.AccumulateStats(f.rec, sol)
+		lp.AccumulateStats(f.sp, sol)
 	}
 	return sol, bas, err
 }
@@ -361,7 +359,7 @@ func (f *stealPool) solve(nd *node, open *nodeHeap) (*lp.Solution, *lp.Basis, er
 		f.stolen++
 	}
 	if fut.err == nil {
-		lp.AccumulateStats(f.rec, fut.sol)
+		lp.AccumulateStats(f.sp, fut.sol)
 	}
 	return fut.sol, fut.bas, fut.err
 }
@@ -377,10 +375,8 @@ func (f *stealPool) close() {
 	if f.started {
 		f.wg.Wait()
 	}
-	if f.rec != nil {
-		f.rec.Add("milp.steal.scheduled", f.scheduled)
-		f.rec.Add("milp.steal.wasted", f.scheduled-f.consumed)
-		f.rec.Add("milp.steal.stolen", f.stolen)
-		f.rec.Add("milp.steal.reclaimed", f.reclaimed)
-	}
+	f.sp.Count("milp.steal.scheduled", f.scheduled)
+	f.sp.Count("milp.steal.wasted", f.scheduled-f.consumed)
+	f.sp.Count("milp.steal.stolen", f.stolen)
+	f.sp.Count("milp.steal.reclaimed", f.reclaimed)
 }

@@ -131,11 +131,11 @@ func TestParallelTelemetryMatchesSequential(t *testing.T) {
 		"milp.nodes", "milp.incumbents",
 		"lp.solves", "lp.pivots.phase1", "lp.pivots.phase2",
 	} {
-		if s, g := seq.Counter(name).Value(), par.Counter(name).Value(); s != g {
+		if s, g := seq.Snapshot().Counters[name], par.Snapshot().Counters[name]; s != g {
 			t.Errorf("counter %s: parallel %d, sequential %d", name, g, s)
 		}
 	}
-	if par.Counter("milp.steal.scheduled").Value() == 0 {
+	if par.Snapshot().Counters["milp.steal.scheduled"] == 0 {
 		t.Error("parallel run scheduled no speculative solves")
 	}
 }
@@ -187,7 +187,7 @@ func TestSpeculationGatedOnSmallProblems(t *testing.T) {
 	}
 	seq, _ := run(1)
 	par4, rec := run(4)
-	if n := rec.Counter("milp.steal.scheduled").Value(); n != 0 {
+	if n := rec.Snapshot().Counters["milp.steal.scheduled"]; n != 0 {
 		t.Errorf("small problem scheduled %d speculative solves, want 0", n)
 	}
 	if par4.Status != seq.Status || par4.Objective != seq.Objective ||
@@ -212,7 +212,7 @@ func TestPrefetcherLazyStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp.End()
-	if n := rec.Counter("milp.steal.scheduled").Value(); n != 0 {
+	if n := rec.Snapshot().Counters["milp.steal.scheduled"]; n != 0 {
 		t.Errorf("tiny tree scheduled %d speculative solves, want 0", n)
 	}
 }

@@ -35,7 +35,7 @@ type prepped struct {
 //
 // Returns nil when the bounds alone prove infeasibility. The reduction is
 // deterministic: rows are scanned in order and survivors keep their order.
-func prepRelaxation(p *Problem, rec *obs.Recorder) *prepped {
+func prepRelaxation(p *Problem, sp *obs.Span) *prepped {
 	n := p.LP.NumVars
 	pr := &prepped{
 		lo: make([]float64, n),
@@ -142,10 +142,8 @@ func prepRelaxation(p *Problem, rec *obs.Recorder) *prepped {
 		rowMap[ci] = len(rows)
 		rows = append(rows, c)
 	}
-	if rec != nil {
-		rec.Add("milp.presolve.rows_removed", removedRows)
-		rec.Add("milp.presolve.bound_rows", boundRows)
-	}
+	sp.Count("milp.presolve.rows_removed", removedRows)
+	sp.Count("milp.presolve.bound_rows", boundRows)
 	if len(p.CoverRows) > 0 {
 		mapped := make(map[int]bool, len(p.CoverRows))
 		for _, r := range p.CoverRows {
@@ -214,14 +212,12 @@ type relaxSolver struct {
 // newRelaxSolver builds a solver arena for pp. interrupt, when non-nil
 // (typically a context's Done channel), is polled inside the LP pivot
 // loops so a cancellation stops even a single long relaxation promptly.
-// reg receives the solver's lp.* kernel histograms (nil: obs.Default()).
-func newRelaxSolver(pp *prepped, interrupt <-chan struct{}, reg *obs.Registry) (*relaxSolver, error) {
+func newRelaxSolver(pp *prepped, interrupt <-chan struct{}) (*relaxSolver, error) {
 	s, err := lp.NewSolver(&pp.p.LP)
 	if err != nil {
 		return nil, err
 	}
 	s.SetInterrupt(interrupt)
-	s.SetRegistry(reg)
 	return &relaxSolver{
 		pp: pp,
 		s:  s,
@@ -321,10 +317,8 @@ func (rs *relaxSolver) setBounds(nd *node) {
 // or dies on an infeasible/fractional dead end. It runs on the main
 // goroutine only and is fully deterministic, so sequential and parallel
 // searches see the same incumbent seed.
-func diveHeuristic(pp *prepped, rs *relaxSolver, prio []int, root *lp.Solution, rootBasis *lp.Basis, cuts []*cut, deadline time.Time, rec *obs.Recorder) ([]float64, float64, bool) {
-	if rec != nil {
-		rec.Add("milp.heuristic.dives", 1)
-	}
+func diveHeuristic(pp *prepped, rs *relaxSolver, prio []int, root *lp.Solution, rootBasis *lp.Basis, cuts []*cut, deadline time.Time, sp *obs.Span) ([]float64, float64, bool) {
+	sp.Count("milp.heuristic.dives", 1)
 	p := pp.p
 	nd := &node{
 		lower: map[int]float64{},
@@ -352,9 +346,7 @@ func diveHeuristic(pp *prepped, rs *relaxSolver, prio []int, root *lp.Solution, 
 			if _, err := checkIncumbent(p, x); err != nil {
 				return nil, 0, false
 			}
-			if rec != nil {
-				rec.Add("milp.heuristic.found", 1)
-			}
+			sp.Count("milp.heuristic.found", 1)
 			return x, obj, true
 		}
 		v := sol.X[frac]
@@ -368,9 +360,7 @@ func diveHeuristic(pp *prepped, rs *relaxSolver, prio []int, root *lp.Solution, 
 		if err != nil || next.Status != lp.Optimal {
 			return nil, 0, false
 		}
-		if rec != nil {
-			lp.AccumulateStats(rec, next)
-		}
+		lp.AccumulateStats(sp, next)
 		sol, nd.basis = next, bas
 	}
 	return nil, 0, false

@@ -170,12 +170,12 @@ func TestHistSnapSub(t *testing.T) {
 
 // Registry deltas bracket an interval: counters subtract, histograms diff.
 func TestRegistrySnapshotSub(t *testing.T) {
-	reg := NewRegistry()
-	reg.Add("x.hits", 3)
-	reg.Observe("x.ns", 100)
+	reg := newRegistry(nil)
+	reg.Counter("x.hits").Add(3)
+	reg.Histogram("x.ns").Record(100)
 	before := reg.Snapshot()
-	reg.Add("x.hits", 4)
-	reg.Observe("x.ns", 200)
+	reg.Counter("x.hits").Add(4)
+	reg.Histogram("x.ns").Record(200)
 	d := reg.Snapshot().Sub(before)
 	if d.Counters["x.hits"] != 4 {
 		t.Errorf("counter delta = %d, want 4", d.Counters["x.hits"])
@@ -187,7 +187,7 @@ func TestRegistrySnapshotSub(t *testing.T) {
 
 // Handles are stable and nil-registry lookups are tolerated.
 func TestRegistryHandles(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry(nil)
 	if reg.Counter("a") != reg.Counter("a") || reg.Histogram("b") != reg.Histogram("b") {
 		t.Error("handles not stable across lookups")
 	}
@@ -195,12 +195,9 @@ func TestRegistryHandles(t *testing.T) {
 	if nilReg.Counter("a") != nil || nilReg.Histogram("b") != nil {
 		t.Error("nil registry returned non-nil handles")
 	}
-	nilReg.Add("a", 1)     // must not panic
-	nilReg.Observe("b", 1) // must not panic
+	nilReg.Counter("a").Add(1)      // must not panic
+	nilReg.Histogram("b").Record(1) // must not panic
 	if s := nilReg.Snapshot(); len(s.Counters) != 0 {
 		t.Error("nil registry snapshot not empty")
-	}
-	if OrDefault(nil) != Default() || OrDefault(reg) != reg {
-		t.Error("OrDefault mapping wrong")
 	}
 }

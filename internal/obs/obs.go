@@ -3,11 +3,20 @@
 // timestamped events, atomic named counters, and a Recorder that snapshots
 // everything into a structured JSON trace or a human-readable summary tree.
 //
+// A span is the one way to count: Span.Count and Span.Counter always count
+// into the process registry (Default), and when the span belongs to a
+// Recorder the same call also counts into that Recorder's per-run
+// counters, which Trace.Counters reports. Every event is therefore counted
+// by exactly one call, and a trace and a /metrics scrape agree on what
+// each counter name means.
+//
 // The entire API is nil-tolerant: every method on a nil *Recorder, *Span or
-// *Counter is a no-op that performs no allocation (enforced by test). The
-// pipeline therefore threads span handles unconditionally — cluster search,
-// simplex pivoting, branch and bound, wavelength assignment — and pays for
-// telemetry only when a caller opted in by constructing a Recorder.
+// *Counter performs no allocation (enforced by test). Span methods other
+// than the counting ones are no-ops on nil; Count and Counter on a nil Span
+// reach the process registry only. The pipeline therefore threads span
+// handles unconditionally — cluster search, simplex pivoting, branch and
+// bound, wavelength assignment — and pays for a trace only when a caller
+// opted in by constructing a Recorder.
 //
 // The whole API is safe for concurrent use: counters are atomic and each
 // span carries its own mutex, so workers of the parallel synthesis layer
@@ -21,7 +30,7 @@
 //	sp := rec.StartSpan("synthesize")
 //	sp.SetString("method", "SRing")
 //	child := sp.StartSpan("cluster.synthesize")
-//	rec.Add("cluster.absorptions", 1)
+//	child.Count("cluster.absorptions", 1)
 //	child.End()
 //	sp.End()
 //	rec.WriteJSON(os.Stdout) // or fmt.Print(rec.Summary())
@@ -53,20 +62,21 @@ func clampFinite(v float64) float64 {
 	return v
 }
 
-// Recorder collects the spans and counters of one traced operation.
+// Recorder collects the spans and per-run counters of one traced operation.
 type Recorder struct {
 	start time.Time
 
 	mu    sync.Mutex // guards roots only; spans guard themselves
 	roots []*Span
 
-	cmu      sync.Mutex // guards the counter registry
-	counters map[string]*Counter
+	// counters holds the run's counters; each chains to the process
+	// registry's counter of the same name.
+	counters *Registry
 }
 
 // New returns an empty Recorder anchored at the current time.
 func New() *Recorder {
-	return &Recorder{start: time.Now(), counters: make(map[string]*Counter)}
+	return &Recorder{start: time.Now(), counters: newRegistry(defaultRegistry)}
 }
 
 // StartSpan opens a root-level span. On a nil Recorder it returns nil, which
@@ -82,39 +92,23 @@ func (r *Recorder) StartSpan(name string) *Span {
 	return s
 }
 
-// Counter returns the named counter, creating it on first use. On a nil
-// Recorder it returns nil, which Add and Value tolerate.
-func (r *Recorder) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.cmu.Lock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	r.cmu.Unlock()
-	return c
+// Counter is an atomically updated named counter. A Recorder's counter
+// chains to the process registry's counter of the same name: Add counts
+// into both, and Value reads the counter's own count.
+type Counter struct {
+	n      atomic.Int64
+	parent *Counter
 }
 
-// Add increments the named counter by n (shorthand for Counter(name).Add).
-func (r *Recorder) Add(name string, n int64) {
-	if r == nil {
-		return
-	}
-	r.Counter(name).Add(n)
-}
-
-// Counter is an atomically updated named counter.
-type Counter struct{ n atomic.Int64 }
-
-// Add increments the counter. No-op on a nil Counter.
+// Add increments the counter and its parent. No-op on a nil Counter.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
 	c.n.Add(n)
+	if c.parent != nil {
+		c.parent.n.Add(n)
+	}
 }
 
 // Value returns the current count (0 on a nil Counter).
@@ -196,15 +190,6 @@ type Span struct {
 // Enabled reports whether the span actually records (false on nil). Use it
 // to skip computing telemetry-only values.
 func (s *Span) Enabled() bool { return s != nil }
-
-// Recorder returns the owning Recorder (nil on a nil Span), so deeper layers
-// can register counters against the same trace.
-func (s *Span) Recorder() *Recorder {
-	if s == nil {
-		return nil
-	}
-	return s.rec
-}
 
 // StartSpan opens a child span. On a nil Span it returns nil. Concurrent
 // workers may open children under the same parent; child order follows
@@ -291,13 +276,18 @@ func (s *Span) Event(name string, x, y float64) {
 	s.mu.Unlock()
 }
 
-// Count increments a recorder-level counter from a span handle.
-func (s *Span) Count(name string, n int64) {
+// Counter returns the named counter: the owning Recorder's per-run
+// counter, which also counts into Default(), or on a nil Span Default()'s
+// own. Hot loops resolve it once and Add to the handle.
+func (s *Span) Counter(name string) *Counter {
 	if s == nil {
-		return
+		return defaultRegistry.Counter(name)
 	}
-	s.rec.Add(name, n)
+	return s.rec.counters.Counter(name)
 }
+
+// Count adds n to the named counter (shorthand for Counter(name).Add).
+func (s *Span) Count(name string, n int64) { s.Counter(name).Add(n) }
 
 // --- Snapshots ---
 
@@ -347,11 +337,7 @@ func (r *Recorder) Snapshot() *Trace {
 	for _, s := range roots {
 		t.Spans = append(t.Spans, snapSpan(s, r.start, now))
 	}
-	r.cmu.Lock()
-	for name, c := range r.counters {
-		t.Counters[name] = c.Value()
-	}
-	r.cmu.Unlock()
+	t.Counters = r.counters.Snapshot().Counters
 	return t
 }
 

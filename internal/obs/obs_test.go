@@ -22,9 +22,9 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	child.End()
 	root.End()
 
-	rec.Add("cluster.absorptions", 7)
-	rec.Counter("milp.nodes").Add(3)
-	rec.Counter("milp.nodes").Add(2)
+	child.Count("cluster.absorptions", 7)
+	root.Counter("milp.nodes").Add(3)
+	child.Counter("milp.nodes").Add(2)
 
 	tr := rec.Snapshot()
 	if len(tr.Spans) != 1 {
@@ -100,7 +100,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	sp.StartSpan("leaf").End()
 	sp.Event("incumbent", 12.5, 10)
 	sp.End()
-	rec.Add("lp.pivots.phase2", 42)
+	sp.Count("lp.pivots.phase2", 42)
 
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf); err != nil {
@@ -150,7 +150,7 @@ func TestSummaryTree(t *testing.T) {
 	c := root.StartSpan("cluster.synthesize")
 	c.End()
 	root.End()
-	rec.Add("cluster.search.iterations", 6)
+	root.Count("cluster.search.iterations", 6)
 
 	s := rec.Summary()
 	for _, want := range []string{"synthesize", "  cluster.synthesize", "method=SRing", "counters:", "cluster.search.iterations"} {
@@ -188,6 +188,30 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// A span counts into the process registry every time, and into its
+// Recorder's per-run counters when it has one; a nil span reaches the
+// registry only, and another Recorder's counts stay out of a trace.
+func TestSpanCountsIntoDefault(t *testing.T) {
+	before := Default().Snapshot()
+	rec, other := New(), New()
+	sp := rec.StartSpan("run")
+	sp.Count("span.test.events", 2)
+	sp.StartSpan("child").Counter("span.test.events").Add(3)
+	other.StartSpan("other").Count("span.test.events", 4)
+	var nilSpan *Span
+	nilSpan.Count("span.test.events", 5)
+
+	if got := rec.Snapshot().Counters["span.test.events"]; got != 5 {
+		t.Errorf("trace counter = %d, want 5", got)
+	}
+	if got := other.Snapshot().Counters["span.test.events"]; got != 4 {
+		t.Errorf("other trace counter = %d, want 4", got)
+	}
+	if got := Default().Snapshot().Sub(before).Counters["span.test.events"]; got != 14 {
+		t.Errorf("registry delta = %d, want 14", got)
+	}
+}
+
 // TestNilPathZeroAlloc is the contract the whole pipeline relies on: with no
 // Recorder attached, every obs call is free — no allocations at all.
 func TestNilPathZeroAlloc(t *testing.T) {
@@ -204,11 +228,9 @@ func TestNilPathZeroAlloc(t *testing.T) {
 		child.Count("c", 1)
 		child.End()
 		sp.End()
-		rec.Add("n", 1)
 		counter.Add(1)
 		_ = counter.Value()
-		_ = rec.Counter("n")
-		_ = sp.Recorder()
+		_ = sp.Counter("n")
 		_ = sp.Enabled()
 	})
 	if allocs != 0 {

@@ -9,50 +9,43 @@ import (
 	"sync"
 )
 
-// Registry is the process-wide aggregate telemetry sink: named counters and
-// histograms that accumulate across synthesis runs. It complements — and is
-// deliberately separate from — the per-run Recorder (DESIGN.md §11): a
-// Recorder is an opt-in, allocation-bounded structured trace of one
-// operation, created and discarded per run; a Registry is a flat,
-// always-on, process-lifetime aggregate suitable for a /metrics scrape or
-// a percentile report over thousands of runs. Neither feeds design
-// content, so neither participates in cache keys or determinism.
+// Registry is a set of named counters and histograms. The process
+// registry (Default) is the flat, always-on, process-lifetime aggregate
+// behind a /metrics scrape or a percentile report over thousands of runs:
+// every counted event reaches it, traced or not. A Recorder keeps a child
+// registry of per-run counters whose handles chain to Default's, so one
+// Span.Count feeds both read-outs (DESIGN.md §11). Histograms live in
+// Default only. Neither feeds design content, so neither participates in
+// cache keys or determinism.
 //
 // All methods are safe for concurrent use. Metric handles (Counter,
 // Histogram) are stable for the life of the registry; hot paths resolve a
-// handle once and then record through atomic operations only. A nil
-// *Registry resolves to the process default in OrDefault; the lookup
-// methods themselves are also nil-tolerant and return nil handles (which
+// handle once and then record through atomic operations only. The lookup
+// methods are nil-tolerant and return nil handles on a nil Registry (which
 // every handle method tolerates).
 type Registry struct {
+	parent *Registry // counters created here chain to parent's
 	mu     sync.RWMutex
 	counts map[string]*Counter
 	hists  map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry whose counters chain to parent's
+// (nil: no chaining).
+func newRegistry(parent *Registry) *Registry {
 	return &Registry{
+		parent: parent,
 		counts: make(map[string]*Counter),
 		hists:  make(map[string]*Histogram),
 	}
 }
 
 // defaultRegistry is the process-wide registry served by the telemetry
-// endpoint and used wherever no explicit registry was plumbed in.
-var defaultRegistry = NewRegistry()
+// endpoint.
+var defaultRegistry = newRegistry(nil)
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// OrDefault maps a nil registry to the process default, so option structs
-// can use nil as "the default registry" rather than "off".
-func OrDefault(r *Registry) *Registry {
-	if r == nil {
-		return defaultRegistry
-	}
-	return r
-}
 
 // Counter returns the named counter, creating it on first use. Returns nil
 // on a nil Registry (and nil Counters tolerate Add/Value).
@@ -66,10 +59,11 @@ func (r *Registry) Counter(name string) *Counter {
 	if ok {
 		return c
 	}
+	parent := r.parent.Counter(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok = r.counts[name]; !ok {
-		c = &Counter{}
+		c = &Counter{parent: parent}
 		r.counts[name] = c
 	}
 	return c
@@ -95,13 +89,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	return h
 }
-
-// Add increments the named counter by n (shorthand for Counter(name).Add).
-func (r *Registry) Add(name string, n int64) { r.Counter(name).Add(n) }
-
-// Observe records v into the named histogram (shorthand for
-// Histogram(name).Record).
-func (r *Registry) Observe(name string, v int64) { r.Histogram(name).Record(v) }
 
 // RegistrySnap is an immutable snapshot of a Registry, with metric names
 // sorted, shaped for JSON. Given quiesced recording it is deterministic.
@@ -138,7 +125,10 @@ func (r *Registry) Snapshot() *RegistrySnap {
 // Sub returns the per-metric delta s − prev: counters subtracted,
 // histograms diffed with HistSnap.Sub. Metrics absent from prev pass
 // through unchanged. This turns cumulative process-wide metrics into
-// per-interval ones (cmd/bench brackets each entry with two snapshots).
+// per-interval ones: cmd/bench and cmd/benchmark bracket each measured
+// pass with two snapshots of Default, and tests bracket the call under
+// test the same way. No test in the repo calls t.Parallel, so such a test
+// delta is exactly the call's own counting.
 func (s *RegistrySnap) Sub(prev *RegistrySnap) *RegistrySnap {
 	if prev == nil {
 		return s

@@ -23,10 +23,9 @@ type TelemetryServer struct {
 	errCh chan error
 }
 
-// TelemetryOptions configures ServeTelemetry.
+// TelemetryOptions configures ServeTelemetry. /metrics always serves the
+// process registry (Default).
 type TelemetryOptions struct {
-	// Registry served at /metrics; nil means the process default.
-	Registry *Registry
 	// Trace, when non-nil, provides the snapshot served at /trace.json.
 	Trace func() *Trace
 }
@@ -35,7 +34,7 @@ type TelemetryOptions struct {
 // free port — query it with Addr) and serves it in a background goroutine
 // until Close.
 func ServeTelemetry(addr string, opt TelemetryOptions) (*TelemetryServer, error) {
-	reg := OrDefault(opt.Registry)
+	reg := defaultRegistry
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: telemetry listen %s: %w", addr, err)

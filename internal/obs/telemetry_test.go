@@ -30,15 +30,23 @@ func get(t *testing.T, url string) (string, string) {
 // and the repo's dotted naming conventions (lp.sparse.*, pipeline.cache.*)
 // survive recognisably as their underscore forms.
 func TestTelemetryMetricsRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	reg.Add("pipeline.cache.hits", 7)
-	reg.Add("pipeline.cache.misses", 2)
-	reg.Add("lp.sparse.solves", 3)
+	reg := Default()
+	before := reg.Snapshot()
+	reg.Counter("pipeline.cache.hits").Add(7)
+	reg.Counter("pipeline.cache.misses").Add(2)
+	reg.Counter("lp.sparse.solves").Add(3)
 	reg.Histogram("lp.sparse.refactor.ns").Record(1500)
 	reg.Histogram("lp.sparse.refactor.ns").Record(800)
 	reg.Histogram("pipeline.stage.construct.ns").Record(1 << 20)
+	// Expected readings are deltas on top of whatever earlier tests in
+	// this process counted.
+	was := before.Counters
+	var wasRefactor int64
+	if h := before.Histograms["lp.sparse.refactor.ns"]; h != nil {
+		wasRefactor = h.Count
+	}
 
-	ts, err := ServeTelemetry("127.0.0.1:0", TelemetryOptions{Registry: reg})
+	ts, err := ServeTelemetry("127.0.0.1:0", TelemetryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +116,19 @@ func TestTelemetryMetricsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if counters["pipeline_cache_hits"] != 7 || counters["pipeline_cache_misses"] != 2 {
-		t.Errorf("cache counters = %v", counters)
+	if counters["pipeline_cache_hits"]-was["pipeline.cache.hits"] != 7 ||
+		counters["pipeline_cache_misses"]-was["pipeline.cache.misses"] != 2 {
+		t.Errorf("cache counters = %v, before %v", counters, was)
 	}
-	if counters["lp_sparse_solves"] != 3 {
-		t.Errorf("lp_sparse_solves = %d, want 3", counters["lp_sparse_solves"])
+	if got := counters["lp_sparse_solves"] - was["lp.sparse.solves"]; got != 3 {
+		t.Errorf("lp_sparse_solves delta = %d, want 3", got)
 	}
 	h := hists["lp_sparse_refactor_ns"]
 	if h == nil {
 		t.Fatalf("lp_sparse_refactor_ns histogram missing; hists = %v", hists)
 	}
-	if h.count != 2 || h.inf != 2 || h.lastCum != 2 || !h.sawSum {
-		t.Errorf("lp_sparse_refactor_ns = %+v, want count=inf=cum=2 with _sum", h)
+	if n := wasRefactor + 2; h.count != n || h.inf != n || h.lastCum != n || !h.sawSum {
+		t.Errorf("lp_sparse_refactor_ns = %+v, want count=inf=cum=%d with _sum", h, n)
 	}
 	if hists["pipeline_stage_construct_ns"] == nil {
 		t.Error("pipeline_stage_construct_ns histogram missing")
@@ -137,10 +146,7 @@ func TestTelemetryPprofAndTrace(t *testing.T) {
 	sp := rec.StartSpan("solve")
 	sp.End()
 
-	ts, err := ServeTelemetry("127.0.0.1:0", TelemetryOptions{
-		Registry: NewRegistry(),
-		Trace:    rec.Snapshot,
-	})
+	ts, err := ServeTelemetry("127.0.0.1:0", TelemetryOptions{Trace: rec.Snapshot})
 	if err != nil {
 		t.Fatal(err)
 	}

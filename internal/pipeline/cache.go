@@ -171,19 +171,29 @@ func (c *Cache) shardFor(key cacheKey) *cacheShard {
 	return &c.shards[int(key[0])%len(c.shards)]
 }
 
+// stageCounters maps each stage to its pipeline.cache.<stage>.hits and
+// .misses counter names, built once so that counting a lookup allocates
+// nothing.
+var stageCounters = func() map[string][2]string {
+	m := map[string][2]string{}
+	for _, st := range []string{"construct", "layout", "loss", "assign", "pdn"} {
+		m[st] = [2]string{"pipeline.cache." + st + ".hits", "pipeline.cache." + st + ".misses"}
+	}
+	return m
+}()
+
 // lookup fetches a stage entry and updates the hit/miss telemetry: the
-// cache's own counters, the run's pipeline.cache.* obs counters, and the
-// aggregate registry's pipeline.cache.hits/misses counters. A hit promotes
-// the entry to the front of its shard's LRU list.
+// cache's own counters, and the pipeline.cache.hits/misses counters plus
+// their per-stage split, counted through sp. A hit promotes the entry to
+// the front of its shard's LRU list.
 //
 // A nil cache is "caching off": nothing was looked up, so instead of a
 // miss it counts into the distinct pipeline.cache.disabled counter —
 // otherwise hit-rate computations over mixed cached/uncached runs would
 // silently undercount (hits/(hits+misses) with phantom misses).
-func (c *Cache) lookup(rec *obs.Recorder, reg *obs.Registry, stage string, key cacheKey) (interface{}, bool) {
+func (c *Cache) lookup(sp *obs.Span, stage string, key cacheKey) (interface{}, bool) {
 	if c == nil {
-		rec.Add("pipeline.cache.disabled", 1)
-		reg.Add("pipeline.cache.disabled", 1)
+		sp.Count("pipeline.cache.disabled", 1)
 		return nil, false
 	}
 	sh := c.shardFor(key)
@@ -197,14 +207,12 @@ func (c *Cache) lookup(rec *obs.Recorder, reg *obs.Registry, stage string, key c
 	sh.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
-		rec.Add("pipeline.cache.hits", 1)
-		rec.Add("pipeline.cache."+stage+".hits", 1)
-		reg.Add("pipeline.cache.hits", 1)
+		sp.Count("pipeline.cache.hits", 1)
+		sp.Count(stageCounters[stage][0], 1)
 	} else {
 		c.misses.Add(1)
-		rec.Add("pipeline.cache.misses", 1)
-		rec.Add("pipeline.cache."+stage+".misses", 1)
-		reg.Add("pipeline.cache.misses", 1)
+		sp.Count("pipeline.cache.misses", 1)
+		sp.Count(stageCounters[stage][1], 1)
 	}
 	return v, ok
 }
@@ -282,30 +290,27 @@ func (c *Cache) invalidate(key cacheKey) {
 // the engine's graceful-degradation semantics survive coalescing.
 //
 // Returns the value, whether it was served from the cache, and fn's error.
-func (c *Cache) compute(ctx context.Context, rec *obs.Recorder, reg *obs.Registry, stage string, key cacheKey,
+func (c *Cache) compute(ctx context.Context, sp *obs.Span, stage string, key cacheKey,
 	validate func(interface{}) error, fn func() (v interface{}, cacheable bool, err error)) (interface{}, bool, error) {
 	if c == nil {
-		rec.Add("pipeline.cache.disabled", 1)
-		reg.Add("pipeline.cache.disabled", 1)
+		sp.Count("pipeline.cache.disabled", 1)
 		v, _, err := fn()
 		return v, false, err
 	}
 	waited := false
 	for {
-		if v, ok := c.lookup(rec, reg, stage, key); ok {
+		if v, ok := c.lookup(sp, stage, key); ok {
 			if validate != nil {
 				if err := validate(v); err != nil {
 					c.invalidate(key)
 					c.invalid.Add(1)
-					rec.Add("pipeline.cache.invalid", 1)
-					reg.Add("pipeline.cache.invalid", 1)
+					sp.Count("pipeline.cache.invalid", 1)
 					continue
 				}
 			}
 			if waited {
 				c.coalesced.Add(1)
-				rec.Add("pipeline.cache.coalesced", 1)
-				reg.Add("pipeline.cache.coalesced", 1)
+				sp.Count("pipeline.cache.coalesced", 1)
 			}
 			return v, true, nil
 		}
@@ -336,11 +341,10 @@ func (c *Cache) compute(ctx context.Context, rec *obs.Recorder, reg *obs.Registr
 		if err == nil && cacheable {
 			delta, evicted := c.store(stage, key, v)
 			if delta != 0 {
-				reg.Add("pipeline.cache.bytes", delta)
+				sp.Count("pipeline.cache.bytes", delta)
 			}
 			if evicted > 0 {
-				rec.Add("pipeline.cache.evictions", int64(evicted))
-				reg.Add("pipeline.cache.evictions", int64(evicted))
+				sp.Count("pipeline.cache.evictions", int64(evicted))
 			}
 		}
 		sh.mu.Lock()

@@ -109,7 +109,7 @@ func TestCacheFirstWriterWins(t *testing.T) {
 	var key cacheKey
 	c.store("construct", key, "first")
 	c.store("construct", key, "second")
-	v, ok := c.lookup(nil, nil, "construct", key)
+	v, ok := c.lookup(nil, "construct", key)
 	if !ok || v != "first" {
 		t.Errorf("lookup = %v %v, want the first stored value", v, ok)
 	}
@@ -126,7 +126,7 @@ func TestCacheFirstWriterWins(t *testing.T) {
 func TestNilCache(t *testing.T) {
 	var c *Cache
 	var key cacheKey
-	if _, ok := c.lookup(nil, nil, "construct", key); ok {
+	if _, ok := c.lookup(nil, "construct", key); ok {
 		t.Error("nil cache reported a hit")
 	}
 	c.store("construct", key, "x")
@@ -247,9 +247,9 @@ func init() {
 // instead of duplicating it, observable in pipeline.cache.coalesced.
 func TestSingleflightCoalesces(t *testing.T) {
 	c := NewCache()
-	reg := obs.NewRegistry()
+	before := obs.Default().Snapshot()
 	app := netlist.MWD()
-	opt := Options{Cache: c, Registry: reg, Parallelism: 1}
+	opt := Options{Cache: c, Parallelism: 1}
 
 	coalesceCtorCalls.Store(0)
 	coalesceCtorGate = make(chan struct{})
@@ -283,7 +283,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if got := c.StatsSnapshot().Coalesced; got < 1 {
 		t.Errorf("cache coalesced = %d, want >= 1", got)
 	}
-	if got := reg.Counter("pipeline.cache.coalesced").Value(); got < 1 {
+	if got := obs.Default().Snapshot().Sub(before).Counters["pipeline.cache.coalesced"]; got < 1 {
 		t.Errorf("pipeline.cache.coalesced = %d, want >= 1", got)
 	}
 }
@@ -379,17 +379,18 @@ func TestCachedValueImmutability(t *testing.T) {
 // stages must count into pipeline.cache.disabled — not misses — so
 // hits/(hits+misses) stays meaningful over mixed cached/uncached runs.
 func TestNilCacheDisabledCounter(t *testing.T) {
-	reg := obs.NewRegistry()
-	if _, err := Synthesize(context.Background(), netlist.MWD(), "CoalesceProbe", Options{Registry: reg, Parallelism: 1}); err != nil {
+	before := obs.Default().Snapshot()
+	if _, err := Synthesize(context.Background(), netlist.MWD(), "CoalesceProbe", Options{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("pipeline.cache.disabled").Value(); got != 5 {
+	d := obs.Default().Snapshot().Sub(before).Counters
+	if got := d["pipeline.cache.disabled"]; got != 5 {
 		t.Errorf("pipeline.cache.disabled = %d, want 5 (one per stage)", got)
 	}
-	if got := reg.Counter("pipeline.cache.misses").Value(); got != 0 {
+	if got := d["pipeline.cache.misses"]; got != 0 {
 		t.Errorf("pipeline.cache.misses = %d, want 0 for an uncached run", got)
 	}
-	if got := reg.Counter("pipeline.cache.hits").Value(); got != 0 {
+	if got := d["pipeline.cache.hits"]; got != 0 {
 		t.Errorf("pipeline.cache.hits = %d, want 0 for an uncached run", got)
 	}
 }

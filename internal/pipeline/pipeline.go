@@ -104,12 +104,6 @@ type Options struct {
 	// (content-addressed; safe for concurrent use). Cached designs are
 	// bit-identical to uncached ones.
 	Cache *Cache
-	// Registry receives aggregate telemetry — stage latency histograms,
-	// cache hit/miss counters, LP/MILP kernel distributions — accumulated
-	// across runs. Nil means the process-wide obs.Default() registry, so
-	// aggregate telemetry is always on; it is allocation-free at recording
-	// time and, like Recorder, excluded from cache keys.
-	Registry *obs.Registry
 }
 
 // Construction is a constructor's output: the method-specific raw material
@@ -214,6 +208,16 @@ func Synthesize(ctx context.Context, app *netlist.Application, method string, op
 	return d, nil
 }
 
+// Stage latency histograms in the process registry.
+var (
+	keybuildH  = obs.Default().Histogram("pipeline.cache.keybuild.ns")
+	constructH = obs.Default().Histogram("pipeline.stage.construct.ns")
+	layoutH    = obs.Default().Histogram("pipeline.stage.layout.ns")
+	lossH      = obs.Default().Histogram("pipeline.stage.loss.ns")
+	assignH    = obs.Default().Histogram("pipeline.stage.assign.ns")
+	pdnH       = obs.Default().Histogram("pipeline.stage.pdn.ns")
+)
+
 // run executes the stage sequence under the root span.
 func run(ctx context.Context, app *netlist.Application, method string, ctor Constructor, opt Options, root *obs.Span) (*design.Design, error) {
 	if err := app.Validate(); err != nil {
@@ -223,20 +227,18 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 	if err != nil {
 		return nil, err
 	}
-	rec := root.Recorder()
-	reg := obs.OrDefault(opt.Registry)
 	var keys stageKeys
 	if opt.Cache != nil {
 		keyStart := time.Now()
 		keys = buildStageKeys(app, method, opt, tech)
-		reg.Histogram("pipeline.cache.keybuild.ns").RecordSince(keyStart)
+		keybuildH.RecordSince(keyStart)
 	}
 
 	// Stage 1: construct (method-specific). checkConstruction guards both
 	// sides: fresh results before they enter the cache, and — as compute's
 	// validator — every hit, so a corrupted entry degrades to a recompute.
 	stageStart := time.Now()
-	v, fromCache, err := opt.Cache.compute(ctx, rec, reg, "construct", keys.construct,
+	v, fromCache, err := opt.Cache.compute(ctx, root, "construct", keys.construct,
 		func(v interface{}) error { return validateConstruction(app, v) },
 		func() (interface{}, bool, error) {
 			con, err := ctor(ctx, app, opt, root)
@@ -255,11 +257,11 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 	if fromCache {
 		markCached(root, "construct")
 	}
-	reg.Histogram("pipeline.stage.construct.ns").RecordSince(stageStart)
+	constructH.RecordSince(stageStart)
 
 	// Stage 2: layout.
 	stageStart = time.Now()
-	v, fromCache, err = opt.Cache.compute(ctx, rec, reg, "layout", keys.layout,
+	v, fromCache, err = opt.Cache.compute(ctx, root, "layout", keys.layout,
 		func(v interface{}) error { return validateLayout(con, v) },
 		func() (interface{}, bool, error) {
 			res, err := design.RouteLayout(app, con.Rings, root)
@@ -275,11 +277,11 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 	if fromCache {
 		markCached(root, "layout")
 	}
-	reg.Histogram("pipeline.stage.layout.ns").RecordSince(stageStart)
+	layoutH.RecordSince(stageStart)
 
 	// Stage 3: loss pricing (depends on Tech).
 	stageStart = time.Now()
-	v, fromCache, err = opt.Cache.compute(ctx, rec, reg, "loss", keys.loss,
+	v, fromCache, err = opt.Cache.compute(ctx, root, "loss", keys.loss,
 		func(v interface{}) error { return validateInfos(app, v) },
 		func() (interface{}, bool, error) {
 			infos, err := design.PriceLoss(app, con.Rings, con.Paths, lay.Res, tech, con.MRRFullComplement, root)
@@ -295,7 +297,7 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 	if fromCache {
 		markCached(root, "loss")
 	}
-	reg.Histogram("pipeline.stage.loss.ns").RecordSince(stageStart)
+	lossH.RecordSince(stageStart)
 
 	// Stage 4: wavelength assignment. The cache stores a private clone —
 	// assignments are mutable (Normalize) — so hits clone back out, while
@@ -303,7 +305,7 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 	stageStart = time.Now()
 	var freshAssign *wavelength.Assignment
 	var freshStats *wavelength.Stats
-	v, fromCache, err = opt.Cache.compute(ctx, rec, reg, "assign", keys.assign,
+	v, fromCache, err = opt.Cache.compute(ctx, root, "assign", keys.assign,
 		func(v interface{}) error { return validateAssign(infos, v) },
 		func() (interface{}, bool, error) {
 			var assignment *wavelength.Assignment
@@ -333,7 +335,6 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 					Oracle:        opt.Oracle,
 					CutRounds:     opt.CutRounds,
 					Obs:           root,
-					Registry:      opt.Registry,
 				})
 			}
 			if err != nil {
@@ -359,7 +360,7 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 	if fromCache {
 		markCached(root, "assign")
 	}
-	reg.Histogram("pipeline.stage.assign.ns").RecordSince(stageStart)
+	assignH.RecordSince(stageStart)
 
 	// Stage 5: PDN.
 	stageStart = time.Now()
@@ -368,7 +369,7 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 		ForceNodeSplitter: con.ForceNodeSplitter,
 		RoutePhysical:     opt.PhysicalPDN,
 	}
-	v, fromCache, err = opt.Cache.compute(ctx, rec, reg, "pdn", keys.pdn,
+	v, fromCache, err = opt.Cache.compute(ctx, root, "pdn", keys.pdn,
 		func(v interface{}) error { return validatePDN(v) },
 		func() (interface{}, bool, error) {
 			network, err := design.BuildPDN(app, infos, assignment, cfg, con.PDNAllTwoSender, root)
@@ -384,7 +385,7 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 	if fromCache {
 		markCached(root, "pdn")
 	}
-	reg.Histogram("pipeline.stage.pdn.ns").RecordSince(stageStart)
+	pdnH.RecordSince(stageStart)
 
 	return &design.Design{
 		App:         app,
@@ -405,8 +406,8 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 // pricing — and returns the priced paths the assignment stage would see,
 // plus the effective objective weights. Cross-check tests use it to drive
 // the assignment solvers directly on the real benchmark instances without
-// duplicating the stage plumbing. Uncached; Recorder and Registry in opt
-// are honoured, Cache is ignored.
+// duplicating the stage plumbing. Uncached; Recorder in opt is honoured,
+// Cache is ignored.
 func PathInfos(ctx context.Context, app *netlist.Application, method string, opt Options) ([]wavelength.PathInfo, wavelength.Weights, error) {
 	var w wavelength.Weights
 	if app == nil {

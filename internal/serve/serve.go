@@ -40,14 +40,12 @@ import (
 	"sring/internal/pipeline"
 )
 
-// Server is the synthesis service: a handler set over one shared cache and
-// registry. The zero value serves with caching off and default telemetry.
+// Server is the synthesis service: a handler set over one shared cache.
+// Serving and pipeline telemetry go to the process registry, which
+// /metrics serves. The zero value serves with caching off.
 type Server struct {
 	// Cache is the shared stage cache; nil serves uncached.
 	Cache *pipeline.Cache
-	// Registry receives serving and pipeline telemetry (nil: process
-	// default).
-	Registry *obs.Registry
 	// MaxParallelism caps the per-request Parallelism option; 0 means
 	// requests may use all CPUs.
 	MaxParallelism int
@@ -210,11 +208,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) registry() *obs.Registry { return obs.OrDefault(s.Registry) }
+// Serving telemetry in the process registry. A request has no span of its
+// own (a streamed request's Recorder belongs to its pipeline run), so these
+// metrics are registry-only.
+var (
+	requestsC = obs.Default().Counter("serve.requests")
+	rejectedC = obs.Default().Counter("serve.rejected")
+	errorsC   = obs.Default().Counter("serve.request.errors")
+	requestH  = obs.Default().Histogram("serve.request.ns")
+)
 
 // httpError writes a JSON error body with the given status and counts it.
 func (s *Server) httpError(w http.ResponseWriter, status int, err error) {
-	s.registry().Add("serve.request.errors", 1)
+	errorsC.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -295,7 +301,6 @@ func (s *Server) parseRequest(req *Request) (*netlist.Application, pipeline.Opti
 		opt.Parallelism = s.MaxParallelism
 	}
 	opt.Cache = s.Cache
-	opt.Registry = s.Registry
 	return app, opt, nil
 }
 
@@ -306,18 +311,17 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	reg := s.registry()
 	release, ok := s.acquire()
 	if !ok {
-		reg.Add("serve.requests", 1)
-		reg.Add("serve.rejected", 1)
+		requestsC.Add(1)
+		rejectedC.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.httpError(w, http.StatusTooManyRequests, errors.New("too many in-flight synthesis requests"))
 		return
 	}
 	defer release()
-	reg.Add("serve.requests", 1)
-	defer reg.Histogram("serve.request.ns").RecordSince(start)
+	requestsC.Add(1)
+	defer requestH.RecordSince(start)
 
 	var req Request
 	dec := json.NewDecoder(r.Body)
@@ -420,13 +424,13 @@ func (s *Server) streamSynthesize(w http.ResponseWriter, r *http.Request, app *n
 		case out := <-done:
 			poll()
 			if out.err != nil {
-				s.registry().Add("serve.request.errors", 1)
+				errorsC.Add(1)
 				emit(Event{Event: "error", Error: out.err.Error()})
 				return
 			}
 			resp, err := summarize(out.d)
 			if err != nil {
-				s.registry().Add("serve.request.errors", 1)
+				errorsC.Add(1)
 				emit(Event{Event: "error", Error: err.Error()})
 				return
 			}
@@ -468,5 +472,5 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.registry().WritePrometheus(w)
+	_ = obs.Default().WritePrometheus(w)
 }

@@ -126,8 +126,8 @@ func TestSynthesizeBadRequests(t *testing.T) {
 // A well-formed request returns the design summary; an inline netlist works
 // like a builtin one.
 func TestSynthesizeOK(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := (&serve.Server{Cache: pipeline.NewCache(), Registry: reg}).Handler()
+	before := obs.Default().Snapshot()
+	h := (&serve.Server{Cache: pipeline.NewCache()}).Handler()
 
 	w := postSynthesize(t, h, `{"app":"MWD","method":"SRing","options":{"parallelism":1}}`)
 	if w.Code != http.StatusOK {
@@ -143,7 +143,7 @@ func TestSynthesizeOK(t *testing.T) {
 	if resp.Metrics.NumWavelengths <= 0 || resp.Metrics.TotalLaserPowerMW <= 0 {
 		t.Errorf("implausible metrics: %+v", resp.Metrics)
 	}
-	if reg.Histogram("serve.request.ns").Count() == 0 {
+	if obs.Default().Snapshot().Sub(before).Histograms["serve.request.ns"].Count == 0 {
 		t.Error("serve.request.ns recorded nothing")
 	}
 
@@ -271,8 +271,7 @@ func TestSynthesizeStreaming(t *testing.T) {
 
 // The ancillary endpoints: methods, stats, metrics, health.
 func TestAncillaryEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv := &serve.Server{Cache: pipeline.NewCache(), Registry: reg}
+	srv := &serve.Server{Cache: pipeline.NewCache()}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -332,10 +331,9 @@ func getJSON(t *testing.T, url string, into interface{}) {
 // default mix) at concurrency 4 against a live server, cold then warm.
 // Short mode keeps it to the three small apps.
 func TestLoadgenSmoke(t *testing.T) {
-	reg := obs.NewRegistry()
 	// MaxInflight off: this test drives concurrency above the default cap
 	// on small machines and is about cache behaviour, not load shedding.
-	srv := &serve.Server{Cache: pipeline.NewCache(), Registry: reg, MaxParallelism: 2, MaxInflight: -1}
+	srv := &serve.Server{Cache: pipeline.NewCache(), MaxParallelism: 2, MaxInflight: -1}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -392,8 +390,9 @@ func TestLoadgenSmoke(t *testing.T) {
 // Retry-After hint — not queued behind a synthesis that may hold its CPU
 // for a full MILP budget — and the shed shows up on the rejected counter.
 func TestSynthesizeBackpressure(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := (&serve.Server{Registry: reg, MaxInflight: 1}).Handler()
+	before := obs.Default().Snapshot()
+	rejected := func() int64 { return obs.Default().Snapshot().Sub(before).Counters["serve.rejected"] }
+	h := (&serve.Server{MaxInflight: 1}).Handler()
 	body := `{"app":"MWD","method":"SlowProbe","options":{"parallelism":1}}`
 
 	first := httptest.NewRecorder()
@@ -417,7 +416,7 @@ func TestSynthesizeBackpressure(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
 		t.Errorf("429 body is not a JSON error: %q", w.Body)
 	}
-	if got := reg.Counter("serve.rejected").Value(); got != 1 {
+	if got := rejected(); got != 1 {
 		t.Errorf("serve.rejected = %d, want 1", got)
 	}
 
@@ -432,7 +431,7 @@ func TestSynthesizeBackpressure(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("post-release status = %d, want 200: %s", w.Code, w.Body)
 	}
-	if got := reg.Counter("serve.rejected").Value(); got != 1 {
+	if got := rejected(); got != 1 {
 		t.Errorf("serve.rejected after release = %d, want still 1", got)
 	}
 }

@@ -227,7 +227,7 @@ func candLosses(sub []PathInfo, a *Assignment, w Weights) ([]float64, float64) {
 // (false too when the size gate skipped part of the sweep), and whether a
 // solve was cut short by ctx cancellation.
 func componentCandidates(ctx context.Context, sub []PathInfo, start *Assignment, w Weights,
-	timeLimit time.Duration, maxBin, extra, parallelism, cutRounds int, reg *obs.Registry, sp *obs.Span) (cands []decompCand, exactAll bool, cancelled bool, err error) {
+	timeLimit time.Duration, maxBin, extra, parallelism, cutRounds int, sp *obs.Span) (cands []decompCand, exactAll bool, cancelled bool, err error) {
 
 	add := func(a *Assignment, exact bool) {
 		a = a.Clone()
@@ -273,7 +273,7 @@ func componentCandidates(ctx context.Context, sub []PathInfo, start *Assignment,
 			if local.NumLambda <= k {
 				inc = local
 			}
-			a, info, serr := SolveMILPRegistry(ctx, sub, k, wv, inc, timeLimit, parallelism, cutRounds, reg, sp)
+			a, info, serr := SolveMILP(ctx, sub, k, wv, inc, timeLimit, parallelism, cutRounds, sp)
 			if serr != nil {
 				if errors.Is(serr, ErrInfeasible) {
 					break // palette too small; larger k may work
@@ -346,7 +346,7 @@ func bankOffsets(pieces []decompPiece, cands [][]decompCand) (offsets []int, kB,
 // draw from disjoint slot banks. It returns the selected candidate
 // indices and whether optimality was proven.
 func coordinate(ctx context.Context, pieces []decompPiece, cands [][]decompCand, w Weights,
-	timeLimit time.Duration, parallelism, cutRounds int, reg *obs.Registry, sp *obs.Span) ([]int, bool, bool, error) {
+	timeLimit time.Duration, parallelism, cutRounds int, sp *obs.Span) ([]int, bool, bool, error) {
 
 	P := len(pieces)
 	zOff := make([]int, P)
@@ -484,7 +484,6 @@ func coordinate(ctx context.Context, pieces []decompPiece, cands [][]decompCand,
 		CutRounds:   cutRounds,
 		Incumbent:   x,
 		Obs:         csp,
-		Registry:    reg,
 	})
 	if err != nil {
 		return nil, false, false, fmt.Errorf("wavelength: coordination solve: %w", err)
@@ -554,7 +553,7 @@ func mergeComponents(infos []PathInfo, pieces []decompPiece, cands [][]decompCan
 // cancelled before coordination finished), the candidate count, whether
 // every solve proved optimality, and the cancellation flag.
 func assignDecomposed(ctx context.Context, infos []PathInfo, pieces []decompPiece, heur *Assignment, w Weights,
-	timeLimit time.Duration, maxBin, extra, parallelism, cutRounds int, reg *obs.Registry, sp *obs.Span) (*Assignment, int, bool, bool, error) {
+	timeLimit time.Duration, maxBin, extra, parallelism, cutRounds int, sp *obs.Span) (*Assignment, int, bool, bool, error) {
 
 	cands := make([][]decompCand, len(pieces))
 	exactAll := true
@@ -567,7 +566,7 @@ func assignDecomposed(ctx context.Context, infos []PathInfo, pieces []decompPiec
 		}
 		start := &Assignment{Lambda: lam, NumLambda: heur.NumLambda}
 		start.Normalize()
-		cc, ok, cancelled, err := componentCandidates(ctx, sub, start, w, timeLimit, maxBin, extra, parallelism, cutRounds, reg, sp)
+		cc, ok, cancelled, err := componentCandidates(ctx, sub, start, w, timeLimit, maxBin, extra, parallelism, cutRounds, sp)
 		if err != nil {
 			return nil, 0, false, false, err
 		}
@@ -584,7 +583,7 @@ func assignDecomposed(ctx context.Context, infos []PathInfo, pieces []decompPiec
 		total += len(cc)
 	}
 
-	sel, coordExact, cancelled, err := coordinate(ctx, pieces, cands, w, timeLimit, parallelism, cutRounds, reg, sp)
+	sel, coordExact, cancelled, err := coordinate(ctx, pieces, cands, w, timeLimit, parallelism, cutRounds, sp)
 	if err != nil {
 		return nil, total, false, false, err
 	}

@@ -228,7 +228,7 @@ func TestDecomposeTierCut(t *testing.T) {
 	}
 
 	merged, _, _, cancelled, err := assignDecomposed(context.Background(), infos, pieces, heur, w,
-		10*time.Second, maxBin, 1, 1, 0, nil, nil)
+		10*time.Second, maxBin, 1, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

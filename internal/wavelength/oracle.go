@@ -10,6 +10,9 @@ import (
 	"sring/internal/wavelength/cpcheck"
 )
 
+// oracleH is the CP oracle's wall time per run, in the process registry.
+var oracleH = obs.Default().Histogram("wavelength.oracle.ns")
+
 // OracleCP names the constraint-propagation cross-oracle for
 // Options.Oracle.
 const OracleCP = "cp"
@@ -67,12 +70,11 @@ func runOracle(ctx context.Context, infos []PathInfo, best *Assignment, numLambd
 	}
 	osp := sp.StartSpan("wavelength.oracle")
 	defer osp.End()
-	reg := obs.OrDefault(opt.Registry)
-	reg.Add("wavelength.oracle.runs", 1)
+	osp.Count("wavelength.oracle.runs", 1)
 	start := time.Now()
 	res, err := SolveCP(ctx, infos, numLambda, w, best, limit)
-	reg.Observe("wavelength.oracle.ns", time.Since(start).Nanoseconds())
-	reg.Add("wavelength.oracle.nodes", res.Nodes)
+	oracleH.RecordSince(start)
+	osp.Count("wavelength.oracle.nodes", res.Nodes)
 	if err != nil && ctx.Err() == nil {
 		return best, err
 	}
@@ -84,7 +86,7 @@ func runOracle(ctx context.Context, infos []PathInfo, best *Assignment, numLambd
 	osp.SetInt("nodes", res.Nodes)
 	osp.SetFloat("bound", res.Bound)
 	if res.Exact {
-		reg.Add("wavelength.oracle.exact", 1)
+		osp.Count("wavelength.oracle.exact", 1)
 	}
 	if ctx.Err() != nil {
 		stats.Cancelled = true
@@ -98,7 +100,7 @@ func runOracle(ctx context.Context, infos []PathInfo, best *Assignment, numLambd
 		if o := Evaluate(infos, cand, w); o.Value < stats.Final.Value-1e-9 {
 			best = cand
 			stats.Final = o
-			reg.Add("wavelength.oracle.improved", 1)
+			osp.Count("wavelength.oracle.improved", 1)
 		}
 	}
 	// The CP bound is valid over the same palette the MILP searched, so the

@@ -159,7 +159,6 @@ func TestCPOracleWorkUnits(t *testing.T) {
 				Oracle:        wavelength.OracleCP,
 				MILPTimeLimit: 5 * time.Minute,
 				Parallelism:   1,
-				Registry:      obs.NewRegistry(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -204,18 +203,17 @@ func TestCPOracleWorkUnits(t *testing.T) {
 // and adds its search nodes to the registry.
 func TestOracleTelemetry(t *testing.T) {
 	infos, w := cpInstance(t, netlist.PM32())
-	reg := obs.NewRegistry()
+	before := obs.Default().Snapshot()
 	_, st, err := wavelength.Assign(infos, wavelength.Options{
 		Weights:     w,
 		UseMILP:     true,
 		Oracle:      wavelength.OracleCP,
 		Parallelism: 1,
-		Registry:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
+	snap := obs.Default().Snapshot().Sub(before)
 	if h := snap.Histograms["wavelength.oracle.ns"]; h == nil || h.Count != 1 {
 		t.Fatalf("wavelength.oracle.ns histogram = %+v, want one sample", h)
 	}

@@ -27,6 +27,10 @@ import (
 	"sring/internal/wavelength/cpcheck"
 )
 
+// decompComponentsH is the piece count per decomposed solve, in the
+// process registry.
+var decompComponentsH = obs.Default().Histogram("wavelength.decomp.components")
+
 // PathInfo is one signal path plus the data the assignment objective needs:
 // its layout insertion loss L_s (excluding PDN losses) and its sender
 // endpoint.
@@ -430,10 +434,6 @@ type Options struct {
 	// records its telemetry: heuristic and MILP child spans, the
 	// heuristic-vs-MILP objective delta, and per-wavelength loss events.
 	Obs *obs.Span
-	// Registry receives aggregate telemetry (LP/MILP kernel histograms and
-	// counters), forwarded to milp.Options.Registry. Nil means the
-	// process-wide obs.Default() registry.
-	Registry *obs.Registry
 	// Oracle names an independent cross-check solver to run when the exact
 	// solve fails to prove optimality (stalled, skipped by the size gate,
 	// or decomposed without a global certificate). OracleCP ("cp") runs the
@@ -549,16 +549,15 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 			pieces := buildPieces(infos, comps, best, extra, maxBin, opt.RingLevels)
 			stats.DecompComponents = len(pieces)
 			sp.SetInt("decomp_components", int64(len(pieces)))
-			reg := obs.OrDefault(opt.Registry)
-			reg.Add("wavelength.decomp.solves", 1)
-			reg.Observe("wavelength.decomp.components", int64(len(pieces)))
+			sp.Count("wavelength.decomp.solves", 1)
+			decompComponentsH.Record(int64(len(pieces)))
 			// One gate-sized piece carries the whole instance: fall through
 			// to the monolithic solve, which is then the decomposition
 			// verbatim.
 			if len(pieces) > 1 {
 				ranDecomposed = true
 				merged, nCand, exact, cancelled, err := assignDecomposed(ctx, infos, pieces, best, w,
-					opt.MILPTimeLimit, maxBin, extra, opt.Parallelism, opt.CutRounds, opt.Registry, sp)
+					opt.MILPTimeLimit, maxBin, extra, opt.Parallelism, opt.CutRounds, sp)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -567,9 +566,9 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 				stats.Cancelled = cancelled
 				sp.SetInt("decomp_candidates", int64(nCand))
 				sp.SetBool("decomp_exact", exact)
-				reg.Add("wavelength.decomp.candidates", int64(nCand))
+				sp.Count("wavelength.decomp.candidates", int64(nCand))
 				if exact {
-					reg.Add("wavelength.decomp.exact", 1)
+					sp.Count("wavelength.decomp.exact", 1)
 				}
 				if merged != nil {
 					if o := Evaluate(infos, merged, w); o.Value < stats.Final.Value-1e-9 {
@@ -583,7 +582,7 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 		if ranDecomposed {
 			// The exact work happened per component above.
 		} else if len(infos)*numLambda <= maxBin {
-			milpA, info, err := SolveMILPRegistry(ctx, infos, numLambda, w, best, opt.MILPTimeLimit, opt.Parallelism, opt.CutRounds, opt.Registry, sp)
+			milpA, info, err := SolveMILP(ctx, infos, numLambda, w, best, opt.MILPTimeLimit, opt.Parallelism, opt.CutRounds, sp)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -28,10 +28,21 @@ func TestSynthesisTimeAllMethods(t *testing.T) {
 
 func TestRecorderTraceSRingMILP(t *testing.T) {
 	rec := NewRecorder()
-	if _, err := Synthesize(MWD(), MethodSRing, Options{UseMILP: true, Recorder: rec}); err != nil {
+	before := DefaultRegistry().Snapshot()
+	if _, err := Synthesize(MWD(), MethodSRing, Options{UseMILP: true, Recorder: rec, Cache: NewCache()}); err != nil {
 		t.Fatal(err)
 	}
+	delta := DefaultRegistry().Snapshot().Sub(before).Counters
 	tr := rec.Snapshot()
+
+	// One counter path: every count the trace reports reached the process
+	// registry through the same call, so each per-run counter equals its
+	// registry delta (exact: no test runs in parallel with this one).
+	for name, v := range tr.Counters {
+		if delta[name] != v {
+			t.Errorf("counter %q: trace %d, registry delta %d", name, v, delta[name])
+		}
+	}
 
 	for _, name := range []string{
 		"synthesize", "cluster.synthesize", "cluster.bound",
@@ -57,6 +68,7 @@ func TestRecorderTraceSRingMILP(t *testing.T) {
 	for _, c := range []string{
 		"cluster.search.iterations", "cluster.absorptions",
 		"lp.solves", "lp.pivots.phase1", "milp.nodes",
+		"pipeline.cache.misses", "pipeline.cache.construct.misses",
 	} {
 		if tr.Counters[c] <= 0 {
 			t.Errorf("counter %q = %d, want > 0", c, tr.Counters[c])
@@ -117,11 +129,10 @@ func TestNoRecorderPathZeroAlloc(t *testing.T) {
 		child.SetBool("feasible", true)
 		child.Event("incumbent", 1, 2)
 		child.Count("milp.nodes", 1)
-		c := rec.Counter("lp.pivots.phase1")
+		c := child.Counter("lp.pivots.phase1")
 		c.Add(3)
-		rec.Add("lp.solves", 1)
+		child.Count("lp.solves", 1)
 		_ = child.Enabled()
-		_ = child.Recorder()
 		child.End()
 		root.End()
 	})

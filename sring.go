@@ -97,9 +97,9 @@ type (
 	SpanSnap = obs.SpanSnap
 	// Registry aggregates process-wide telemetry — named counters plus
 	// latency histograms (p50/p90/p99) for the pipeline stages and the
-	// LP/MILP kernels — across synthesis runs, complementing the per-run
-	// Recorder. Pass one in Options.Registry to isolate a run's aggregates;
-	// leave it nil to accumulate into DefaultRegistry().
+	// LP/MILP kernels — across synthesis runs. Every counter a run counts
+	// reaches DefaultRegistry(); a run with a Recorder also reports its
+	// own counts in the Recorder's Trace.Counters.
 	Registry = obs.Registry
 	// RegistrySnap is the immutable snapshot of a Registry.
 	RegistrySnap = obs.RegistrySnap
@@ -126,12 +126,9 @@ type (
 // NewRecorder returns an empty telemetry recorder.
 func NewRecorder() *Recorder { return obs.New() }
 
-// NewRegistry returns an empty aggregate-telemetry registry.
-func NewRegistry() *Registry { return obs.NewRegistry() }
-
 // DefaultRegistry returns the process-wide registry — the sink of every
-// synthesis run whose Options.Registry is nil, and what a -telemetry
-// endpoint serves at /metrics.
+// synthesis run's counters and histograms, and what a -telemetry endpoint
+// serves at /metrics.
 func DefaultRegistry() *Registry { return obs.Default() }
 
 // NewCache returns an empty, unbounded, memory-only stage-output cache.
