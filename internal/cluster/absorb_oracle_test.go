@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"sring/internal/geom"
@@ -206,9 +208,10 @@ func refBestAbsorption(app *netlist.Application, order []netlist.NodeID,
 	return newOrder, longest, cand, ok
 }
 
-// refGrowLevel regrows every trial vertex in every round.
+// refGrowLevel regrows every trial vertex in every round, the first one
+// included: it ignores the shared round-1 growths.
 func refGrowLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, absorb *obs.Counter, rs *ringScratch) []grown {
+	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, _ []grown, absorb *obs.Counter, rs *ringScratch) []grown {
 
 	avail := make(map[netlist.NodeID]bool, len(nodes))
 	for id := range nodes {
@@ -455,6 +458,151 @@ func TestSynthesizeMatchesOracle(t *testing.T) {
 	}
 }
 
+// sharedCase is one application's round-1 reference: the growth
+// growCluster makes from every trial vertex over all active nodes, and the
+// absorptions it counts, at every bound of the L_max grid plus d2, +Inf
+// and bounds on and just below step values.
+type sharedCase struct {
+	app       *netlist.Application
+	maxTrials int
+	lmaxes    []float64
+	want      [][]grown // [bound][trial]
+	wantN     [][]int64
+}
+
+func newSharedCase(app *netlist.Application, maxTrials int) *sharedCase {
+	const h = 6
+	d1, d2 := app.MaxCommDistance(), conventionalRingBound(app)
+	sc := &sharedCase{app: app, maxTrials: maxTrials}
+	for k := 1; k < 1<<h; k++ {
+		sc.lmaxes = append(sc.lmaxes, d1+float64(k)*(d2-d1)/float64(int(1)<<h))
+	}
+	sc.lmaxes = append(sc.lmaxes, d2, math.Inf(1))
+	active := map[netlist.NodeID]bool{}
+	for _, id := range app.ActiveNodes() {
+		active[id] = true
+	}
+	adj := app.Adjacency()
+	rs := newRingScratch(app)
+	// Bounds that sit exactly on a growth's longest path, and just below
+	// it, where the prefix must keep and must drop its last step (or its
+	// initial pair): the first non-singleton trial vertex's growths under
+	// +Inf and under d1.
+	for _, v := range sampleTrials(app.ActiveNodes(), maxTrials) {
+		g := growCluster(app, adj, v, active, math.Inf(1), nil, rs)
+		if g.order == nil {
+			continue
+		}
+		for _, l := range []float64{g.longest, growCluster(app, adj, v, active, d1, nil, rs).longest} {
+			sc.lmaxes = append(sc.lmaxes, l, math.Nextafter(l, math.Inf(-1)))
+		}
+		break
+	}
+	for _, lmax := range sc.lmaxes {
+		var gs []grown
+		var ns []int64
+		for _, v := range sampleTrials(app.ActiveNodes(), maxTrials) {
+			var c obs.Counter
+			gs = append(gs, growCluster(app, adj, v, active, lmax, &c, rs))
+			ns = append(ns, c.Value())
+		}
+		sc.want = append(sc.want, gs)
+		sc.wantN = append(sc.wantN, ns)
+	}
+	return sc
+}
+
+// check requests bound li from r and compares every trial's growth and
+// absorption count with the reference. It reports through t.Errorf, so it
+// may run on any goroutine.
+func (sc *sharedCase) check(t *testing.T, r *roundOne, li int, rs *ringScratch, how string) {
+	lmax := sc.lmaxes[li]
+	got, needs := r.growths(lmax, rs)
+	if len(got) != len(sc.want[li]) {
+		t.Errorf("%s %s lmax %v: %d growths, want %d", sc.app.Name, how, lmax, len(got), len(sc.want[li]))
+		return
+	}
+	for i, g := range got {
+		w := sc.want[li][i]
+		if !slices.Equal(g.order, w.order) || (g.order == nil) != (w.order == nil) ||
+			!maps.Equal(g.members, w.members) ||
+			math.Float64bits(g.longest) != math.Float64bits(w.longest) {
+			t.Errorf("%s %s lmax %v trial %d: shared growth %v %v (longest %v), growCluster %v %v (longest %v)",
+				sc.app.Name, how, lmax, i, g.order, g.members, g.longest, w.order, w.members, w.longest)
+		}
+		if int64(needs[i]) != sc.wantN[li][i] {
+			t.Errorf("%s %s lmax %v trial %d: %d absorptions, growCluster counts %d",
+				sc.app.Name, how, lmax, i, needs[i], sc.wantN[li][i])
+		}
+	}
+}
+
+// TestSharedGrowthMatchesGrowCluster: the round-1 growth a probe reads from
+// the shared trajectories equals growCluster from the same vertex over all
+// active nodes (order, members and longest-path bits), and so does its
+// absorption count, whatever order the bounds are requested in: ascending,
+// descending or shuffled, each on fresh trajectories. Every trial vertex of
+// every app is covered, with the scale apps (64 nodes and up) at 3 trials:
+// the reference regrows every vertex at every bound, and at 8 trials the
+// scale apps alone take minutes under the race detector.
+// TestSynthesizeMatchesOracle runs them at 8 trials end to end. The
+// concurrent variant has several goroutines request random bounds from one
+// set of trajectories.
+func TestSharedGrowthMatchesGrowCluster(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var cases []*sharedCase
+	for _, app := range oracleApps(t) {
+		trials := 0
+		if len(app.Nodes) >= 64 {
+			trials = 3
+		}
+		sc := newSharedCase(app, trials)
+		cases = append(cases, sc)
+		n := len(sc.lmaxes)
+		asc := make([]int, n)
+		for i := range asc {
+			asc[i] = i
+		}
+		desc := slices.Clone(asc)
+		slices.Reverse(desc)
+		for _, seq := range []struct {
+			how   string
+			order []int
+		}{{"ascending", asc}, {"descending", desc}, {"shuffled", rng.Perm(n)}} {
+			r := newRoundOne(app, app.Adjacency(), trials)
+			rs := newRingScratch(app)
+			for _, li := range seq.order {
+				sc.check(t, r, li, rs, seq.how)
+			}
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	t.Run("concurrent", func(t *testing.T) {
+		const goroutines, requests = 4, 24
+		for ci, sc := range cases {
+			if ci%4 != 0 { // every fourth app keeps the race run short
+				continue
+			}
+			r := newRoundOne(sc.app, sc.app.Adjacency(), sc.maxTrials)
+			var wg sync.WaitGroup
+			for w := 0; w < goroutines; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					rs := newRingScratch(sc.app)
+					for i := 0; i < requests; i++ {
+						sc.check(t, r, rng.Intn(len(sc.lmaxes)), rs, "concurrent")
+					}
+				}(int64(ci*goroutines + w))
+			}
+			wg.Wait()
+		}
+	})
+}
+
 // oracleSynthesize runs Synthesize through the reference step and growth.
 func oracleSynthesize(t *testing.T, app *netlist.Application, opt Options) *Result {
 	t.Helper()
@@ -470,15 +618,18 @@ func oracleSynthesize(t *testing.T, app *netlist.Application, opt Options) *Resu
 
 // TestClusterWorkUnits pins the absorptions one sequential Synthesize
 // performs. A growth that a later growLevel round can reuse is not grown,
-// and so not counted, again.
+// and so not counted, again; a round-1 absorption is computed, and counted,
+// once per construction, not once per L_max probe.
 func TestClusterWorkUnits(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		trials int
 		want   int64
 	}{
-		{"D26", 0, 3401},  // 3931 when every round regrew every trial
-		{"D128", 8, 7901}, // 10603 likewise
+		// 3931 when every round of every probe regrew every trial, 3401
+		// when only later rounds reused growths.
+		{"D26", 0, 1657},
+		{"D128", 8, 6785}, // 10603 and 7901 likewise
 	} {
 		app, err := netlist.ByName(tc.name)
 		if err != nil {

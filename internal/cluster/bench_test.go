@@ -7,8 +7,9 @@ import (
 )
 
 // BenchmarkSynthesize measures the clustering (the Table II cost centre)
-// per benchmark, plus D128, D256 and circ128-1-11 with 8 initial-vertex
-// trials, the multi-level absorption load of the scale workloads.
+// per benchmark, plus D128, D256, circ128-1-11 and 32PM-128 with 8
+// initial-vertex trials, the multi-level absorption load of the scale
+// workloads.
 func BenchmarkSynthesize(b *testing.B) {
 	type input struct {
 		app *netlist.Application
@@ -18,7 +19,7 @@ func BenchmarkSynthesize(b *testing.B) {
 	for _, app := range netlist.Benchmarks() {
 		inputs = append(inputs, input{app, Options{}})
 	}
-	for _, name := range []string{"D128", "D256", "circ128-1-11"} {
+	for _, name := range []string{"D128", "D256", "circ128-1-11", "32PM-128"} {
 		app, err := netlist.ByName(name)
 		if err != nil {
 			b.Fatal(err)

@@ -162,19 +162,19 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 		bsp.End()
 	}
 
-	// tryBound evaluates one L_max candidate inline (the sequential path,
-	// also used for the fallback bounds below). Like a speculative probe it
-	// counts absorptions on a local counter and adds the total once, so the
-	// step loop never touches the process-wide counter.
-	cfg := opt.hierConfig()
+	// consume records one probe's verdict in the search's selection order,
+	// charging its absorptions only now (see problem.charge).
+	p := &problem{app: app, adj: adj, maxTrials: opt.MaxInitialTrials, cfg: opt.hierConfig(),
+		round1: newRoundOne(app, adj, opt.MaxInitialTrials)}
+	consume := func(lmax float64, pr *probe) *Result {
+		absorb.Add(p.charge(pr))
+		recordBound(lmax, pr.sol)
+		return pr.sol
+	}
+	// tryBound evaluates one L_max candidate inline: the sequential path,
+	// also used for the fallback bounds below.
 	tryBound := func(lmax float64) *Result {
-		probeStart := time.Now()
-		var absorbs obs.Counter
-		sol := buildSolution(app, adj, lmax, opt.MaxInitialTrials, &absorbs, cfg)
-		probeH.RecordSince(probeStart)
-		absorb.Add(absorbs.Value())
-		recordBound(lmax, sol)
-		return sol
+		return consume(lmax, p.run(lmax))
 	}
 
 	// Binary search over the 2^h − 1 equidistant interior values of
@@ -186,7 +186,7 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	}
 	var pb *prober
 	if workers := resolveSpecWorkers(opt.Parallelism); workers > 1 {
-		pb = newProber(app, adj, opt.MaxInitialTrials, cfg, valueAt, workers)
+		pb = newProber(p, valueAt, workers)
 		defer pb.close(sp)
 	}
 	var best *Result
@@ -204,10 +204,7 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 		var sol *Result
 		if pb != nil {
 			pb.speculate(lo, hi)
-			var absorbs int64
-			sol, absorbs = pb.get(mid)
-			absorb.Add(absorbs)
-			recordBound(lmax, sol)
+			sol = consume(lmax, pb.get(mid))
 		} else {
 			sol = tryBound(lmax)
 		}
@@ -266,18 +263,38 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 // conventionalRingBound returns d2: the longest signal path if all active
 // nodes are connected sequentially as in a conventional dual-direction ring
 // router, taking each message's shorter direction.
+//
+// Each direction's length is summed segment by segment from the source, in
+// travel order, exactly as ring.PathLength sums it on the ring and on its
+// reverse (whose segment i is this ring's segment n-2-i, mod n): the bound
+// fixes the L_max grid, so it must keep PathLength's bits.
 func conventionalRingBound(app *netlist.Application) float64 {
 	order := app.ActiveNodes()
-	cw := &ring.Ring{ID: 0, Order: order}
-	ccw := cw.Reversed()
+	n := len(order)
+	lens := make([]float64, n)
+	pos := make([]int, len(app.Nodes))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, id := range order {
+		lens[i] = app.Pos(id).Manhattan(app.Pos(order[(i+1)%n]))
+		pos[id] = i
+	}
 	var worst float64
 	for _, m := range app.Messages {
-		a, err1 := cw.PathLength(app, m.Src, m.Dst)
-		b, err2 := ccw.PathLength(app, m.Src, m.Dst)
-		if err1 != nil || err2 != nil {
-			continue // inactive endpoints cannot occur: both sides messaged
+		si, di := pos[m.Src], pos[m.Dst]
+		if si < 0 || di < 0 || si == di {
+			continue // cannot occur: both endpoints are messaged, and distinct
 		}
-		if l := math.Min(a, b); l > worst {
+		var cw, ccw float64
+		for i := si; i != di; i = (i + 1) % n {
+			cw += lens[i]
+		}
+		for i := si; i != di; {
+			i = (i + n - 1) % n
+			ccw += lens[i]
+		}
+		if l := math.Min(cw, ccw); l > worst {
 			worst = l
 		}
 	}
@@ -403,8 +420,41 @@ type grown struct {
 func growCluster(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
 	initial netlist.NodeID, avail map[netlist.NodeID]bool, lmax float64, absorb *obs.Counter, rs *ringScratch) grown {
 
-	members := map[netlist.NodeID]bool{initial: true}
-	// Nearest available communication partner forms the initial cluster.
+	g := startGrowth(app, adj, initial, avail, rs)
+	if g == nil || g.longest > lmax {
+		// No available partner, or it cannot even pair with the nearest
+		// one: singleton. (The latter is possible only for L_max below d1,
+		// which the search range excludes, but we guard anyway.)
+		return grown{members: map[netlist.NodeID]bool{initial: true}}
+	}
+	for {
+		if _, ok := g.step(lmax, rs); !ok {
+			break
+		}
+		absorb.Add(1)
+	}
+	return grown{order: g.order, members: g.members, longest: g.longest}
+}
+
+// growth is a sub-ring in the middle of growing by absorption: its ring
+// order and members, the available non-members adjacent to a member, and
+// the order's longest signal path.
+type growth struct {
+	app        *netlist.Application
+	adj        map[netlist.NodeID][]netlist.NodeID
+	avail      map[netlist.NodeID]bool
+	order      []netlist.NodeID
+	members    map[netlist.NodeID]bool
+	candidates map[netlist.NodeID]bool
+	longest    float64
+}
+
+// startGrowth pairs the initial vertex with its nearest available
+// communication partner (ties: smaller ID), or returns nil if it has none.
+// The pair's longest path is not checked against any bound.
+func startGrowth(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
+	initial netlist.NodeID, avail map[netlist.NodeID]bool, rs *ringScratch) *growth {
+
 	var nearest netlist.NodeID = -1
 	bestDist := math.Inf(1)
 	for _, u := range adj[initial] {
@@ -417,48 +467,47 @@ func growCluster(app *netlist.Application, adj map[netlist.NodeID][]netlist.Node
 		}
 	}
 	if nearest < 0 {
-		return grown{members: members}
+		return nil
 	}
-	members[nearest] = true
-	order := []netlist.NodeID{initial, nearest}
-	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members), rs)
-	if longest > lmax {
-		// Cannot even pair with the nearest partner: singleton. (Possible
-		// only for L_max below d1, which the search range excludes, but we
-		// guard anyway.)
-		return grown{members: map[netlist.NodeID]bool{initial: true}}
+	g := &growth{
+		app:        app,
+		adj:        adj,
+		avail:      avail,
+		order:      []netlist.NodeID{initial, nearest},
+		members:    map[netlist.NodeID]bool{initial: true, nearest: true},
+		candidates: make(map[netlist.NodeID]bool),
 	}
+	g.longest, _ = ringOrderLongest(app, g.order, messagesWithin(app, g.members), rs)
+	g.addCandidates(initial)
+	g.addCandidates(nearest)
+	return g
+}
 
-	candidates := make(map[netlist.NodeID]bool)
-	addCandidates := func(v netlist.NodeID) {
-		for _, u := range adj[v] {
-			if avail[u] && !members[u] {
-				candidates[u] = true
-			}
+// addCandidates makes v's available non-member partners candidates.
+func (g *growth) addCandidates(v netlist.NodeID) {
+	for _, u := range g.adj[v] {
+		if g.avail[u] && !g.members[u] {
+			g.candidates[u] = true
 		}
 	}
-	addCandidates(initial)
-	addCandidates(nearest)
+}
 
-	for len(candidates) > 0 {
-		order2, longest2, cand, ok := absorbStep(app, order, candidates, lmax, rs)
-		if !ok {
-			break
-		}
-		rs.recycle(order)
-		order = order2
-		longest = longest2
-		members[cand] = true
-		absorb.Add(1)
-		delete(candidates, cand)
-		addCandidates(cand)
-		for u := range candidates {
-			if members[u] {
-				delete(candidates, u)
-			}
-		}
+// step absorbs the best candidate under lmax (see bestAbsorption) and
+// returns it; ok is false, and g unchanged, when no absorption is valid.
+func (g *growth) step(lmax float64, rs *ringScratch) (cand netlist.NodeID, ok bool) {
+	if len(g.candidates) == 0 {
+		return -1, false
 	}
-	return grown{order: order, members: members, longest: longest}
+	order, longest, cand, ok := absorbStep(g.app, g.order, g.candidates, lmax, rs)
+	if !ok {
+		return -1, false
+	}
+	rs.recycle(g.order)
+	g.order, g.longest = order, longest
+	g.members[cand] = true
+	delete(g.candidates, cand)
+	g.addCandidates(cand)
+	return cand, true
 }
 
 // hierConfig resolves the multi-level options for buildSolution.
@@ -511,8 +560,10 @@ var (
 // absorbed removes a candidate that never won a first-minimum selection,
 // and a singleton stays one (its next-nearest partner is no closer). Such
 // growths are kept and reused instead of being grown (and counted) again.
+// A non-nil first holds the first round's growths in trial order, already
+// grown (the shared round-1 trajectories).
 func growLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, absorb *obs.Counter, rs *ringScratch) []grown {
+	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, first []grown, absorb *obs.Counter, rs *ringScratch) []grown {
 
 	avail := make(map[netlist.NodeID]bool, len(nodes))
 	for id := range nodes {
@@ -533,10 +584,14 @@ func growLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 		// candidate set for large networks.
 		var best grown
 		haveBest := false
-		for _, v := range sampleTrials(ids, maxTrials) {
+		for i, v := range sampleTrials(ids, maxTrials) {
 			g, ok := reuse[v]
 			if !ok {
-				g = growCluster(app, adj, v, avail, lmax, absorb, rs)
+				if first != nil {
+					g = first[i]
+				} else {
+					g = growCluster(app, adj, v, avail, lmax, absorb, rs)
+				}
 				reuse[v] = g
 			}
 			if !haveBest || better(g, best) {
@@ -544,6 +599,7 @@ func growLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 				haveBest = true
 			}
 		}
+		first = nil
 		out = append(out, best)
 		for m := range best.members {
 			delete(avail, m)
@@ -585,6 +641,45 @@ func groupIndex(groups []grown) map[netlist.NodeID]int {
 	return of
 }
 
+// problem is what every L_max probe of one SynthesizeContext call shares:
+// the application and its communication adjacency, the options that shape
+// a construction, and the round-1 trajectories. buildSolution is a pure
+// function of (problem, lmax): the trajectories only cache growths.
+type problem struct {
+	app       *netlist.Application
+	adj       map[netlist.NodeID][]netlist.NodeID
+	maxTrials int
+	cfg       hierConfig
+	round1    *roundOne
+}
+
+// probe is one L_max feasibility probe: its construction (nil when
+// infeasible), the absorptions it performed itself and, per round-1
+// trajectory, the absorptions its growth took there.
+type probe struct {
+	sol     *Result
+	absorbs obs.Counter
+	needs   []int
+}
+
+// run probes lmax: it runs buildSolution and records the probe latency.
+func (p *problem) run(lmax float64) *probe {
+	start := time.Now()
+	pr := &probe{}
+	pr.sol, pr.needs = p.buildSolution(lmax, &pr.absorbs)
+	probeH.RecordSince(start)
+	return pr
+}
+
+// charge returns the absorptions to count for a consumed probe. Only the
+// search goroutine calls it, in its selection order, so the count matches
+// the sequential run at any Parallelism: unconsumed probes add nothing, and
+// each round-1 absorption is charged to the first consumed probe that
+// needs it, whichever probe computed it.
+func (p *problem) charge(pr *probe) int64 {
+	return pr.absorbs.Value() + p.round1.charge(pr.needs)
+}
+
 // buildSolution attempts a full clustering under lmax. It returns nil if
 // the escalation levels cannot all be closed (the paper's "invalid
 // solution": move L_max to its right child).
@@ -599,13 +694,14 @@ func groupIndex(groups []grown) map[netlist.NodeID]int {
 // paper's inter-ring construction verbatim. Every node therefore sends on
 // at most one ring per level it appears in, the multi-level extension of
 // the paper's ≤2-senders invariant.
-func buildSolution(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID, lmax float64, maxTrials int, absorb *obs.Counter, cfg hierConfig) *Result {
-	active := make(map[netlist.NodeID]bool)
-	for _, id := range app.ActiveNodes() {
-		active[id] = true
-	}
+//
+// The first round of level 0 comes from p.round1; needs[i] is the
+// absorptions its growth from trial vertex i took.
+func (p *problem) buildSolution(lmax float64, absorb *obs.Counter) (sol *Result, needs []int) {
+	app, adj, maxTrials, cfg := p.app, p.adj, p.maxTrials, p.cfg
 	rs := newRingScratch(app)
-	clusters := levelGrowth(app, adj, active, lmax, maxTrials, absorb, rs)
+	first, needs := p.round1.growths(lmax, rs)
+	clusters := levelGrowth(app, adj, p.round1.avail, lmax, maxTrials, first, absorb, rs)
 	clusterOf := groupIndex(clusters)
 
 	// Messages crossing clusters escalate to level 1.
@@ -626,7 +722,7 @@ func buildSolution(app *netlist.Application, adj map[netlist.NodeID][]netlist.No
 		if len(nodes) <= cfg.interMax || level >= cfg.maxLevels {
 			order := buildInterRing(app, nodes, lmax, maxTrials, absorb, rs)
 			if order == nil {
-				return nil // no valid initial vertex: solution invalid
+				return nil, needs // no valid initial vertex: solution invalid
 			}
 			members := make(map[netlist.NodeID]bool, len(order))
 			for _, id := range order {
@@ -637,7 +733,7 @@ func buildSolution(app *netlist.Application, adj map[netlist.NodeID][]netlist.No
 		}
 		// Too many escalated nodes for one ring: partition them into a
 		// further level of sub-rings and escalate what still crosses.
-		groups := levelGrowth(app, adj, nodes, lmax, maxTrials, absorb, rs)
+		groups := levelGrowth(app, adj, nodes, lmax, maxTrials, nil, absorb, rs)
 		groupOf := groupIndex(groups)
 		var next []int
 		for _, i := range pool {
@@ -651,7 +747,7 @@ func buildSolution(app *netlist.Application, adj map[netlist.NodeID][]netlist.No
 			// progress, so fall back to the terminal single ring.
 			order := buildInterRing(app, nodes, lmax, maxTrials, absorb, rs)
 			if order == nil {
-				return nil
+				return nil, needs
 			}
 			members := make(map[netlist.NodeID]bool, len(order))
 			for _, id := range order {
@@ -664,7 +760,7 @@ func buildSolution(app *netlist.Application, adj map[netlist.NodeID][]netlist.No
 		pool = next
 	}
 
-	return assembleResult(app, clusters, clusterOf, upper, rs)
+	return assembleResult(app, clusters, clusterOf, upper, rs), needs
 }
 
 // better orders grown clusters: shorter longest path wins, then more

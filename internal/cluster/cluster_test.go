@@ -343,3 +343,29 @@ func TestConventionalRingBound(t *testing.T) {
 		t.Errorf("conventionalRingBound = %v, want 1", got)
 	}
 }
+
+// TestConventionalRingBoundMatchesPathLength: d2 fixes the L_max grid, so
+// the allocation-free bound must equal, bit for bit, the bound priced
+// message by message through ring.PathLength on the sequential ring and on
+// its reverse.
+func TestConventionalRingBoundMatchesPathLength(t *testing.T) {
+	for _, app := range oracleApps(t) {
+		cw := &ring.Ring{Order: app.ActiveNodes()}
+		ccw := cw.Reversed()
+		var want float64
+		for _, m := range app.Messages {
+			a, err := cw.PathLength(app, m.Src, m.Dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ccw.PathLength(app, m.Src, m.Dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = math.Max(want, math.Min(a, b))
+		}
+		if got := conventionalRingBound(app); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: conventionalRingBound = %v, ring.PathLength gives %v", app.Name, got, want)
+		}
+	}
+}

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"sync"
-	"time"
 
-	"sring/internal/netlist"
 	"sring/internal/obs"
 	"sring/internal/par"
 )
@@ -16,50 +14,37 @@ import (
 // single-core machines.
 var resolveSpecWorkers = par.ResolveSpeculative
 
-// probe is one speculative buildSolution run for a candidate L_max index.
-// The goroutine writes sol and its local absorption count, then closes done;
-// the channel close orders those writes before the search loop's reads.
-type probe struct {
-	done    chan struct{}
-	sol     *Result
-	absorbs obs.Counter
+// specProbe is one speculative probe for a candidate L_max index. The
+// goroutine sets pr, then closes done; the channel close orders that write
+// before the search loop's read.
+type specProbe struct {
+	done chan struct{}
+	pr   *probe
 }
 
 // prober runs L_max feasibility probes concurrently while the binary search
 // keeps its exact sequential descent. buildSolution is a pure function of
-// (app, adj, lmax, maxTrials, cfg), so probing a candidate early cannot change
-// its verdict — only when it is computed. At every search step the prober
-// speculatively starts the probes the descent could visit next (the
-// candidate's BST subtree, breadth-first: both children before either
-// grandchild), and the search consumes verdicts strictly in its own order,
-// so the selected L_max, the absorption totals and every recorded bound
-// span match the sequential run exactly. Only the cluster.spec.* counters
-// are timing-dependent.
+// (problem, lmax), so probing a candidate early cannot change its verdict —
+// only when it is computed. At every search step the prober speculatively
+// starts the probes the descent could visit next (the candidate's BST
+// subtree, breadth-first: both children before either grandchild), and the
+// search consumes verdicts strictly in its own order, so the selected
+// L_max, the absorption totals and every recorded bound span match the
+// sequential run exactly. Only the cluster.spec.* counters are
+// timing-dependent.
 type prober struct {
-	app       *netlist.Application
-	adj       map[netlist.NodeID][]netlist.NodeID
-	maxTrials int
-	cfg       hierConfig
-	valueAt   func(k int) float64
-	workers   int
+	p       *problem
+	valueAt func(k int) float64
+	workers int
 
 	wg        sync.WaitGroup
-	probes    map[int]*probe // candidate index -> run; search goroutine only
+	probes    map[int]*specProbe // candidate index -> run; search goroutine only
 	scheduled int64
 	consumed  int64
 }
 
-func newProber(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	maxTrials int, cfg hierConfig, valueAt func(k int) float64, workers int) *prober {
-	return &prober{
-		app:       app,
-		adj:       adj,
-		maxTrials: maxTrials,
-		cfg:       cfg,
-		valueAt:   valueAt,
-		workers:   workers,
-		probes:    map[int]*probe{},
-	}
+func newProber(p *problem, valueAt func(k int) float64, workers int) *prober {
+	return &prober{p: p, valueAt: valueAt, workers: workers, probes: map[int]*specProbe{}}
 }
 
 // launch starts the probe for candidate k unless it is already running.
@@ -67,16 +52,14 @@ func (pb *prober) launch(k int) {
 	if _, ok := pb.probes[k]; ok {
 		return
 	}
-	pr := &probe{done: make(chan struct{})}
-	pb.probes[k] = pr
+	sp := &specProbe{done: make(chan struct{})}
+	pb.probes[k] = sp
 	pb.scheduled++
 	pb.wg.Add(1)
 	go func() {
 		defer pb.wg.Done()
-		defer close(pr.done)
-		probeStart := time.Now()
-		pr.sol = buildSolution(pb.app, pb.adj, pb.valueAt(k), pb.maxTrials, &pr.absorbs, pb.cfg)
-		probeH.RecordSince(probeStart)
+		defer close(sp.done)
+		sp.pr = pb.p.run(pb.valueAt(k))
 	}()
 }
 
@@ -99,21 +82,20 @@ func (pb *prober) speculate(lo, hi int) {
 	}
 }
 
-// get blocks until candidate k's probe finishes and returns its solution
-// plus the absorption count its growth performed. The caller adds the count
-// to the shared counter, so absorption telemetry accumulates in consumption
-// order — identical to the sequential run; wasted probes contribute nothing.
-func (pb *prober) get(k int) (*Result, int64) {
-	pr, ok := pb.probes[k]
+// get blocks until candidate k's probe finishes and returns it. The caller
+// charges its absorptions, so absorption telemetry accumulates in
+// consumption order — identical to the sequential run; wasted probes
+// contribute nothing.
+func (pb *prober) get(k int) *probe {
+	sp, ok := pb.probes[k]
 	if !ok {
 		// Defensive: speculate always launches the current mid first, but
 		// solve inline rather than rely on that.
-		var local obs.Counter
-		return buildSolution(pb.app, pb.adj, pb.valueAt(k), pb.maxTrials, &local, pb.cfg), local.Value()
+		return pb.p.run(pb.valueAt(k))
 	}
-	<-pr.done
+	<-sp.done
 	pb.consumed++
-	return pr.sol, pr.absorbs.Value()
+	return sp.pr
 }
 
 // close waits for outstanding speculative probes and flushes the

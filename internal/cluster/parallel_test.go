@@ -46,29 +46,48 @@ func TestParallelProbesMatchSequential(t *testing.T) {
 
 // TestParallelProbeTelemetryMatchesSequential: absorption and iteration
 // counters accumulate at consumption time, so they must match the
-// sequential run exactly (spec.* diagnostics excluded).
+// sequential run exactly (spec.* diagnostics excluded), even though
+// concurrent probes extend the shared round-1 trajectories in whatever
+// order they run.
 func TestParallelProbeTelemetryMatchesSequential(t *testing.T) {
 	forceProbes(t)
-	app, err := netlist.Clustered(3, 4, 3, 5)
+	clustered, err := netlist.Clustered(3, 4, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *obs.Recorder {
-		rec := obs.New()
-		sp := rec.StartSpan("test")
-		if _, err := Synthesize(app, Options{Parallelism: workers, Obs: sp}); err != nil {
-			t.Fatalf("parallelism %d: %v", workers, err)
-		}
-		sp.End()
-		return rec
+	d128, err := netlist.ByName("D128")
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq, par := run(1), run(4)
-	for _, name := range []string{"cluster.search.iterations", "cluster.absorptions"} {
-		if s, g := seq.Snapshot().Counters[name], par.Snapshot().Counters[name]; s != g {
-			t.Errorf("counter %s: parallel %d, sequential %d", name, g, s)
+	for _, tc := range []struct {
+		app     *netlist.Application
+		trials  int
+		workers []int
+	}{
+		{clustered, 0, []int{4}},
+		{d128, 8, []int{2, 8}},
+	} {
+		run := func(workers int) map[string]int64 {
+			rec := obs.New()
+			sp := rec.StartSpan("test")
+			opt := Options{MaxInitialTrials: tc.trials, Parallelism: workers, Obs: sp}
+			if _, err := Synthesize(tc.app, opt); err != nil {
+				t.Fatalf("%s parallelism %d: %v", tc.app.Name, workers, err)
+			}
+			sp.End()
+			return rec.Snapshot().Counters
 		}
-	}
-	if par.Snapshot().Counters["cluster.spec.scheduled"] == 0 {
-		t.Error("parallel run scheduled no speculative probes")
+		seq := run(1)
+		for _, workers := range tc.workers {
+			par := run(workers)
+			for _, name := range []string{"cluster.search.iterations", "cluster.absorptions"} {
+				if s, g := seq[name], par[name]; s != g {
+					t.Errorf("%s counter %s: parallelism %d %d, sequential %d", tc.app.Name, name, workers, g, s)
+				}
+			}
+			if par["cluster.spec.scheduled"] == 0 {
+				t.Errorf("%s parallelism %d scheduled no speculative probes", tc.app.Name, workers)
+			}
+		}
 	}
 }
