@@ -1,24 +1,22 @@
 // Command loadgen replays a mixed synthesis workload against a running
-// serve daemon and snapshots the serving profile in the same dated
-// BENCH_*.json format cmd/bench writes, so `bench -compare` gates serving
-// regressions exactly like synthesis ones.
+// serve daemon and prints its serving profile:
 //
 //	loadgen -url http://127.0.0.1:8080
-//	loadgen -url ... -j 8 -repeat 5 -tag serve
-//	loadgen -url ... -mix mix.json -o BENCH_serve.json
+//	loadgen -url ... -j 8 -repeat 5
+//	loadgen -url ... -mix mix.json
 //
 // The workload runs twice — a cold pass and an identical warm pass — at
 // the configured concurrency. Per request name ("Serve/<app>/<method>")
-// the warm pass's mean and p50/p99 latency become snapshot entries (the
-// request distribution rides in stage_ns under "request"); the cold/warm
-// wall-clocks and the server-side cache hit-rate delta land in the
-// snapshot's cache section. The cold:warm p50 ratio printed at the end is
-// the serving cache's headline number.
+// it prints the warm pass's mean and p50/p99 latency, then the cold/warm
+// wall-clocks, the cold:warm synthesis p50 ratio (the serving cache's
+// headline number) and the server-side cache hits and misses across both
+// passes. Non-2xx responses are counted per name and reported on a
+// "Replay/errors" line.
 //
 // -mix replays a custom workload: a JSON array of serve request objects
 // ({"app":...,"method":...,"options":{...}}), instead of the default mix
-// (every builtin application under SRing plus the baseline methods on the
-// two small ones).
+// (every builtin application under SRing plus the three baseline methods
+// on MWD).
 package main
 
 import (
@@ -28,11 +26,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
-	"sring/internal/benchfmt"
 	"sring/internal/serve"
 )
 
@@ -42,9 +38,6 @@ func main() {
 		jobs   = flag.Int("j", 4, "concurrent in-flight requests")
 		repeat = flag.Int("repeat", 3, "times each mix element is replayed per pass")
 		mixP   = flag.String("mix", "", "JSON file with the request mix (default: builtin benchmark mix)")
-		out    = flag.String("o", "", "output file (default BENCH_<yyyy-mm-dd>[-<tag>].json)")
-		tag    = flag.String("tag", "", "suffix for the default output name")
-		force  = flag.Bool("force", false, "overwrite an existing snapshot file")
 	)
 	flag.Parse()
 	if *url == "" {
@@ -100,29 +93,6 @@ func main() {
 		time.Duration(res.ColdWallNs).Round(time.Millisecond),
 		time.Duration(res.WarmWallNs).Round(time.Millisecond),
 		ratio, 100*res.HitRate, res.Hits, res.Misses)
-
-	date := time.Now().Format("2006-01-02")
-	path := *out
-	if path == "" {
-		if *tag != "" {
-			path = fmt.Sprintf("BENCH_%s-%s.json", date, *tag)
-		} else {
-			path = fmt.Sprintf("BENCH_%s.json", date)
-		}
-	}
-	snap := &benchfmt.Snapshot{
-		Date:      date,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Entries:   res.Entries(*jobs),
-		Cache:     res.CacheBench(),
-	}
-	if err := snap.Write(path, *force); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("snapshot written to %s\n", path)
 }
 
 func fatal(err error) {

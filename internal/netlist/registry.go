@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// The builtin-app registry: the single place commands (cmd/sring, cmd/bench,
+// The builtin-app registry: the single place commands (cmd/sring,
 // cmd/serve, cmd/sweep) resolve named applications from, instead of
 // per-command switch statements. It spans the seven paper benchmarks, the
 // four extension task graphs, and the large synthetic scale apps.

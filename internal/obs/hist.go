@@ -238,9 +238,9 @@ func (h *Histogram) Snapshot() *HistSnap {
 // counts, count and sum are subtracted, percentiles recomputed from the
 // difference. Min and Max of a delta are approximated by the bucket bounds
 // of the surviving observations (the atomically tracked extrema cannot be
-// un-merged). Sub with a nil prev returns s itself. This is how cmd/bench
-// attributes the process-wide registry histograms to a single benchmark
-// entry: snapshot before, snapshot after, Sub.
+// un-merged). Sub with a nil prev returns s itself. RegistrySnap.Sub uses
+// it to attribute the process-wide registry histograms to one measured
+// interval: snapshot before, snapshot after, Sub.
 func (s *HistSnap) Sub(prev *HistSnap) *HistSnap {
 	if prev == nil || prev.Count == 0 {
 		return s

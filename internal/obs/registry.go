@@ -125,10 +125,10 @@ func (r *Registry) Snapshot() *RegistrySnap {
 // Sub returns the per-metric delta s − prev: counters subtracted,
 // histograms diffed with HistSnap.Sub. Metrics absent from prev pass
 // through unchanged. This turns cumulative process-wide metrics into
-// per-interval ones: cmd/bench and cmd/benchmark bracket each measured
-// pass with two snapshots of Default, and tests bracket the call under
-// test the same way. No test in the repo calls t.Parallel, so such a test
-// delta is exactly the call's own counting.
+// per-interval ones: cmd/benchmark brackets each measured pass with two
+// snapshots of Default, and tests bracket the call under test the same
+// way. No test in the repo calls t.Parallel, so such a test delta is
+// exactly the call's own counting.
 func (s *RegistrySnap) Sub(prev *RegistrySnap) *RegistrySnap {
 	if prev == nil {
 		return s

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
@@ -22,15 +24,17 @@ import (
 // Correctness leans on content addressing, not on the files: a key already
 // encodes the stage's versioned semantics ("construct/1", …), the full
 // application content and the option prefix, so a stale or foreign file
-// can at worst waste disk — its key never matches a live request. Files
-// that fail to decode (older gob schema, truncated write, wrong version
-// tag) are skipped on load. Evicted entries stay on disk: disk is the
-// larger tier, and reloading routes through store, which re-applies the
-// byte budget.
+// can at worst waste disk — its key never matches a live request. Each
+// file starts with the SHA-256 of its key and gob body, so a file whose
+// bytes changed after the write (truncated, corrupted, renamed) is skipped
+// on load, as is one that fails to decode (older gob schema, wrong version
+// tag): a gob body that decodes is not necessarily the value written.
+// Evicted entries stay on disk: disk is the larger tier, and reloading
+// routes through store, which re-applies the byte budget.
 
 // persistVersion guards the file envelope. Bump when diskEntry or any
 // persisted value type changes shape incompatibly.
-const persistVersion = "sringcache/1"
+const persistVersion = "sringcache/2"
 
 // diskEntry is the gob envelope of one persisted cache entry.
 type diskEntry struct {
@@ -109,18 +113,33 @@ func (p *persister) path(key cacheKey) string {
 	return filepath.Join(p.dir, hex.EncodeToString(key[:])+".entry")
 }
 
-// write serialises one entry atomically: gob to a temp file, then rename.
+// entrySum checksums an entry file's gob body together with its key.
+func entrySum(key cacheKey, body []byte) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write(key[:])
+	h.Write(body)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// write serialises one entry atomically: checksum and gob body to a temp
+// file, then rename.
 func (p *persister) write(item persistItem) error {
 	final := p.path(item.key)
 	if _, err := os.Stat(final); err == nil {
 		return nil // content-addressed: an existing file is already right
 	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(diskEntry{Version: persistVersion, Stage: item.stage, Value: item.v}); err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(p.dir, ".entry-*")
 	if err != nil {
 		return err
 	}
-	enc := gob.NewEncoder(tmp)
-	if err := enc.Encode(diskEntry{Version: persistVersion, Stage: item.stage, Value: item.v}); err != nil {
+	sum := entrySum(item.key, body.Bytes())
+	if _, err := tmp.Write(append(sum[:], body.Bytes()...)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -132,8 +151,8 @@ func (p *persister) write(item persistItem) error {
 	return os.Rename(tmp.Name(), final)
 }
 
-// loadInto reads every decodable entry file in the directory into the
-// cache (via store, so the byte budget applies). Undecodable files are
+// loadInto reads every intact, decodable entry file in the directory into
+// the cache (via store, so the byte budget applies). Other files are
 // skipped; unreadable directories error.
 func (p *persister) loadInto(c *Cache) error {
 	entries, err := os.ReadDir(p.dir)
@@ -151,13 +170,16 @@ func (p *persister) loadInto(c *Cache) error {
 		}
 		var key cacheKey
 		copy(key[:], raw)
-		f, err := os.Open(filepath.Join(p.dir, name))
-		if err != nil {
+		data, err := os.ReadFile(filepath.Join(p.dir, name))
+		if err != nil || len(data) < sha256.Size {
+			continue
+		}
+		body := data[sha256.Size:]
+		if sum := entrySum(key, body); !bytes.Equal(sum[:], data[:sha256.Size]) {
 			continue
 		}
 		var d diskEntry
-		err = gob.NewDecoder(f).Decode(&d)
-		f.Close()
+		err = gob.NewDecoder(bytes.NewReader(body)).Decode(&d)
 		if err != nil || d.Version != persistVersion || d.Value == nil {
 			continue
 		}

@@ -5,8 +5,7 @@ package serve
 // warm pass — at configurable concurrency, and report per-request latency
 // percentiles plus the cache hit rate measured from the server's
 // /stats.json deltas. The warm:cold p50 ratio is the serving cache's
-// headline number; the warm percentiles, exported in the BENCH_*.json
-// schema, are what `bench -compare` gates.
+// headline number.
 
 import (
 	"bytes"
@@ -20,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"sring/internal/benchfmt"
 	"sring/internal/netlist"
 	"sring/internal/pipeline"
 )
@@ -340,38 +338,6 @@ func requestName(req Request) string {
 		app = "inline"
 	}
 	return fmt.Sprintf("Serve/%s/%s", app, req.Method)
-}
-
-// Entries converts the warm pass into BENCH_*.json entries: steady-state
-// serving latency is what regressions are gated on, with the request
-// distribution riding in StageNs under the "request" key.
-func (r *ReplayResult) Entries(concurrency int) []benchfmt.Entry {
-	out := make([]benchfmt.Entry, 0, len(r.Warm))
-	for _, s := range r.Warm {
-		out = append(out, benchfmt.Entry{
-			Name:        s.Name,
-			Parallelism: concurrency,
-			NsPerOp:     s.MeanNs,
-			Runs:        s.Count,
-			StageNs: map[string]benchfmt.StagePct{
-				"request":   {P50: s.P50Ns, P99: s.P99Ns},
-				"synthesis": {P50: s.SynthP50Ns, P99: s.SynthP99Ns},
-			},
-		})
-	}
-	return out
-}
-
-// CacheBench converts the replay's cold/warm split into the snapshot's
-// cache section.
-func (r *ReplayResult) CacheBench() *benchfmt.CacheBench {
-	return &benchfmt.CacheBench{
-		ColdNs:  r.ColdWallNs,
-		WarmNs:  r.WarmWallNs,
-		Hits:    r.Hits,
-		Misses:  r.Misses,
-		HitRate: r.HitRate,
-	}
 }
 
 // percentile reads the p-th percentile from sorted latencies.

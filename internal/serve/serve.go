@@ -8,9 +8,7 @@
 // design space is explored as many near-identical requests (same app,
 // swept options), and content-addressed stage memoization turns the warm
 // ones from seconds into microseconds. Request latency lands in the
-// serve.request.ns registry histogram so cmd/loadgen can snapshot serving
-// percentiles into the BENCH_*.json format and `bench -compare` can gate
-// regressions.
+// serve.request.ns registry histogram, exported on /metrics.
 //
 // Endpoints:
 //
@@ -142,8 +140,24 @@ type GenerateSpec struct {
 	Gens []int `json:"gens,omitempty"`
 }
 
+// maxGeneratedNodes bounds a generated application at twice the largest
+// registered one (D512), and maxGeneratedMessages at the complete directed
+// graph on that many nodes: without them a few request bytes could make a
+// generator allocate gigabytes before synthesis even starts.
+const (
+	maxGeneratedNodes    = 1024
+	maxGeneratedMessages = maxGeneratedNodes * (maxGeneratedNodes - 1)
+)
+
 // build runs the selected generator.
 func (g *GenerateSpec) build() (*netlist.Application, error) {
+	nodes, msgs := float64(g.N), g.M
+	if g.Kind == "clustered" {
+		nodes, msgs = float64(g.Clusters)*float64(g.ClusterSize), g.InterFlows
+	}
+	if nodes > maxGeneratedNodes || msgs > maxGeneratedMessages {
+		return nil, fmt.Errorf("generated application too large (limit %d nodes, %d messages)", maxGeneratedNodes, maxGeneratedMessages)
+	}
 	switch g.Kind {
 	case "random":
 		return netlist.Random(g.N, g.M, g.Seed)

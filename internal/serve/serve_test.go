@@ -73,32 +73,38 @@ func postSynthesize(t *testing.T, h http.Handler, body string) *httptest.Respons
 	return w
 }
 
-// The request-validation table: every malformed request is a 400 with a
-// JSON error body that names the problem.
+// badRequests is the request-validation table: every malformed request is
+// a 400 with a JSON error body that names the problem. It also seeds
+// FuzzSynthesizeRequest.
+var badRequests = []struct {
+	name     string
+	body     string
+	status   int
+	errorHas string
+}{
+	{"bad method", `{"app":"MWD","method":"NoSuchMethod"}`, 400, "NoSuchMethod"},
+	{"missing method", `{"app":"MWD"}`, 400, "method"},
+	{"unknown app", `{"app":"NoSuchApp","method":"SRing"}`, 400, "NoSuchApp"},
+	{"no app or netlist", `{"method":"SRing"}`, 400, "app"},
+	{"app and netlist", `{"app":"MWD","netlist":{"name":"x"},"method":"SRing"}`, 400, "mutually exclusive"},
+	{"app and generate", `{"app":"MWD","generate":{"kind":"random","n":4,"m":6},"method":"SRing"}`, 400, "mutually exclusive"},
+	{"bad generator kind", `{"generate":{"kind":"nope"},"method":"SRing"}`, 400, "generator kind"},
+	{"infeasible generator params", `{"generate":{"kind":"random","n":4,"m":99},"method":"SRing"}`, 400, "cannot place"},
+	{"oversized generator", `{"generate":{"kind":"random","n":100000000,"m":99999999},"method":"SRing"}`, 400, "too large"},
+	{"oversized clustered generator", `{"generate":{"kind":"clustered","clusters":2,"cluster_size":4,"inter_flows":2000000000},"method":"SRing"}`, 400, "too large"},
+	{"bad circulant", `{"generate":{"kind":"circulant","n":8,"gens":[0]},"method":"SRing"}`, 400, "Circulant generator 0 out of range"},
+	{"invalid tech", `{"app":"MWD","method":"SRing","options":{"tech":{"DropDB":-1}}}`, 400, "tech"},
+	{"partial tech", `{"app":"MWD","method":"SRing","options":{"tech":{"DropDB":0.5}}}`, 400, "tech"},
+	{"negative parallelism", `{"app":"MWD","method":"SRing","options":{"parallelism":-1}}`, 400, "non-negative"},
+	{"unknown field", `{"app":"MWD","method":"SRing","bogus":1}`, 400, "bogus"},
+	{"not json", `{{{`, 400, "bad request body"},
+}
+
+// Every badRequests body is rejected with its status and a JSON error
+// naming the problem.
 func TestSynthesizeBadRequests(t *testing.T) {
 	h := (&serve.Server{}).Handler()
-	cases := []struct {
-		name     string
-		body     string
-		status   int
-		errorHas string
-	}{
-		{"bad method", `{"app":"MWD","method":"NoSuchMethod"}`, 400, "NoSuchMethod"},
-		{"missing method", `{"app":"MWD"}`, 400, "method"},
-		{"unknown app", `{"app":"NoSuchApp","method":"SRing"}`, 400, "NoSuchApp"},
-		{"no app or netlist", `{"method":"SRing"}`, 400, "app"},
-		{"app and netlist", `{"app":"MWD","netlist":{"name":"x"},"method":"SRing"}`, 400, "mutually exclusive"},
-		{"app and generate", `{"app":"MWD","generate":{"kind":"random","n":4,"m":6},"method":"SRing"}`, 400, "mutually exclusive"},
-		{"bad generator kind", `{"generate":{"kind":"nope"},"method":"SRing"}`, 400, "generator kind"},
-		{"infeasible generator params", `{"generate":{"kind":"random","n":4,"m":99},"method":"SRing"}`, 400, "cannot place"},
-		{"bad circulant", `{"generate":{"kind":"circulant","n":8,"gens":[0]},"method":"SRing"}`, 400, "Circulant generator 0 out of range"},
-		{"invalid tech", `{"app":"MWD","method":"SRing","options":{"tech":{"DropDB":-1}}}`, 400, "tech"},
-		{"partial tech", `{"app":"MWD","method":"SRing","options":{"tech":{"DropDB":0.5}}}`, 400, "tech"},
-		{"negative parallelism", `{"app":"MWD","method":"SRing","options":{"parallelism":-1}}`, 400, "non-negative"},
-		{"unknown field", `{"app":"MWD","method":"SRing","bogus":1}`, 400, "bogus"},
-		{"not json", `{{{`, 400, "bad request body"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			w := postSynthesize(t, h, tc.body)
 			if w.Code != tc.status {
@@ -371,17 +377,13 @@ func TestLoadgenSmoke(t *testing.T) {
 	if res.WarmP50() >= res.ColdP50() {
 		t.Errorf("warm p50 %d >= cold p50 %d: cache bought nothing", res.WarmP50(), res.ColdP50())
 	}
-	entries := res.Entries(4)
-	if len(entries) != len(res.Warm) {
-		t.Fatalf("entries = %d, want %d", len(entries), len(res.Warm))
-	}
-	for _, e := range entries {
-		if e.StageNs["request"].P99 < e.StageNs["request"].P50 {
-			t.Errorf("%s: p99 %d < p50 %d", e.Name, e.StageNs["request"].P99, e.StageNs["request"].P50)
+	for _, s := range res.Warm {
+		if s.P99Ns < s.P50Ns {
+			t.Errorf("%s: p99 %d < p50 %d", s.Name, s.P99Ns, s.P50Ns)
 		}
 	}
-	if cb := res.CacheBench(); cb.WarmNs <= 0 || cb.HitRate != res.HitRate {
-		t.Errorf("cache bench incoherent: %+v", cb)
+	if res.WarmWallNs <= 0 {
+		t.Errorf("warm pass wall-clock %d ns", res.WarmWallNs)
 	}
 }
 

@@ -82,9 +82,10 @@ func (mm *mpegBoundModel) solve(tb testing.TB, nodes int, span *obs.Span) *milp.
 }
 
 // TestMPEGBoundWorkUnits pins MPEG's exact solve at a 50-node budget: the
-// explored-node fingerprint, incumbent objective and proven bound. Any
-// change to the LP kernel's pivot sequence, the factorisation or the
-// branch-and-bound order moves the fingerprint, so this is a bit-identity
+// explored-node fingerprint, incumbent objective, proven bound, simplex
+// pivots (phase 1 + phase 2 + dual) and LU refactorisations. Any change to
+// the LP kernel's pivot sequence, the factorisation, cut separation or the
+// branch-and-bound order moves at least one pin, so this is a bit-identity
 // guard for the whole exact-assignment stack.
 func TestMPEGBoundWorkUnits(t *testing.T) {
 	if testing.Short() {
@@ -94,8 +95,13 @@ func TestMPEGBoundWorkUnits(t *testing.T) {
 		wantFingerprint = 0xf1bff249fd9341b0
 		wantObjective   = 51.4369
 		wantBound       = 51.0053
+		wantPivots      = 5049
+		wantRefactors   = 208
 	)
-	res := newMPEGBoundModel(t).solve(t, mpegBoundNodes, nil)
+	rec := obs.New()
+	span := rec.StartSpan("mpeg-bound")
+	res := newMPEGBoundModel(t).solve(t, mpegBoundNodes, span)
+	span.End()
 	if res.Nodes != mpegBoundNodes {
 		t.Errorf("explored %d nodes, want %d", res.Nodes, mpegBoundNodes)
 	}
@@ -108,6 +114,21 @@ func TestMPEGBoundWorkUnits(t *testing.T) {
 	if math.Abs(res.Bound-wantBound) > 1e-6 {
 		t.Errorf("bound %.6f, want %.6f", res.Bound, wantBound)
 	}
+	pivots, refactors, _ := lpWork(rec)
+	if pivots != wantPivots {
+		t.Errorf("%d simplex pivots, want %d", pivots, wantPivots)
+	}
+	if refactors != wantRefactors {
+		t.Errorf("%d refactorisations, want %d", refactors, wantRefactors)
+	}
+}
+
+// lpWork reads a run's simplex pivots (phase 1 + phase 2 + dual), LU
+// refactorisations and sparse LP solves from its recorder.
+func lpWork(rec *obs.Recorder) (pivots, refactors, solves int64) {
+	c := rec.Snapshot().Counters
+	return c["lp.pivots.phase1"] + c["lp.pivots.phase2"] + c["lp.pivots.dual"],
+		c["lp.sparse.refactorizations"], c["lp.sparse.solves"]
 }
 
 // BenchmarkMPEGBound times MPEG's exact solve to the 50-node budget of
@@ -126,9 +147,9 @@ func BenchmarkMPEGBound(b *testing.B) {
 		span := rec.StartSpan("mpeg-bound")
 		mm.solve(b, mpegBoundNodes, span)
 		span.End()
-		c := rec.Snapshot().Counters
-		pivots += c["lp.pivots.phase1"] + c["lp.pivots.phase2"] + c["lp.pivots.dual"]
-		refactors += c["lp.sparse.refactorizations"]
+		p, r, _ := lpWork(rec)
+		pivots += p
+		refactors += r
 	}
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	b.ReportMetric(float64(refactors)/float64(b.N), "refactorizations/op")

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sring/internal/wavelength"
 )
 
 // designFingerprint is everything about a synthesised design that the
@@ -94,42 +96,99 @@ func TestParallelSynthesisBitIdenticalMILP(t *testing.T) {
 	}
 }
 
-// TestWorkStealingFingerprintDeterministic pins the work-stealing pool's
-// determinism end to end: for VOPD and D26, SRing synthesis with the exact
-// MILP at Parallelism 1, 2 and 8 must produce byte-identical AssignStats —
-// including MILPNodeFingerprint, the FNV-1a fold of the explored node
-// sequence, which detects any reordering of the branch-and-bound commits
-// even when the final design happens to agree. D26 sits above the MILP
-// size gate, so both sides must skip the solve identically
-// (MILPRan=false, fingerprint 0), which the comparison also checks.
+// exactWorkUnits are the deterministic work units of one SRing synthesis
+// with the exact MILP: the assignment statistics (explored nodes and
+// MILPNodeFingerprint, the FNV-1a fold of the explored node sequence)
+// plus the LP counters the run's Recorder collected (see lpWork).
+type exactWorkUnits struct {
+	milpRan                   bool
+	nodes                     int
+	fingerprint               uint64
+	pivots, refactors, solves int64
+}
+
+// synthesizeWorkUnits runs one traced SRing synthesis with the exact MILP
+// and returns its work units and assignment statistics.
+func synthesizeWorkUnits(t *testing.T, app *Application, opts Options) (exactWorkUnits, *wavelength.Stats) {
+	t.Helper()
+	opts.Recorder = NewRecorder()
+	d, err := Synthesize(app, MethodSRing, opts)
+	if err != nil {
+		t.Fatalf("parallelism %d: %v", opts.Parallelism, err)
+	}
+	st := d.AssignStats
+	if st == nil {
+		t.Fatalf("parallelism %d: no assignment statistics", opts.Parallelism)
+	}
+	w := exactWorkUnits{milpRan: st.MILPRan, nodes: st.MILPNodes, fingerprint: st.MILPNodeFingerprint}
+	w.pivots, w.refactors, w.solves = lpWork(opts.Recorder)
+	return w, st
+}
+
+// TestWorkStealingFingerprintDeterministic pins the exact assignment's
+// work units on the paper apps the MILP settles: SRing synthesis with the
+// exact MILP at Parallelism 1, 2, 4 and 8 must reproduce each app's pinned
+// nodes, node fingerprint, simplex pivots, LU refactorisations and sparse
+// LP solves, and byte-identical AssignStats across worker counts. Any
+// change to the LP kernel's pivot sequence, the factorisation update, cut
+// separation or the branch-and-bound order moves at least one pin. D26,
+// 8PM-32 and 8PM-44 sit above the MILP size gate, so every run must skip
+// the solve identically (MILPRan=false, no LP work). MPEG's time-limited
+// solve is pinned at a node budget by TestMPEGBoundWorkUnits instead.
+//
+// Outside the race detector, each app's Parallelism-1 synthesis must also
+// stay within its allocation ceiling, 1.25x the count measured when the
+// pins were taken.
 func TestWorkStealingFingerprintDeterministic(t *testing.T) {
-	const budget = 5 * time.Second
-	for _, app := range []*Application{VOPD(), D26()} {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
+	// A safety limit only: every solve here proves optimality in well under
+	// a second, and a time-limited search would not be reproducible.
+	const budget = time.Minute
+	pins := []struct {
+		app       *Application
+		want      exactWorkUnits
+		maxAllocs float64
+	}{
+		{MWD(), exactWorkUnits{true, 2, 0xcde73df3d4363e57, 57, 8, 7}, 5550},
+		{VOPD(), exactWorkUnits{true, 1, 0x39fd12186c0f2fb7, 199, 15, 6}, 12870},
+		{D26(), exactWorkUnits{}, 18470},
+		{PM24(), exactWorkUnits{true, 1, 0x39fd12186c0f2fb7, 1025, 30, 1}, 411800},
+		{PM32(), exactWorkUnits{}, 3990},
+		{PM44(), exactWorkUnits{}, 4740},
+	}
+	for _, pin := range pins {
+		pin := pin
+		t.Run(pin.app.Name, func(t *testing.T) {
 			opts := Options{Parallelism: 1, UseMILP: true, MILPTimeLimit: budget}
-			seq, err := Synthesize(app, MethodSRing, opts)
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
+			got, seq := synthesizeWorkUnits(t, pin.app, opts)
+			if seq.MILPRan && !seq.MILPExact {
+				t.Fatalf("MILP did not prove optimality within %s", budget)
 			}
-			st := seq.AssignStats
-			if st != nil && st.MILPRan && !st.MILPExact {
-				t.Skipf("MILP hit the %s time limit; time-limited searches are timing-dependent by design", budget)
+			if got != pin.want {
+				t.Errorf("parallelism 1: work units %+v, want %+v", got, pin.want)
 			}
-			if st != nil && st.MILPRan && st.MILPNodes > 0 && st.MILPNodeFingerprint == 0 {
-				t.Fatalf("sequential run explored %d nodes but reported fingerprint 0", st.MILPNodes)
-			}
-			for _, workers := range []int{2, 8} {
+			for _, workers := range []int{2, 4, 8} {
 				opts.Parallelism = workers
-				par, err := Synthesize(app, MethodSRing, opts)
-				if err != nil {
-					t.Fatalf("parallelism %d: %v", workers, err)
+				par, st := synthesizeWorkUnits(t, pin.app, opts)
+				if par != got {
+					t.Errorf("parallelism %d: work units %+v, want %+v", workers, par, got)
 				}
-				if !reflect.DeepEqual(seq.AssignStats, par.AssignStats) {
-					t.Errorf("parallelism %d: AssignStats diverged\n got %+v\nwant %+v",
-						workers, par.AssignStats, seq.AssignStats)
+				if !reflect.DeepEqual(seq, st) {
+					t.Errorf("parallelism %d: AssignStats diverged\n got %+v\nwant %+v", workers, st, seq)
 				}
 			}
+			if raceEnabled {
+				return // the race detector changes allocation counts
+			}
+			opts = Options{Parallelism: 1, UseMILP: true, MILPTimeLimit: budget}
+			allocs := testing.AllocsPerRun(1, func() {
+				if _, err := Synthesize(pin.app, MethodSRing, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > pin.maxAllocs {
+				t.Errorf("parallelism 1: %.0f allocations, ceiling %.0f", allocs, pin.maxAllocs)
+			}
+			t.Logf("%+v, %.0f allocations", got, allocs)
 		})
 	}
 }
