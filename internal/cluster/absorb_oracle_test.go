@@ -208,10 +208,26 @@ func refBestAbsorption(app *netlist.Application, order []netlist.NodeID,
 	return newOrder, longest, cand, ok
 }
 
+// growCluster grows an intra-cluster sub-ring from the initial vertex under
+// lmax, absorbing communication-adjacent available vertices, with no bound
+// to abandon it by. A vertex with no available neighbours yields a
+// singleton (order nil).
+func growCluster(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
+	initial netlist.NodeID, avail map[netlist.NodeID]bool, lmax float64, absorb *obs.Counter, rs *ringScratch) grown {
+
+	g := startGrowth(&space{app: app, adj: adj, avail: avail}, initial, rs)
+	if g == nil || g.longest > lmax {
+		return grown{members: map[netlist.NodeID]bool{initial: true}}
+	}
+	g.grow(lmax, math.Inf(1), absorb, rs)
+	return grown{order: g.order, members: g.members, longest: g.longest}
+}
+
 // refGrowLevel regrows every trial vertex in every round, the first one
-// included: it ignores the shared round-1 growths.
+// included, to completion: it ignores the shared round-1 growths and keeps
+// the best growth in trial order.
 func refGrowLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, _ []grown, absorb *obs.Counter, rs *ringScratch) []grown {
+	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, _ []grown, w *work, rs *ringScratch) []grown {
 
 	avail := make(map[netlist.NodeID]bool, len(nodes))
 	for id := range nodes {
@@ -227,7 +243,7 @@ func refGrowLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.Nod
 		var best grown
 		haveBest := false
 		for _, v := range sampleTrials(ids, maxTrials) {
-			g := growCluster(app, adj, v, avail, lmax, absorb, rs)
+			g := growCluster(app, adj, v, avail, lmax, &w.absorbs, rs)
 			if !haveBest || better(g, best) {
 				best = g
 				haveBest = true
@@ -239,6 +255,159 @@ func refGrowLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.Nod
 		}
 	}
 	return out
+}
+
+// TestGrowLevelTieKeepsTrialOrder: a growth from u and one from its
+// partner v can end with the same members and longest path in different
+// ring orders. Here round 1, read finished from the shared trajectories as
+// at level 0, keeps {w, x}; that invalidates u's growth {u, w} but not v's
+// growth {v, u}, so round 2 ranks v's reused growth first and then grows
+// u's afresh into the exact tie [u v]. The sequential scan keeps the
+// earlier trial, u's, and so must the bounded growLevel.
+func TestGrowLevelTieKeepsTrialOrder(t *testing.T) {
+	const u, v, w, x = 0, 1, 2, 3
+	app := &netlist.Application{
+		Name: "tie",
+		Nodes: []netlist.Node{
+			{ID: u, Pos: geom.Pt(0, 0)},
+			{ID: v, Pos: geom.Pt(0, 1.1)},
+			{ID: w, Pos: geom.Pt(1, 0)},
+			{ID: x, Pos: geom.Pt(1.5, 0)},
+		},
+		Messages: []netlist.Message{
+			{Src: u, Dst: w, Bandwidth: 1}, {Src: w, Dst: u, Bandwidth: 1},
+			{Src: w, Dst: x, Bandwidth: 1}, {Src: x, Dst: w, Bandwidth: 1},
+			{Src: u, Dst: v, Bandwidth: 1}, {Src: v, Dst: u, Bandwidth: 1},
+		},
+	}
+	if err := app.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	adj, rs := app.Adjacency(), newRingScratch(app)
+	nodes := map[netlist.NodeID]bool{u: true, v: true, w: true, x: true}
+	// Every three-node ring a growth can reach here ({u, v, w} or
+	// {u, w, x}) has a path of at least 2.5, so under 1.2 each growth stays
+	// a pair.
+	const lmax = 1.2
+	fromU := growCluster(app, adj, u, map[netlist.NodeID]bool{u: true, v: true}, lmax, nil, rs)
+	fromV := growCluster(app, adj, v, nodes, lmax, nil, rs)
+	if !slices.Equal(fromU.order, []netlist.NodeID{u, v}) || !slices.Equal(fromV.order, []netlist.NodeID{v, u}) ||
+		better(fromU, fromV) || better(fromV, fromU) {
+		t.Fatalf("no tie: round-2 growth from u %v (longest %v), reused growth from v %v (longest %v)",
+			fromU.order, fromU.longest, fromV.order, fromV.longest)
+	}
+	r := newRoundOne(app, adj, 0)
+	first := r.growths(lmax, &work{}, rs)
+	got := growLevel(app, adj, nodes, lmax, 0, first, &work{}, rs)
+	want := refGrowLevel(app, adj, nodes, lmax, 0, nil, &work{}, newRingScratch(app))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("growLevel %+v, reference %+v", got, want)
+	}
+	if len(got) != 2 || !slices.Equal(got[1].order, []netlist.NodeID{u, v}) {
+		t.Fatalf("round 2 kept %+v, want u's growth [%d %d]", got, u, v)
+	}
+}
+
+// refInterRing builds the inter ring by growing every trial vertex under
+// lmax to completion or failure, unbounded and unshared, keeping the valid
+// ring with the strictly shortest longest path in trial order.
+func refInterRing(p *problem, interNodes map[netlist.NodeID]bool, lmax float64, w *work, rs *ringScratch) []netlist.NodeID {
+	ids := make([]netlist.NodeID, 0, len(interNodes))
+	for id := range interNodes {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if len(ids) < 2 {
+		return nil
+	}
+	interMsgs := make(map[netlist.NodeID][]netlist.NodeID) // adjacency in the inter graph
+	for _, m := range p.app.Messages {
+		if interNodes[m.Src] && interNodes[m.Dst] {
+			interMsgs[m.Src] = append(interMsgs[m.Src], m.Dst)
+			interMsgs[m.Dst] = append(interMsgs[m.Dst], m.Src)
+		}
+	}
+	var bestOrder []netlist.NodeID
+	bestLongest := math.Inf(1)
+	for _, v := range sampleTrials(ids, p.maxTrials) {
+		order, longest, ok := refGrowInter(p.app, interMsgs, v, ids, lmax, &w.absorbs, rs)
+		if ok && longest < bestLongest {
+			bestOrder, bestLongest = order, longest
+		}
+	}
+	return bestOrder
+}
+
+// refGrowInter grows the inter ring from initial, absorbing adjacent inter
+// nodes first and falling back to the remaining ones, until all inter nodes
+// are on the ring or no valid absorption exists.
+func refGrowInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
+	initial netlist.NodeID, all []netlist.NodeID, lmax float64, absorb *obs.Counter, rs *ringScratch) ([]netlist.NodeID, float64, bool) {
+
+	members := map[netlist.NodeID]bool{initial: true}
+	remaining := make(map[netlist.NodeID]bool)
+	for _, id := range all {
+		if id != initial {
+			remaining[id] = true
+		}
+	}
+	// Nearest partner (adjacent preferred, else nearest remaining).
+	pick := func(from []netlist.NodeID) (netlist.NodeID, bool) {
+		var nearest netlist.NodeID = -1
+		bestDist := math.Inf(1)
+		for _, u := range from {
+			if !remaining[u] {
+				continue
+			}
+			d := app.Pos(initial).Manhattan(app.Pos(u))
+			if d < bestDist || (d == bestDist && (nearest < 0 || u < nearest)) {
+				nearest, bestDist = u, d
+			}
+		}
+		return nearest, nearest >= 0
+	}
+	first, ok := pick(adj[initial])
+	if !ok {
+		first, ok = pick(all)
+		if !ok {
+			return nil, 0, false
+		}
+	}
+	members[first] = true
+	delete(remaining, first)
+	order := []netlist.NodeID{initial, first}
+	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members), rs)
+	if longest > lmax {
+		return nil, 0, false
+	}
+	for len(remaining) > 0 {
+		// Candidates: remaining nodes adjacent to a member; if none, all
+		// remaining (the inter graph may be disconnected, but a single
+		// ring must still carry everything).
+		candidates := make(map[netlist.NodeID]bool)
+		for m := range members {
+			for _, u := range adj[m] {
+				if remaining[u] {
+					candidates[u] = true
+				}
+			}
+		}
+		if len(candidates) == 0 {
+			for u := range remaining {
+				candidates[u] = true
+			}
+		}
+		order2, longest2, cand, ok := absorbStep(app, order, candidates, lmax, rs)
+		if !ok {
+			return nil, 0, false // stuck before absorbing everyone
+		}
+		order = order2
+		longest = longest2
+		members[cand] = true
+		absorb.Add(1)
+		delete(remaining, cand)
+	}
+	return order, longest, true
 }
 
 // randomRing builds an absorption instance on a valid application: n nodes
@@ -438,19 +607,21 @@ func oracleApps(t *testing.T) []*netlist.Application {
 // construction field for field at several initial-vertex caps. The scale
 // apps (64 nodes and up) run capped only: uncapped, they take about a
 // minute together, and the paper and random apps already cover the
-// uncapped path.
+// uncapped path. The production run probes L_max on GOMAXPROCS workers, so
+// `-cpu 1,2,8` also checks concurrent probes sharing round-1 and inter-ring
+// trajectories; the reference runs sequentially.
 func TestSynthesizeMatchesOracle(t *testing.T) {
+	forceProbes(t)
 	for _, app := range oracleApps(t) {
 		for _, trials := range []int{0, 3, 8} {
 			if trials == 0 && len(app.Nodes) >= 64 {
 				continue
 			}
-			opt := Options{MaxInitialTrials: trials, Parallelism: 1}
-			got, err := Synthesize(app, opt)
+			got, err := Synthesize(app, Options{MaxInitialTrials: trials})
 			if err != nil {
 				t.Fatalf("%s trials %d: %v", app.Name, trials, err)
 			}
-			want := oracleSynthesize(t, app, opt)
+			want := oracleSynthesize(t, app, Options{MaxInitialTrials: trials, Parallelism: 1})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trials %d: construction differs from the oracle:\n got %+v\nwant %+v", app.Name, trials, got, want)
 			}
@@ -517,7 +688,8 @@ func newSharedCase(app *netlist.Application, maxTrials int) *sharedCase {
 // may run on any goroutine.
 func (sc *sharedCase) check(t *testing.T, r *roundOne, li int, rs *ringScratch, how string) {
 	lmax := sc.lmaxes[li]
-	got, needs := r.growths(lmax, rs)
+	var tally work
+	got := r.growths(lmax, &tally, rs)
 	if len(got) != len(sc.want[li]) {
 		t.Errorf("%s %s lmax %v: %d growths, want %d", sc.app.Name, how, lmax, len(got), len(sc.want[li]))
 		return
@@ -530,9 +702,9 @@ func (sc *sharedCase) check(t *testing.T, r *roundOne, li int, rs *ringScratch, 
 			t.Errorf("%s %s lmax %v trial %d: shared growth %v %v (longest %v), growCluster %v %v (longest %v)",
 				sc.app.Name, how, lmax, i, g.order, g.members, g.longest, w.order, w.members, w.longest)
 		}
-		if int64(needs[i]) != sc.wantN[li][i] {
+		if k := tally.reads[i].k; int64(k) != sc.wantN[li][i] {
 			t.Errorf("%s %s lmax %v trial %d: %d absorptions, growCluster counts %d",
-				sc.app.Name, how, lmax, i, needs[i], sc.wantN[li][i])
+				sc.app.Name, how, lmax, i, k, sc.wantN[li][i])
 		}
 	}
 }
@@ -603,12 +775,13 @@ func TestSharedGrowthMatchesGrowCluster(t *testing.T) {
 	})
 }
 
-// oracleSynthesize runs Synthesize through the reference step and growth.
+// oracleSynthesize runs Synthesize through the reference step, level
+// growth and inter ring.
 func oracleSynthesize(t *testing.T, app *netlist.Application, opt Options) *Result {
 	t.Helper()
-	step, level := absorbStep, levelGrowth
-	absorbStep, levelGrowth = refBestAbsorption, refGrowLevel
-	defer func() { absorbStep, levelGrowth = step, level }()
+	step, level, inter := absorbStep, levelGrowth, interGrowth
+	absorbStep, levelGrowth, interGrowth = refBestAbsorption, refGrowLevel, refInterRing
+	defer func() { absorbStep, levelGrowth, interGrowth = step, level, inter }()
 	res, err := Synthesize(app, opt)
 	if err != nil {
 		t.Fatalf("%s oracle: %v", app.Name, err)
@@ -616,33 +789,46 @@ func oracleSynthesize(t *testing.T, app *netlist.Application, opt Options) *Resu
 	return res
 }
 
-// TestClusterWorkUnits pins the absorptions one sequential Synthesize
-// performs. A growth that a later growLevel round can reuse is not grown,
-// and so not counted, again; a round-1 absorption is computed, and counted,
-// once per construction, not once per L_max probe.
+// TestClusterWorkUnits pins the absorptions and abandoned growths one
+// Synthesize performs, at Parallelism 1, 2 and 8: both are charged at
+// consumption, so they read the same whichever probe computed the work. A
+// growth that a later growLevel round can reuse is not grown, and so not
+// counted, again; an absorption along a trajectory shared across L_max
+// probes (round 1, inter rings) is counted once per construction; and a
+// trial that can no longer win its round stops growing.
 func TestClusterWorkUnits(t *testing.T) {
+	forceProbes(t)
 	for _, tc := range []struct {
-		name   string
-		trials int
-		want   int64
+		name             string
+		trials           int
+		absorbs, abandon int64
 	}{
-		// 3931 when every round of every probe regrew every trial, 3401
-		// when only later rounds reused growths.
-		{"D26", 0, 1657},
-		{"D128", 8, 6785}, // 10603 and 7901 likewise
+		// Absorptions: 3931 when every round of every probe regrew every
+		// trial, 3401 when later rounds reused growths, 1657 with round 1
+		// shared across probes, before trials were abandoned and inter
+		// rings shared.
+		{"D26", 0, 1312, 96},
+		{"D128", 8, 4998, 302}, // 10603, 7901 and 6785 likewise
 	} {
 		app, err := netlist.ByName(tc.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := obs.New()
-		sp := rec.StartSpan("test")
-		if _, err := Synthesize(app, Options{MaxInitialTrials: tc.trials, Parallelism: 1, Obs: sp}); err != nil {
-			t.Fatal(err)
-		}
-		sp.End()
-		if got := rec.Snapshot().Counters["cluster.absorptions"]; got != tc.want {
-			t.Errorf("%s (trials %d): %d absorptions, want %d", tc.name, tc.trials, got, tc.want)
+		for _, workers := range []int{1, 2, 8} {
+			rec := obs.New()
+			sp := rec.StartSpan("test")
+			opt := Options{MaxInitialTrials: tc.trials, Parallelism: workers, Obs: sp}
+			if _, err := Synthesize(app, opt); err != nil {
+				t.Fatal(err)
+			}
+			sp.End()
+			c := rec.Snapshot().Counters
+			if got := c["cluster.absorptions"]; got != tc.absorbs {
+				t.Errorf("%s (trials %d, parallelism %d): %d absorptions, want %d", tc.name, tc.trials, workers, got, tc.absorbs)
+			}
+			if got := c["cluster.growths_abandoned"]; got != tc.abandon {
+				t.Errorf("%s (trials %d, parallelism %d): %d growths abandoned, want %d", tc.name, tc.trials, workers, got, tc.abandon)
+			}
 		}
 	}
 }

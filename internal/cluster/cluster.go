@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"sring/internal/netlist"
@@ -140,6 +141,7 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	defer sp.End()
 	iters := sp.Counter("cluster.search.iterations")
 	absorb := sp.Counter("cluster.absorptions")
+	abandoned := sp.Counter("cluster.growths_abandoned")
 
 	d1 := app.MaxCommDistance()
 	d2 := conventionalRingBound(app)
@@ -163,11 +165,13 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	}
 
 	// consume records one probe's verdict in the search's selection order,
-	// charging its absorptions only now (see problem.charge).
+	// charging its absorptions and abandoned growths only now (see
+	// problem.charge).
 	p := &problem{app: app, adj: adj, maxTrials: opt.MaxInitialTrials, cfg: opt.hierConfig(),
-		round1: newRoundOne(app, adj, opt.MaxInitialTrials)}
+		round1: newRoundOne(app, adj, opt.MaxInitialTrials), inter: map[string]*interSet{}}
 	consume := func(lmax float64, pr *probe) *Result {
 		absorb.Add(p.charge(pr))
+		abandoned.Add(pr.work.abandoned)
 		recordBound(lmax, pr.sol)
 		return pr.sol
 	}
@@ -414,73 +418,76 @@ type grown struct {
 	longest float64
 }
 
-// growCluster grows an intra-cluster sub-ring from the initial vertex under
-// lmax, absorbing communication-adjacent available vertices. A vertex with
-// no available neighbours yields a singleton (order nil).
-func growCluster(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	initial netlist.NodeID, avail map[netlist.NodeID]bool, lmax float64, absorb *obs.Counter, rs *ringScratch) grown {
-
-	g := startGrowth(app, adj, initial, avail, rs)
-	if g == nil || g.longest > lmax {
-		// No available partner, or it cannot even pair with the nearest
-		// one: singleton. (The latter is possible only for L_max below d1,
-		// which the search range excludes, but we guard anyway.)
-		return grown{members: map[netlist.NodeID]bool{initial: true}}
-	}
-	for {
-		if _, ok := g.step(lmax, rs); !ok {
-			break
-		}
-		absorb.Add(1)
-	}
-	return grown{order: g.order, members: g.members, longest: g.longest}
+// space is where sub-rings grow: the application, the adjacency candidates
+// follow, the available nodes, and whether a growth with no adjacent
+// candidate falls back to every available non-member (the inter ring must
+// carry them all).
+type space struct {
+	app   *netlist.Application
+	adj   map[netlist.NodeID][]netlist.NodeID
+	avail map[netlist.NodeID]bool
+	fill  bool
 }
 
 // growth is a sub-ring in the middle of growing by absorption: its ring
 // order and members, the available non-members adjacent to a member, and
 // the order's longest signal path.
 type growth struct {
-	app        *netlist.Application
-	adj        map[netlist.NodeID][]netlist.NodeID
-	avail      map[netlist.NodeID]bool
+	*space
 	order      []netlist.NodeID
 	members    map[netlist.NodeID]bool
 	candidates map[netlist.NodeID]bool
 	longest    float64
+	held       bool // the last absorption passed grow's cut and is uncounted
 }
 
 // startGrowth pairs the initial vertex with its nearest available
-// communication partner (ties: smaller ID), or returns nil if it has none.
-// The pair's longest path is not checked against any bound.
-func startGrowth(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	initial netlist.NodeID, avail map[netlist.NodeID]bool, rs *ringScratch) *growth {
-
-	var nearest netlist.NodeID = -1
-	bestDist := math.Inf(1)
-	for _, u := range adj[initial] {
-		if !avail[u] {
-			continue
-		}
-		d := app.Pos(initial).Manhattan(app.Pos(u))
-		if d < bestDist || (d == bestDist && (nearest < 0 || u < nearest)) {
-			nearest, bestDist = u, d
-		}
+// communication partner (ties: smaller ID) — or, in a filling space, with
+// the nearest available node when it has none — or returns nil if there is
+// no partner. The pair's longest path is not checked against any bound.
+func startGrowth(s *space, initial netlist.NodeID, rs *ringScratch) *growth {
+	nearest := nearestOf(s, initial, s.adj[initial])
+	if nearest < 0 && s.fill {
+		nearest = nearestOf(s, initial, nil)
 	}
 	if nearest < 0 {
 		return nil
 	}
 	g := &growth{
-		app:        app,
-		adj:        adj,
-		avail:      avail,
+		space:      s,
 		order:      []netlist.NodeID{initial, nearest},
 		members:    map[netlist.NodeID]bool{initial: true, nearest: true},
 		candidates: make(map[netlist.NodeID]bool),
 	}
-	g.longest, _ = ringOrderLongest(app, g.order, messagesWithin(app, g.members), rs)
+	g.longest, _ = ringOrderLongest(s.app, g.order, messagesWithin(s.app, g.members), rs)
 	g.addCandidates(initial)
 	g.addCandidates(nearest)
 	return g
+}
+
+// nearestOf returns the available node of from nearest to v (every
+// available node but v when from is nil), the smaller ID on ties, or -1.
+func nearestOf(s *space, v netlist.NodeID, from []netlist.NodeID) netlist.NodeID {
+	var nearest netlist.NodeID = -1
+	bestDist := math.Inf(1)
+	try := func(u netlist.NodeID) {
+		if u == v || !s.avail[u] {
+			return
+		}
+		d := s.app.Pos(v).Manhattan(s.app.Pos(u))
+		if d < bestDist || (d == bestDist && (nearest < 0 || u < nearest)) {
+			nearest, bestDist = u, d
+		}
+	}
+	if from == nil {
+		for u := range s.avail {
+			try(u)
+		}
+	}
+	for _, u := range from {
+		try(u)
+	}
+	return nearest
 }
 
 // addCandidates makes v's available non-member partners candidates.
@@ -493,12 +500,28 @@ func (g *growth) addCandidates(v netlist.NodeID) {
 }
 
 // step absorbs the best candidate under lmax (see bestAbsorption) and
-// returns it; ok is false, and g unchanged, when no absorption is valid.
+// returns it; ok is false, and g unchanged, when no absorption is valid. In
+// a filling space a growth with no adjacent candidate draws from every
+// available non-member.
 func (g *growth) step(lmax float64, rs *ringScratch) (cand netlist.NodeID, ok bool) {
+	filled := false
+	if len(g.candidates) == 0 && g.fill {
+		for u := range g.avail {
+			if !g.members[u] {
+				g.candidates[u] = true
+			}
+		}
+		filled = true
+	}
 	if len(g.candidates) == 0 {
 		return -1, false
 	}
 	order, longest, cand, ok := absorbStep(g.app, g.order, g.candidates, lmax, rs)
+	if filled {
+		// The fallback set holds nodes adjacent to no member; the next
+		// step starts again from adjacency.
+		clear(g.candidates)
+	}
 	if !ok {
 		return -1, false
 	}
@@ -508,6 +531,29 @@ func (g *growth) step(lmax float64, rs *ringScratch) (cand netlist.NodeID, ok bo
 	delete(g.candidates, cand)
 	g.addCandidates(cand)
 	return cand, true
+}
+
+// grow absorbs under lmax until no absorption is valid, reporting true, or
+// the longest path exceeds cut, reporting false: the growth is paused and a
+// later grow may resume it. Like a step past lmax, the step that takes the
+// growth past cut is not counted as an absorption, unless a later grow
+// resumes the growth past it.
+func (g *growth) grow(lmax, cut float64, absorb *obs.Counter, rs *ringScratch) bool {
+	if g.held && g.longest <= cut {
+		absorb.Add(1)
+		g.held = false
+	}
+	for g.longest <= cut {
+		if _, ok := g.step(lmax, rs); !ok {
+			return true
+		}
+		if g.longest > cut {
+			g.held = true
+			return false
+		}
+		absorb.Add(1)
+	}
+	return false
 }
 
 // hierConfig resolves the multi-level options for buildSolution.
@@ -543,77 +589,131 @@ type levelGroups struct {
 	groups []grown
 }
 
-// Test seams: the oracle tests substitute the reference absorption step and
-// level growth kept in absorb_oracle_test.go.
+// Test seams: the oracle tests substitute the reference absorption step,
+// level growth and inter ring kept in absorb_oracle_test.go.
 var (
 	absorbStep  = bestAbsorption
 	levelGrowth = growLevel
+	interGrowth = (*problem).interRing
 )
 
 // growLevel partitions the given node set into grown sub-rings under lmax:
 // rounds of trying each available vertex as the initial vertex and keeping
 // the best grown ring (the paper's cluster-formation loop, reused verbatim
-// at every hierarchy level).
+// at every hierarchy level). A non-nil first holds the first round's
+// growths in trial order, already grown (the shared round-1 trajectories).
 //
 // A growth from v is unchanged in a later round unless the kept cluster
 // took one of its members: removing from avail a node the growth never
 // absorbed removes a candidate that never won a first-minimum selection,
 // and a singleton stays one (its next-nearest partner is no closer). Such
 // growths are kept and reused instead of being grown (and counted) again.
-// A non-nil first holds the first round's growths in trial order, already
-// grown (the shared round-1 trajectories).
+//
+// A growth's longest path never falls as it grows, so a round first ranks
+// its already finished growths, then grows the rest in trial order against
+// the best so far: a growth whose longest path exceeds the best's by more
+// than absorbEps could only finish longer, so it is paused there and
+// counted abandoned. A paused growth stays valid, and resumable in a later
+// round, under the same rule as a finished one. Exact ties go to the
+// earlier trial, the one the sequential scan keeps (DESIGN.md §14.2).
 func growLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, first []grown, absorb *obs.Counter, rs *ringScratch) []grown {
+	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, first []grown, w *work, rs *ringScratch) []grown {
 
-	avail := make(map[netlist.NodeID]bool, len(nodes))
+	s := &space{app: app, adj: adj, avail: make(map[netlist.NodeID]bool, len(nodes))}
 	for id := range nodes {
-		avail[id] = true
+		s.avail[id] = true
 	}
-	reuse := make(map[netlist.NodeID]grown) // initial vertex -> valid growth
+	reuse := make(map[netlist.NodeID]grown)    // initial vertex -> finished growth
+	paused := make(map[netlist.NodeID]*growth) // initial vertex -> abandoned growth
 	var out []grown
-	for len(avail) > 0 {
-		ids := make([]netlist.NodeID, 0, len(avail))
-		for id := range avail {
+	for len(s.avail) > 0 {
+		ids := make([]netlist.NodeID, 0, len(s.avail))
+		for id := range s.avail {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		trials := sampleTrials(ids, maxTrials)
 
-		// Try each available vertex as the initial vertex; keep the grown
-		// cluster with the shortest longest signal path (ties: larger
-		// cluster, then smaller initial ID). MaxInitialTrials caps the
-		// candidate set for large networks.
+		// Keep the grown cluster with the shortest longest signal path
+		// (ties: larger cluster, then smaller initial ID, then earlier
+		// trial). MaxInitialTrials caps the trials for large networks.
 		var best grown
-		haveBest := false
-		for i, v := range sampleTrials(ids, maxTrials) {
-			g, ok := reuse[v]
-			if !ok {
-				if first != nil {
-					g = first[i]
-				} else {
-					g = growCluster(app, adj, v, avail, lmax, absorb, rs)
-				}
-				reuse[v] = g
+		bi := -1
+		keep := func(i int, g grown) {
+			if bi < 0 || better(g, best) || (!better(best, g) && i < bi) {
+				best, bi = g, i
 			}
-			if !haveBest || better(g, best) {
-				best = g
-				haveBest = true
+		}
+		var rest []int
+		for i, v := range trials {
+			if first != nil {
+				reuse[v] = first[i]
+			}
+			if g, ok := reuse[v]; ok {
+				keep(i, g)
+			} else {
+				rest = append(rest, i)
 			}
 		}
 		first = nil
+		for _, i := range rest {
+			v := trials[i]
+			g := paused[v]
+			if g == nil {
+				if g = startGrowth(s, v, rs); g == nil || g.longest > lmax {
+					// No available partner, or it cannot even pair with
+					// the nearest one (possible only for L_max below d1,
+					// which the search range excludes): singleton.
+					reuse[v] = grown{members: map[netlist.NodeID]bool{v: true}}
+					keep(i, reuse[v])
+					continue
+				}
+			}
+			cut := math.Inf(1)
+			if bi >= 0 {
+				cut = best.longest + absorbEps
+			}
+			if !g.grow(lmax, cut, &w.absorbs, rs) {
+				paused[v] = g
+				w.abandoned++
+				continue
+			}
+			delete(paused, v)
+			reuse[v] = grown{order: g.order, members: g.members, longest: g.longest}
+			keep(i, reuse[v])
+		}
 		out = append(out, best)
 		for m := range best.members {
-			delete(avail, m)
+			delete(s.avail, m)
 		}
 		for v, g := range reuse {
-			for m := range g.members {
-				if !avail[m] {
-					delete(reuse, v)
-					break
+			if !within(g.members, s.avail) {
+				delete(reuse, v)
+			}
+		}
+		for v, g := range paused {
+			if !within(g.members, s.avail) {
+				delete(paused, v)
+				continue
+			}
+			for c := range g.candidates {
+				if !s.avail[c] {
+					delete(g.candidates, c)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// within reports whether every member is in set.
+func within(members, set map[netlist.NodeID]bool) bool {
+	for m := range members {
+		if !set[m] {
+			return false
+		}
+	}
+	return true
 }
 
 // sampleTrials caps the initial-vertex candidate list with a deterministic
@@ -643,30 +743,39 @@ func groupIndex(groups []grown) map[netlist.NodeID]int {
 
 // problem is what every L_max probe of one SynthesizeContext call shares:
 // the application and its communication adjacency, the options that shape
-// a construction, and the round-1 trajectories. buildSolution is a pure
-// function of (problem, lmax): the trajectories only cache growths.
+// a construction, the round-1 trajectories and the inter-ring trajectories
+// by node set. buildSolution is a pure function of (problem, lmax): the
+// trajectories only cache growths.
 type problem struct {
 	app       *netlist.Application
 	adj       map[netlist.NodeID][]netlist.NodeID
 	maxTrials int
 	cfg       hierConfig
 	round1    *roundOne
+	interMu   sync.Mutex // guards inter
+	inter     map[string]*interSet
+}
+
+// work is what one probe tallies: the absorptions it performed itself, the
+// growths it abandoned, and how far it read along each shared trajectory.
+type work struct {
+	absorbs   obs.Counter
+	abandoned int64
+	reads     []read
 }
 
 // probe is one L_max feasibility probe: its construction (nil when
-// infeasible), the absorptions it performed itself and, per round-1
-// trajectory, the absorptions its growth took there.
+// infeasible) and its work.
 type probe struct {
-	sol     *Result
-	absorbs obs.Counter
-	needs   []int
+	sol  *Result
+	work work
 }
 
 // run probes lmax: it runs buildSolution and records the probe latency.
 func (p *problem) run(lmax float64) *probe {
 	start := time.Now()
 	pr := &probe{}
-	pr.sol, pr.needs = p.buildSolution(lmax, &pr.absorbs)
+	pr.sol = p.buildSolution(lmax, &pr.work)
 	probeH.RecordSince(start)
 	return pr
 }
@@ -674,10 +783,10 @@ func (p *problem) run(lmax float64) *probe {
 // charge returns the absorptions to count for a consumed probe. Only the
 // search goroutine calls it, in its selection order, so the count matches
 // the sequential run at any Parallelism: unconsumed probes add nothing, and
-// each round-1 absorption is charged to the first consumed probe that
-// needs it, whichever probe computed it.
+// each absorption along a shared trajectory is charged to the first
+// consumed probe that needs it, whichever probe computed it.
 func (p *problem) charge(pr *probe) int64 {
-	return pr.absorbs.Value() + p.round1.charge(pr.needs)
+	return pr.work.absorbs.Value() + chargeReads(pr.work.reads)
 }
 
 // buildSolution attempts a full clustering under lmax. It returns nil if
@@ -695,13 +804,13 @@ func (p *problem) charge(pr *probe) int64 {
 // at most one ring per level it appears in, the multi-level extension of
 // the paper's ≤2-senders invariant.
 //
-// The first round of level 0 comes from p.round1; needs[i] is the
-// absorptions its growth from trial vertex i took.
-func (p *problem) buildSolution(lmax float64, absorb *obs.Counter) (sol *Result, needs []int) {
+// The first round of level 0 comes from p.round1, and the terminal ring
+// from p's shared inter-ring trajectories; w records the reads.
+func (p *problem) buildSolution(lmax float64, w *work) *Result {
 	app, adj, maxTrials, cfg := p.app, p.adj, p.maxTrials, p.cfg
 	rs := newRingScratch(app)
-	first, needs := p.round1.growths(lmax, rs)
-	clusters := levelGrowth(app, adj, p.round1.avail, lmax, maxTrials, first, absorb, rs)
+	first := p.round1.growths(lmax, w, rs)
+	clusters := levelGrowth(app, adj, p.round1.avail, lmax, maxTrials, first, w, rs)
 	clusterOf := groupIndex(clusters)
 
 	// Messages crossing clusters escalate to level 1.
@@ -719,35 +828,27 @@ func (p *problem) buildSolution(lmax float64, absorb *obs.Counter) (sol *Result,
 			nodes[app.Messages[i].Src] = true
 			nodes[app.Messages[i].Dst] = true
 		}
-		if len(nodes) <= cfg.interMax || level >= cfg.maxLevels {
-			order := buildInterRing(app, nodes, lmax, maxTrials, absorb, rs)
-			if order == nil {
-				return nil, needs // no valid initial vertex: solution invalid
-			}
-			members := make(map[netlist.NodeID]bool, len(order))
-			for _, id := range order {
-				members[id] = true
-			}
-			upper = append(upper, levelGroups{pool: pool, groups: []grown{{order: order, members: members}}})
-			break
-		}
-		// Too many escalated nodes for one ring: partition them into a
-		// further level of sub-rings and escalate what still crosses.
-		groups := levelGrowth(app, adj, nodes, lmax, maxTrials, nil, absorb, rs)
-		groupOf := groupIndex(groups)
+		var groups []grown
 		var next []int
-		for _, i := range pool {
-			m := app.Messages[i]
-			if groupOf[m.Src] != groupOf[m.Dst] {
-				next = append(next, i)
+		if len(nodes) > cfg.interMax && level < cfg.maxLevels {
+			// Too many escalated nodes for one ring: partition them into a
+			// further level of sub-rings and escalate what still crosses.
+			groups = levelGrowth(app, adj, nodes, lmax, maxTrials, nil, w, rs)
+			groupOf := groupIndex(groups)
+			for _, i := range pool {
+				m := app.Messages[i]
+				if groupOf[m.Src] != groupOf[m.Dst] {
+					next = append(next, i)
+				}
 			}
 		}
-		if len(next) == len(pool) {
-			// No message was absorbed at this level: grouping made no
-			// progress, so fall back to the terminal single ring.
-			order := buildInterRing(app, nodes, lmax, maxTrials, absorb, rs)
+		if groups == nil || len(next) == len(pool) {
+			// The set fits one ring, the depth cap is reached, or no
+			// message was absorbed at this level (grouping made no
+			// progress): close the hierarchy with the terminal ring.
+			order := interGrowth(p, nodes, lmax, w, rs)
 			if order == nil {
-				return nil, needs
+				return nil // no valid initial vertex: solution invalid
 			}
 			members := make(map[netlist.NodeID]bool, len(order))
 			for _, id := range order {
@@ -760,7 +861,7 @@ func (p *problem) buildSolution(lmax float64, absorb *obs.Counter) (sol *Result,
 		pool = next
 	}
 
-	return assembleResult(app, clusters, clusterOf, upper, rs), needs
+	return assembleResult(app, clusters, clusterOf, upper, rs)
 }
 
 // better orders grown clusters: shorter longest path wins, then more
@@ -783,113 +884,6 @@ func minID(set map[netlist.NodeID]bool) netlist.NodeID {
 		}
 	}
 	return min
-}
-
-// buildInterRing constructs the inter-cluster sub-ring over all interNodes.
-// Every node in the set must be absorbed; each is tried as the initial
-// vertex and the valid ring with the shortest longest path wins. Returns
-// nil if no initial vertex yields a valid complete ring.
-func buildInterRing(app *netlist.Application, interNodes map[netlist.NodeID]bool, lmax float64, maxTrials int, absorb *obs.Counter, rs *ringScratch) []netlist.NodeID {
-	ids := make([]netlist.NodeID, 0, len(interNodes))
-	for id := range interNodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if len(ids) < 2 {
-		return nil
-	}
-
-	interMsgs := make(map[netlist.NodeID][]netlist.NodeID) // adjacency in the inter graph
-	for _, m := range app.Messages {
-		if interNodes[m.Src] && interNodes[m.Dst] {
-			interMsgs[m.Src] = append(interMsgs[m.Src], m.Dst)
-			interMsgs[m.Dst] = append(interMsgs[m.Dst], m.Src)
-		}
-	}
-
-	var bestOrder []netlist.NodeID
-	bestLongest := math.Inf(1)
-	for _, v := range sampleTrials(ids, maxTrials) {
-		order, longest, ok := growInter(app, interMsgs, v, ids, lmax, absorb, rs)
-		if ok && longest < bestLongest {
-			bestOrder, bestLongest = order, longest
-		}
-	}
-	return bestOrder
-}
-
-// growInter grows the inter ring from initial, absorbing adjacent inter
-// nodes first and falling back to the remaining ones, until all inter nodes
-// are on the ring or no valid absorption exists.
-func growInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	initial netlist.NodeID, all []netlist.NodeID, lmax float64, absorb *obs.Counter, rs *ringScratch) ([]netlist.NodeID, float64, bool) {
-
-	members := map[netlist.NodeID]bool{initial: true}
-	remaining := make(map[netlist.NodeID]bool)
-	for _, id := range all {
-		if id != initial {
-			remaining[id] = true
-		}
-	}
-	// Nearest partner (adjacent preferred, else nearest remaining).
-	pick := func(from []netlist.NodeID) (netlist.NodeID, bool) {
-		var nearest netlist.NodeID = -1
-		bestDist := math.Inf(1)
-		for _, u := range from {
-			if !remaining[u] {
-				continue
-			}
-			d := app.Pos(initial).Manhattan(app.Pos(u))
-			if d < bestDist || (d == bestDist && (nearest < 0 || u < nearest)) {
-				nearest, bestDist = u, d
-			}
-		}
-		return nearest, nearest >= 0
-	}
-	first, ok := pick(adj[initial])
-	if !ok {
-		first, ok = pick(all)
-		if !ok {
-			return nil, 0, false
-		}
-	}
-	members[first] = true
-	delete(remaining, first)
-	order := []netlist.NodeID{initial, first}
-	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members), rs)
-	if longest > lmax {
-		return nil, 0, false
-	}
-
-	for len(remaining) > 0 {
-		// Candidates: remaining nodes adjacent to a member; if none, all
-		// remaining (the inter graph may be disconnected, but a single
-		// ring must still carry everything).
-		candidates := make(map[netlist.NodeID]bool)
-		for m := range members {
-			for _, u := range adj[m] {
-				if remaining[u] {
-					candidates[u] = true
-				}
-			}
-		}
-		if len(candidates) == 0 {
-			for u := range remaining {
-				candidates[u] = true
-			}
-		}
-		order2, longest2, cand, ok := absorbStep(app, order, candidates, lmax, rs)
-		if !ok {
-			return nil, 0, false // stuck before absorbing everyone
-		}
-		rs.recycle(order)
-		order = order2
-		longest = longest2
-		members[cand] = true
-		absorb.Add(1)
-		delete(remaining, cand)
-	}
-	return order, longest, true
 }
 
 // assembleResult freezes clusters and the escalation levels into a Result,
