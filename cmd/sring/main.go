@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sring -bench MWD -method SRing [-milp] [-v]
-//	sring -bench D128 -method SRing -cluster-trials 8 -milp -decompose
+//	sring -bench D128 -method SRing -cluster-trials 8 -milp -oracle cp
 //	sring -app design.json -method CTORing
 //	sring -list
 //
@@ -41,7 +41,6 @@ func main() {
 		appFile    = flag.String("app", "", "JSON application file (alternative to -bench)")
 		methodName = flag.String("method", "SRing", "synthesis method: SRing, ORNoC, CTORing, XRing")
 		useMILP    = flag.Bool("milp", false, "enable the exact MILP wavelength assignment")
-		decompose  = flag.Bool("decompose", false, "with -milp, run the cluster-decomposed exact assignment")
 		milpLimit  = flag.Duration("milp-timeout", sring.DefaultMILPTimeLimit, "MILP time limit")
 		oracle     = flag.String("oracle", "", `with -milp, independent cross-check solver to run when the MILP cannot prove optimality ("cp": constraint-propagation search)`)
 		cutRounds  = flag.Int("cut-rounds", 0, "with -milp, cutting-plane rounds per fractional node (0: solver default, negative: disable cuts)")
@@ -94,15 +93,14 @@ func main() {
 		defer shutdown()
 	}
 	d, err := sring.SynthesizeContext(ctx, app, sring.Method(*methodName), sring.Options{
-		UseMILP:         *useMILP,
-		DecomposeAssign: *decompose,
-		MILPTimeLimit:   *milpLimit,
-		Oracle:          *oracle,
-		CutRounds:       *cutRounds,
-		TreeHeight:      *treeHeight,
-		ClusterTrials:   *trials,
-		Parallelism:     *jobs,
-		Recorder:        rec,
+		UseMILP:       *useMILP,
+		MILPTimeLimit: *milpLimit,
+		Oracle:        *oracle,
+		CutRounds:     *cutRounds,
+		TreeHeight:    *treeHeight,
+		ClusterTrials: *trials,
+		Parallelism:   *jobs,
+		Recorder:      rec,
 	})
 	if err != nil {
 		fatal(err)

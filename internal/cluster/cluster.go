@@ -44,17 +44,6 @@ type Options struct {
 	// sequential descent order, so the selected L_max and the returned
 	// construction are bit-identical to the sequential run.
 	Parallelism int
-	// InterRingMax bounds how many nodes the classic single inter-ring
-	// construction is attempted for. When more nodes than this carry
-	// escalated traffic, the escalation set is recursively partitioned
-	// into a further level of sub-rings (clusters of clusters) instead of
-	// being forced onto one ring. Zero means 32, comfortably above the
-	// ≤26-node paper benchmarks, which therefore always take the paper's
-	// exact two-level construction.
-	InterRingMax int
-	// MaxLevels caps the hierarchy depth, counting the cluster level.
-	// Zero means 8.
-	MaxLevels int
 	// Obs, when non-nil, is the parent span under which the construction
 	// records its telemetry: the L_max binary search (one child span per
 	// evaluated bound with its feasibility verdict), absorption-step
@@ -167,7 +156,7 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	// consume records one probe's verdict in the search's selection order,
 	// charging its absorptions and abandoned growths only now (see
 	// problem.charge).
-	p := &problem{app: app, adj: adj, maxTrials: opt.MaxInitialTrials, cfg: opt.hierConfig(),
+	p := &problem{app: app, adj: adj, maxTrials: opt.MaxInitialTrials,
 		round1: newRoundOne(app, adj, opt.MaxInitialTrials), inter: map[string]*interSet{}}
 	consume := func(lmax float64, pr *probe) *Result {
 		absorb.Add(p.charge(pr))
@@ -556,29 +545,15 @@ func (g *growth) grow(lmax, cut float64, absorb *obs.Counter, rs *ringScratch) b
 	return false
 }
 
-// hierConfig resolves the multi-level options for buildSolution.
-type hierConfig struct {
-	interMax  int // escalation sets larger than this recurse into another level
-	maxLevels int // hierarchy depth cap, counting the cluster level
-}
-
-func (o Options) hierConfig() hierConfig {
-	cfg := hierConfig{interMax: o.InterRingMax, maxLevels: o.MaxLevels}
-	if cfg.interMax == 0 {
-		cfg.interMax = defaultInterRingMax
-	}
-	if cfg.maxLevels == 0 {
-		cfg.maxLevels = defaultMaxLevels
-	}
-	return cfg
-}
-
-// defaultInterRingMax is comfortably above the ≤26-node paper benchmarks, so
-// they always take the paper's exact two-level construction; the 64-node
-// scale apps typically do too, while 128 nodes and up recurse.
+// The hierarchy's shape. Escalation sets larger than interRingMax nodes
+// recurse into a further level of sub-rings instead of being forced onto
+// one inter-ring; 32 is comfortably above the ≤26-node paper benchmarks, so
+// they always take the paper's exact two-level construction, the 64-node
+// scale apps typically do too, while 128 nodes and up recurse. maxLevels
+// caps the hierarchy depth, counting the cluster level.
 const (
-	defaultInterRingMax = 32
-	defaultMaxLevels    = 8
+	interRingMax = 32
+	maxLevels    = 8
 )
 
 // levelGroups is one escalation level of the hierarchy: the indices of the
@@ -750,7 +725,6 @@ type problem struct {
 	app       *netlist.Application
 	adj       map[netlist.NodeID][]netlist.NodeID
 	maxTrials int
-	cfg       hierConfig
 	round1    *roundOne
 	interMu   sync.Mutex // guards inter
 	inter     map[string]*interSet
@@ -795,10 +769,10 @@ func (p *problem) charge(pr *probe) int64 {
 //
 // Level 0 is the paper's cluster formation over all active nodes. Messages
 // crossing clusters escalate to level 1; while the escalated node set is
-// larger than cfg.interMax the set is recursively partitioned into another
+// larger than interRingMax the set is recursively partitioned into another
 // level of sub-rings by the same absorption growth (clusters of clusters),
 // with the messages still crossing groups escalating further. Once the set
-// fits — or the recursion stops making progress or hits cfg.maxLevels — a
+// fits — or the recursion stops making progress or hits maxLevels — a
 // single terminal ring over all remaining nodes closes the hierarchy, the
 // paper's inter-ring construction verbatim. Every node therefore sends on
 // at most one ring per level it appears in, the multi-level extension of
@@ -807,7 +781,7 @@ func (p *problem) charge(pr *probe) int64 {
 // The first round of level 0 comes from p.round1, and the terminal ring
 // from p's shared inter-ring trajectories; w records the reads.
 func (p *problem) buildSolution(lmax float64, w *work) *Result {
-	app, adj, maxTrials, cfg := p.app, p.adj, p.maxTrials, p.cfg
+	app, adj, maxTrials := p.app, p.adj, p.maxTrials
 	rs := newRingScratch(app)
 	first := p.round1.growths(lmax, w, rs)
 	clusters := levelGrowth(app, adj, p.round1.avail, lmax, maxTrials, first, w, rs)
@@ -830,7 +804,7 @@ func (p *problem) buildSolution(lmax float64, w *work) *Result {
 		}
 		var groups []grown
 		var next []int
-		if len(nodes) > cfg.interMax && level < cfg.maxLevels {
+		if len(nodes) > interRingMax && level < maxLevels {
 			// Too many escalated nodes for one ring: partition them into a
 			// further level of sub-rings and escalate what still crosses.
 			groups = levelGrowth(app, adj, nodes, lmax, maxTrials, nil, w, rs)

@@ -54,14 +54,13 @@ func buildStageKeys(app *netlist.Application, method string, opt Options, tech l
 
 	// The assignment depends on the effective weights too, but those are a
 	// pure function of (construction, tech) — both already in the chain.
-	// assign/3: the assignment stage gained the branch-and-cut engine and
-	// the CP oracle fallback. CutRounds is hashed even though cuts never
-	// change a proven optimum: an unproven incumbent can legitimately
-	// differ between cut budgets.
-	h = newKeyHasher("assign/3")
+	// assign/4: a boolean left the key, so the layout differs from assign/3
+	// and persisted assign/3 entries never match. CutRounds is hashed even
+	// though cuts never change a proven optimum: an unproven incumbent can
+	// legitimately differ between cut budgets.
+	h = newKeyHasher("assign/4")
 	h.key(ks.loss)
 	h.bool(opt.UseMILP)
-	h.bool(opt.DecomposeAssign)
 	h.i64(int64(opt.MILPTimeLimit))
 	h.str(opt.Oracle)
 	h.i64(int64(opt.CutRounds))

@@ -62,22 +62,9 @@ type Options struct {
 	// small enough for the built-in solver; the splitter-aware heuristic
 	// always runs and seeds it.
 	UseMILP bool
-	// DecomposeAssign splits the exact wavelength assignment into the
-	// connected components of the ring-coupling graph, solved separately
-	// and coordinated by a small assembly MILP (internal/wavelength,
-	// Options.Decompose). Components too large for the monolithic size
-	// gate are further cut along the construction hierarchy into boundary
-	// (inter-ring) and per-cluster leaf pieces on disjoint palette banks,
-	// so large hierarchical constructions reach exact per-cluster solves
-	// the monolithic gate rejects. On instances that reduce to one
-	// gate-sized piece the result is identical to the monolithic solve.
-	// Effective only with UseMILP.
-	DecomposeAssign bool
-	// MILPTimeLimit bounds each exact solve (zero: milp.DefaultTimeLimit);
-	// under DecomposeAssign the per-piece palette sweep runs several
-	// solves, each with this budget. A context deadline or cancellation
-	// unifies with it: the solver stops at whichever comes first and
-	// returns its incumbent.
+	// MILPTimeLimit bounds the exact solve (zero: milp.DefaultTimeLimit).
+	// A context deadline or cancellation unifies with it: the solver stops
+	// at whichever comes first and returns its incumbent.
 	MILPTimeLimit time.Duration
 	// Parallelism is the worker count used throughout the pipeline (0 =
 	// GOMAXPROCS, 1 = sequential). The synthesised design is bit-identical
@@ -87,7 +74,7 @@ type Options struct {
 	// Oracle names an independent cross-check solver run when the exact
 	// wavelength assignment fails to prove optimality (wavelength
 	// Options.Oracle; "cp" for the constraint-propagation search). Effective
-	// only with UseMILP; empty disables.
+	// only with UseMILP; empty disables, any other name is an error.
 	Oracle string
 	// CutRounds is the exact solver's cutting-plane budget (wavelength
 	// Options.CutRounds → milp.Options.CutRounds): 0 means the solver
@@ -193,6 +180,9 @@ func Synthesize(ctx context.Context, app *netlist.Application, method string, op
 	ctor, ok := registry[method]
 	if !ok {
 		return nil, fmt.Errorf("pipeline: unknown method %q (registered: %v)", method, Methods())
+	}
+	if err := wavelength.CheckOracle(opt.Oracle); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	root := opt.Recorder.StartSpan("synthesize")
 	root.SetString("method", method)
@@ -318,18 +308,9 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 				if con.SplitterWeightFromTech {
 					w.SplitterStageDB = tech.SplitterStageDB()
 				}
-				var ringLevels map[int]int
-				if opt.DecomposeAssign && con.Levels > 0 {
-					ringLevels = make(map[int]int, len(con.Rings))
-					for _, r := range con.Rings {
-						ringLevels[r.ID] = r.Level
-					}
-				}
 				assignment, stats, err = wavelength.AssignContext(ctx, infos, wavelength.Options{
 					Weights:       w,
 					UseMILP:       opt.UseMILP,
-					Decompose:     opt.DecomposeAssign,
-					RingLevels:    ringLevels,
 					MILPTimeLimit: opt.MILPTimeLimit,
 					Parallelism:   opt.Parallelism,
 					Oracle:        opt.Oracle,

@@ -36,6 +36,7 @@ import (
 	"sring/internal/netlist"
 	"sring/internal/obs"
 	"sring/internal/pipeline"
+	"sring/internal/wavelength"
 )
 
 // Server is the synthesis service: a handler set over one shared cache.
@@ -109,7 +110,7 @@ type RequestOptions struct {
 	ClusterTrials   int        `json:"cluster_trials,omitempty"`
 	MaxChords       int        `json:"max_chords,omitempty"`
 	UseMILP         bool       `json:"use_milp,omitempty"`
-	Decompose       bool       `json:"decompose,omitempty"`
+	Oracle          string     `json:"oracle,omitempty"`
 	MILPTimeLimitMS int64      `json:"milp_time_limit_ms,omitempty"`
 	Parallelism     int        `json:"parallelism,omitempty"`
 	PhysicalPDN     bool       `json:"physical_pdn,omitempty"`
@@ -304,11 +305,14 @@ func (s *Server) parseRequest(req *Request) (*netlist.Application, pipeline.Opti
 	if ro.TreeHeight < 0 || ro.ClusterTrials < 0 || ro.MaxChords < 0 || ro.Parallelism < 0 || ro.MILPTimeLimitMS < 0 {
 		return nil, opt, errors.New("options must be non-negative")
 	}
+	if err := wavelength.CheckOracle(ro.Oracle); err != nil {
+		return nil, opt, err
+	}
 	opt.TreeHeight = ro.TreeHeight
 	opt.ClusterTrials = ro.ClusterTrials
 	opt.MaxChords = ro.MaxChords
 	opt.UseMILP = ro.UseMILP
-	opt.DecomposeAssign = ro.Decompose
+	opt.Oracle = ro.Oracle
 	opt.MILPTimeLimit = time.Duration(ro.MILPTimeLimitMS) * time.Millisecond
 	opt.Parallelism = ro.Parallelism
 	if s.MaxParallelism > 0 && (opt.Parallelism == 0 || opt.Parallelism > s.MaxParallelism) {

@@ -97,6 +97,8 @@ var badRequests = []struct {
 	{"partial tech", `{"app":"MWD","method":"SRing","options":{"tech":{"DropDB":0.5}}}`, 400, "tech"},
 	{"negative parallelism", `{"app":"MWD","method":"SRing","options":{"parallelism":-1}}`, 400, "non-negative"},
 	{"unknown field", `{"app":"MWD","method":"SRing","bogus":1}`, 400, "bogus"},
+	{"unknown oracle", `{"app":"MWD","method":"SRing","options":{"use_milp":true,"oracle":"bogus"}}`, 400, "unknown oracle"},
+	{"removed decompose option", `{"app":"MWD","method":"SRing","options":{"use_milp":true,"decompose":true}}`, 400, "decompose"},
 	{"not json", `{{{`, 400, "bad request body"},
 }
 
@@ -153,9 +155,9 @@ func TestSynthesizeOK(t *testing.T) {
 		t.Error("serve.request.ns recorded nothing")
 	}
 
-	t.Run("generated app with decomposed assignment", func(t *testing.T) {
+	t.Run("generated app with CP oracle", func(t *testing.T) {
 		w := postSynthesize(t, h, `{"generate":{"kind":"clustered","clusters":2,"cluster_size":3,"inter_flows":1,"seed":1},
-			"method":"SRing","options":{"parallelism":1,"use_milp":true,"decompose":true,"milp_time_limit_ms":500}}`)
+			"method":"SRing","options":{"parallelism":1,"use_milp":true,"oracle":"cp","milp_time_limit_ms":500}}`)
 		if w.Code != http.StatusOK {
 			t.Fatalf("status = %d: %s", w.Code, w.Body)
 		}

@@ -77,7 +77,8 @@ func TestCutValidityOnBenchmarks(t *testing.T) {
 			}
 			heur := wavelength.Improve(infos, wavelength.DSATUR(infos), w)
 			numLambda := heur.NumLambda + 1
-			// Mirror Assign's MaxBinaries gate: without presolve a dense
+			// Mirror Assign's size gate (the package's maxBinaries
+			// constant, 500 binaries): without presolve a dense
 			// relaxation of the over-sized instances would eat the whole
 			// budget in one LP and separate nothing worth auditing.
 			if len(infos)*numLambda > 500 {

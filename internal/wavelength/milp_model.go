@@ -2,6 +2,7 @@ package wavelength
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -37,6 +38,11 @@ type SolveInfo struct {
 	// settings for the same model and limits.
 	NodeFingerprint uint64
 }
+
+// ErrInfeasible is wrapped by SolveMILP when the model admits no assignment
+// within the given palette, so a caller can distinguish "needs more
+// wavelengths" from a genuine failure.
+var ErrInfeasible = errors.New("model infeasible")
 
 // SolveMILP builds and solves the SRing wavelength-assignment MILP
 // (paper Sec. III-B) over a palette of numLambda wavelengths, seeded with

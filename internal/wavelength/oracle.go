@@ -17,6 +17,15 @@ var oracleH = obs.Default().Histogram("wavelength.oracle.ns")
 // Options.Oracle.
 const OracleCP = "cp"
 
+// CheckOracle rejects an Options.Oracle name other than empty (no oracle)
+// and OracleCP.
+func CheckOracle(name string) error {
+	if name != "" && name != OracleCP {
+		return fmt.Errorf("wavelength: unknown oracle %q (want %q or empty)", name, OracleCP)
+	}
+	return nil
+}
+
 // cpProblem translates the assignment instance into the oracle's terms.
 // Both solvers see the same conflict adjacency and price splitters the same
 // way, so their objectives are directly comparable.

@@ -11,6 +11,7 @@ package wavelength_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,6 +125,21 @@ func TestOracleFallbackImproves(t *testing.T) {
 	}
 }
 
+// An Oracle name other than "" and OracleCP is an error, not a silent
+// no-op.
+func TestAssignRejectsUnknownOracle(t *testing.T) {
+	infos, w := cpInstance(t, netlist.MWD())
+	for _, name := range []string{"bogus", "CP", "milp"} {
+		_, _, err := wavelength.Assign(infos, wavelength.Options{Weights: w, UseMILP: true, Oracle: name})
+		if err == nil || !strings.Contains(err.Error(), "unknown oracle") {
+			t.Errorf("Oracle %q: err = %v, want an unknown-oracle error", name, err)
+		}
+	}
+	if _, _, err := wavelength.Assign(infos, wavelength.Options{Weights: w, Oracle: wavelength.OracleCP}); err != nil {
+		t.Errorf("Oracle %q: %v", wavelength.OracleCP, err)
+	}
+}
+
 // cpInstance is an app's SRing assignment instance.
 func cpInstance(tb testing.TB, app *netlist.Application) ([]wavelength.PathInfo, wavelength.Weights) {
 	tb.Helper()
@@ -134,46 +150,65 @@ func cpInstance(tb testing.TB, app *netlist.Application) ([]wavelength.PathInfo,
 	return infos, w
 }
 
-// TestCPOracleWorkUnits pins the CP oracle's search on the three paper
-// apps it proves (all above the MILP size gate): the node count, the proof
-// and the objective bits. Any change to the search order, the pruning or
-// the bound shows up here first. It also checks that a whole D26 solve —
-// 234k search nodes — allocates only its setup.
+// TestCPOracleWorkUnits pins the CP oracle's search on the apps it proves
+// above the MILP size gate — the three paper apps, and D64 and 32PM-128
+// with 8 clustering trials, where it is the exact assignment: the node
+// count, the proof and the objective bits. Any change to the search order,
+// the pruning or the bound shows up here first. The scale rows run at one
+// and two workers, which must not move them. It also checks that a whole
+// D26 solve — 234k search nodes — allocates only its setup.
 func TestCPOracleWorkUnits(t *testing.T) {
+	scale := func(name string) *netlist.Application {
+		app, err := netlist.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
 	for _, tc := range []struct {
 		app        *netlist.Application
+		trials     int   // pipeline.Options.ClusterTrials
+		jobs       []int // Parallelism settings that must agree
 		nodes      int64
 		final, cpv uint64 // Stats.Final.Value and Stats.OracleBound bits
 	}{
-		{netlist.D26(), 234002, 0x4055060aa64c2f84, 0x4055060aa64c2f83},
-		{netlist.PM32(), 15, 0x4052e4b295e9e1b0, 0x4052e4b295e9e1b0},
-		{netlist.PM44(), 23, 0x405a8d182a9930bd, 0x405a8d182a9930bd},
+		{netlist.D26(), 0, []int{1}, 234002, 0x4055060aa64c2f84, 0x4055060aa64c2f83},
+		{netlist.PM32(), 0, []int{1}, 15, 0x4052e4b295e9e1b0, 0x4052e4b295e9e1b0},
+		{netlist.PM44(), 0, []int{1}, 23, 0x405a8d182a9930bd, 0x405a8d182a9930bd},
+		{scale("D64"), 8, []int{1, 2}, 24, 0x4052507c84b5dcc6, 0x4052507c84b5dcc6},
+		{scale("32PM-128"), 8, []int{1, 2}, 44, 0x4063a004ea4a8c16, 0x4063a004ea4a8c16},
 	} {
 		t.Run(tc.app.Name, func(t *testing.T) {
-			infos, w := cpInstance(t, tc.app)
-			// The generous budget only guards slow (race-instrumented)
-			// runs: the search finishes long before it.
-			_, st, err := wavelength.Assign(infos, wavelength.Options{
-				Weights:       w,
-				UseMILP:       true,
-				Oracle:        wavelength.OracleCP,
-				MILPTimeLimit: 5 * time.Minute,
-				Parallelism:   1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.MILPRan || !st.OracleRan || !st.OracleExact {
-				t.Fatalf("milp ran=%v, oracle ran=%v exact=%v; want only a proving oracle", st.MILPRan, st.OracleRan, st.OracleExact)
-			}
-			if st.OracleNodes != tc.nodes {
-				t.Errorf("oracle nodes = %d, want %d", st.OracleNodes, tc.nodes)
-			}
-			if got := math.Float64bits(st.Final.Value); got != tc.final {
-				t.Errorf("objective bits = %#x (%.9f), want %#x", got, st.Final.Value, tc.final)
-			}
-			if got := math.Float64bits(st.OracleBound); got != tc.cpv {
-				t.Errorf("oracle bound bits = %#x (%.9f), want %#x", got, st.OracleBound, tc.cpv)
+			for _, j := range tc.jobs {
+				infos, w, err := pipeline.PathInfos(context.Background(), tc.app, "SRing",
+					pipeline.Options{ClusterTrials: tc.trials, Parallelism: j})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The generous budget only guards slow (race-instrumented)
+				// runs: the search finishes long before it.
+				_, st, err := wavelength.Assign(infos, wavelength.Options{
+					Weights:       w,
+					UseMILP:       true,
+					Oracle:        wavelength.OracleCP,
+					MILPTimeLimit: 5 * time.Minute,
+					Parallelism:   j,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.MILPRan || !st.OracleRan || !st.OracleExact {
+					t.Fatalf("j=%d: milp ran=%v, oracle ran=%v exact=%v; want only a proving oracle", j, st.MILPRan, st.OracleRan, st.OracleExact)
+				}
+				if st.OracleNodes != tc.nodes {
+					t.Errorf("j=%d: oracle nodes = %d, want %d", j, st.OracleNodes, tc.nodes)
+				}
+				if got := math.Float64bits(st.Final.Value); got != tc.final {
+					t.Errorf("j=%d: objective bits = %#x (%.9f), want %#x", j, got, st.Final.Value, tc.final)
+				}
+				if got := math.Float64bits(st.OracleBound); got != tc.cpv {
+					t.Errorf("j=%d: oracle bound bits = %#x (%.9f), want %#x", j, got, st.OracleBound, tc.cpv)
+				}
 			}
 		})
 	}

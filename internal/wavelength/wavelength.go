@@ -27,10 +27,6 @@ import (
 	"sring/internal/wavelength/cpcheck"
 )
 
-// decompComponentsH is the piece count per decomposed solve, in the
-// process registry.
-var decompComponentsH = obs.Default().Histogram("wavelength.decomp.components")
-
 // PathInfo is one signal path plus the data the assignment objective needs:
 // its layout insertion loss L_s (excluding PDN losses) and its sender
 // endpoint.
@@ -383,6 +379,11 @@ func resolveNode(infos []PathInfo, a *Assignment, adj [][]int, n netlist.NodeID)
 	return true
 }
 
+// maxBinaries skips the MILP when |S| x |Λ| exceeds it: the LP relaxations
+// would be too slow to help within the budget — a single LP solve can
+// overshoot the time limit.
+const maxBinaries = 500
+
 // Options controls Assign.
 type Options struct {
 	// Weights are the objective coefficients; zero value means
@@ -400,46 +401,24 @@ type Options struct {
 	// GOMAXPROCS, 1 means sequential. The assignment returned is
 	// bit-identical either way.
 	Parallelism int
-	// MaxBinaries skips the MILP when |S| x |Λ| exceeds it (the LP
-	// relaxations would be too slow to help within the budget — a single
-	// LP solve can overshoot the time limit). Zero means 500.
-	MaxBinaries int
 	// ExtraLambda lets the MILP use up to this many wavelengths beyond the
 	// heuristic's count, enabling the λ-for-splitter trade. Zero means 1.
 	ExtraLambda int
 	// CutRounds is the exact solver's cutting-plane budget, forwarded to
-	// milp.Options.CutRounds (monolithic, decomposed and assembly solves
-	// alike): 0 means the solver default, negative disables cut separation.
-	// Cuts only ever change the search path, never the optimum — the
-	// cuts-on-vs-off CI step relies on exactly that.
+	// milp.Options.CutRounds: 0 means the solver default, negative disables
+	// cut separation. Cuts only ever change the search path, never the
+	// optimum — the cuts-on-vs-off CI step relies on exactly that.
 	CutRounds int
-	// Decompose splits the exact solve into the connected components of the
-	// ring-coupling graph (rings are coupled when one node sends on both),
-	// solves each piece's MILP separately over a palette sweep, and
-	// coordinates the shared palette with a small assembly MILP — see
-	// decompose.go. Components too large for the monolithic size gate are
-	// further cut along the construction hierarchy (RingLevels) into
-	// boundary and per-cluster leaf pieces on disjoint palette banks, so
-	// the decomposed solve reaches sizes the MaxBinaries gate would reject
-	// monolithically. Instances that reduce to one gate-sized piece run
-	// the monolithic solve unchanged, so results are identical there.
-	// Effective only with UseMILP.
-	Decompose bool
-	// RingLevels maps ring ID to its construction hierarchy level (0 =
-	// intra-cluster, >= 1 = inter-cluster) and enables the boundary/leaf
-	// tier cut for oversized components under Decompose. Nil disables the
-	// cut; such components then contribute heuristic candidates only.
-	RingLevels map[int]int
 	// Obs, when non-nil, is the parent span under which the assignment
 	// records its telemetry: heuristic and MILP child spans, the
 	// heuristic-vs-MILP objective delta, and per-wavelength loss events.
 	Obs *obs.Span
 	// Oracle names an independent cross-check solver to run when the exact
-	// solve fails to prove optimality (stalled, skipped by the size gate,
-	// or decomposed without a global certificate). OracleCP ("cp") runs the
-	// constraint-propagation search in cpcheck with the same time budget,
-	// seeded with the incumbent; an improvement replaces the assignment and
-	// a stronger bound tightens the reported gap. Empty disables.
+	// solve fails to prove optimality (stalled or skipped by the size gate).
+	// OracleCP ("cp") runs the constraint-propagation search in cpcheck with
+	// the same time budget, seeded with the incumbent; an improvement
+	// replaces the assignment and a stronger bound tightens the reported
+	// gap. Empty disables; any other name is an error.
 	Oracle string
 }
 
@@ -470,16 +449,6 @@ type Stats struct {
 	// assignment is the best of the heuristic and the solver's incumbent
 	// at that moment, not the converged result.
 	Cancelled bool
-	// DecompComponents is the number of pieces the decomposed solve
-	// partitioned the instance into — ring-coupling components, after the
-	// boundary/leaf tier cut of components too large for the monolithic
-	// gate. 0 when decomposition was not requested, 1 when the instance
-	// was one gate-sized piece and ran the monolithic solve verbatim.
-	DecompComponents int
-	// DecompCandidates is the total number of per-piece palette candidates
-	// offered to the coordination model (multi-piece decomposed solves
-	// only).
-	DecompCandidates int
 	// OracleRan reports that the Options.Oracle fallback solver ran.
 	OracleRan bool
 	// OracleExact reports that the oracle search ran to completion, proving
@@ -490,14 +459,6 @@ type Stats struct {
 	// OracleBound is the oracle's proven lower bound on the Eq. 8 objective
 	// (valid when OracleRan).
 	OracleBound float64
-	// DecompExact reports that every per-piece MILP in a multi-piece
-	// decomposed solve proved optimality and the coordination model was
-	// solved to optimality. Unlike MILPExact it does not certify a global
-	// optimum — the candidate palette sweep is heuristically complete and
-	// the tier cut forbids cross-bank wavelength sharing (see
-	// decompose.go) — so MILPExact stays false on multi-piece decomposed
-	// solves.
-	DecompExact bool
 }
 
 // Assign computes a wavelength assignment with no cancellation hook. See
@@ -514,6 +475,9 @@ func Assign(infos []PathInfo, opt Options) (*Assignment, *Stats, error) {
 func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignment, *Stats, error) {
 	if len(infos) == 0 {
 		return nil, nil, fmt.Errorf("wavelength: no paths to assign")
+	}
+	if err := CheckOracle(opt.Oracle); err != nil {
+		return nil, nil, err
 	}
 	sp := opt.Obs.StartSpan("wavelength.assign")
 	defer sp.End()
@@ -535,53 +499,12 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 	hsp.End()
 
 	if opt.UseMILP {
-		maxBin := opt.MaxBinaries
-		if maxBin == 0 {
-			maxBin = 500
-		}
 		extra := opt.ExtraLambda
 		if extra == 0 {
 			extra = 1
 		}
-		ranDecomposed := false
-		if opt.Decompose {
-			comps := splitterComponents(infos)
-			pieces := buildPieces(infos, comps, best, extra, maxBin, opt.RingLevels)
-			stats.DecompComponents = len(pieces)
-			sp.SetInt("decomp_components", int64(len(pieces)))
-			sp.Count("wavelength.decomp.solves", 1)
-			decompComponentsH.Record(int64(len(pieces)))
-			// One gate-sized piece carries the whole instance: fall through
-			// to the monolithic solve, which is then the decomposition
-			// verbatim.
-			if len(pieces) > 1 {
-				ranDecomposed = true
-				merged, nCand, exact, cancelled, err := assignDecomposed(ctx, infos, pieces, best, w,
-					opt.MILPTimeLimit, maxBin, extra, opt.Parallelism, opt.CutRounds, sp)
-				if err != nil {
-					return nil, nil, err
-				}
-				stats.DecompCandidates = nCand
-				stats.DecompExact = exact
-				stats.Cancelled = cancelled
-				sp.SetInt("decomp_candidates", int64(nCand))
-				sp.SetBool("decomp_exact", exact)
-				sp.Count("wavelength.decomp.candidates", int64(nCand))
-				if exact {
-					sp.Count("wavelength.decomp.exact", 1)
-				}
-				if merged != nil {
-					if o := Evaluate(infos, merged, w); o.Value < stats.Final.Value-1e-9 {
-						best = merged
-						stats.Final = o
-					}
-				}
-			}
-		}
 		numLambda := best.NumLambda + extra
-		if ranDecomposed {
-			// The exact work happened per component above.
-		} else if len(infos)*numLambda <= maxBin {
+		if len(infos)*numLambda <= maxBinaries {
 			milpA, info, err := SolveMILP(ctx, infos, numLambda, w, best, opt.MILPTimeLimit, opt.Parallelism, opt.CutRounds, sp)
 			if err != nil {
 				return nil, nil, err
@@ -608,7 +531,7 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 			// make the skip visible instead of silent.
 			sp.SetBool("milp_skipped", true)
 		}
-		if opt.Oracle == OracleCP && !stats.MILPExact && !stats.DecompExact &&
+		if opt.Oracle == OracleCP && !stats.MILPExact &&
 			ctx.Err() == nil && numLambda <= cpcheck.MaxLambdaLimit {
 			var err error
 			best, err = runOracle(ctx, infos, best, numLambda, w, opt, stats, sp)

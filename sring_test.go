@@ -30,6 +30,13 @@ func TestUnknownMethod(t *testing.T) {
 	if _, err := Synthesize(MWD(), Method("bogus"), Options{}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
+	// ORNoC brings its own assignment, so only the pipeline's up-front
+	// check can reject an unknown oracle name for it.
+	for _, m := range []Method{MethodSRing, MethodORNoC} {
+		if _, err := Synthesize(MWD(), m, Options{UseMILP: true, Oracle: "bogus"}); err == nil {
+			t.Errorf("%s: unknown oracle accepted", m)
+		}
+	}
 }
 
 func TestEvaluateReturnsAllMethods(t *testing.T) {
