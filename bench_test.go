@@ -218,7 +218,7 @@ func BenchmarkAblationAssignment(b *testing.B) {
 // BenchmarkImprove's clique, where every recolour but a fresh colour is
 // infeasible, these instances score many feasible moves with Eq. 8.
 func BenchmarkImproveScale(b *testing.B) {
-	for _, name := range []string{"D128", "D256"} {
+	for _, name := range []string{"D128", "D256", "circ128-1-11", "32PM-128"} {
 		b.Run(name, func(b *testing.B) {
 			app, err := Benchmark(name)
 			if err != nil {

@@ -42,7 +42,7 @@ func main() {
 		methodName = flag.String("method", "SRing", "synthesis method: SRing, ORNoC, CTORing, XRing")
 		useMILP    = flag.Bool("milp", false, "enable the exact MILP wavelength assignment")
 		milpLimit  = flag.Duration("milp-timeout", sring.DefaultMILPTimeLimit, "MILP time limit")
-		oracle     = flag.String("oracle", "", `with -milp, independent cross-check solver to run when the MILP cannot prove optimality ("cp": constraint-propagation search)`)
+		oracle     = flag.String("oracle", "", `with -milp (an error without it), independent cross-check solver to run when the MILP cannot prove optimality ("cp": constraint-propagation search)`)
 		cutRounds  = flag.Int("cut-rounds", 0, "with -milp, cutting-plane rounds per fractional node (0: solver default, negative: disable cuts)")
 		jobs       = flag.Int("j", 0, "synthesis worker count (0 = all CPUs, 1 = sequential; same design either way)")
 		treeHeight = flag.Int("tree-height", 0, "SRing L_max search tree height h (0 = default 6)")
@@ -107,6 +107,14 @@ func main() {
 	}
 	if d.Cancelled {
 		fmt.Fprintln(os.Stderr, "sring: interrupted — reporting the best design found so far")
+	}
+	if st := d.AssignStats; st != nil && st.MILPSkipped {
+		hint := ""
+		if *oracle == "" {
+			hint = "; -oracle cp searches it exactly"
+		}
+		fmt.Fprintf(os.Stderr, "sring: MILP skipped by its size gate: |S|×|Λ| = %d×%d = %d binaries%s\n",
+			len(d.Infos), st.MILPPalette, len(d.Infos)*st.MILPPalette, hint)
 	}
 	if st := d.AssignStats; st != nil && st.OracleRan {
 		fmt.Fprintf(os.Stderr, "sring: CP oracle ran (%d nodes, exact=%v, bound %.4f dB)\n",

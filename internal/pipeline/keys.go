@@ -54,11 +54,11 @@ func buildStageKeys(app *netlist.Application, method string, opt Options, tech l
 
 	// The assignment depends on the effective weights too, but those are a
 	// pure function of (construction, tech) — both already in the chain.
-	// assign/4: a boolean left the key, so the layout differs from assign/3
-	// and persisted assign/3 entries never match. CutRounds is hashed even
+	// assign/5: Stats gained MILPSkipped and MILPPalette, so persisted
+	// assign/4 entries, which lack them, never match. CutRounds is hashed even
 	// though cuts never change a proven optimum: an unproven incumbent can
 	// legitimately differ between cut budgets.
-	h = newKeyHasher("assign/4")
+	h = newKeyHasher("assign/5")
 	h.key(ks.loss)
 	h.bool(opt.UseMILP)
 	h.i64(int64(opt.MILPTimeLimit))

@@ -73,8 +73,9 @@ type Options struct {
 	Parallelism int
 	// Oracle names an independent cross-check solver run when the exact
 	// wavelength assignment fails to prove optimality (wavelength
-	// Options.Oracle; "cp" for the constraint-propagation search). Effective
-	// only with UseMILP; empty disables, any other name is an error.
+	// Options.Oracle; "cp" for the constraint-propagation search). It needs
+	// UseMILP; empty disables, and any other name, or an oracle without
+	// UseMILP, is an error.
 	Oracle string
 	// CutRounds is the exact solver's cutting-plane budget (wavelength
 	// Options.CutRounds → milp.Options.CutRounds): 0 means the solver
@@ -181,7 +182,7 @@ func Synthesize(ctx context.Context, app *netlist.Application, method string, op
 	if !ok {
 		return nil, fmt.Errorf("pipeline: unknown method %q (registered: %v)", method, Methods())
 	}
-	if err := wavelength.CheckOracle(opt.Oracle); err != nil {
+	if err := wavelength.CheckOracle(opt.Oracle, opt.UseMILP); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	root := opt.Recorder.StartSpan("synthesize")

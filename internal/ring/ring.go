@@ -11,7 +11,7 @@ package ring
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sring/internal/netlist"
 )
@@ -234,18 +234,85 @@ type ConflictGraph struct {
 }
 
 // BuildConflictGraph computes the conflict graph of the given paths.
+//
+// Two paths conflict exactly when they share a (ring, segment), so the
+// paths are first bucketed by (ring, segment) with a counting sort; each
+// bucket lists its paths in ascending index order. A path's neighbours are
+// the union of its segments' buckets, deduplicated with a per-path stamp
+// and sorted. The work is proportional to the summed bucket sizes the
+// paths visit rather than to all n² pairs, and the adjacency lists share
+// one backing array.
 func BuildConflictGraph(paths []Path) *ConflictGraph {
 	g := &ConflictGraph{Paths: paths, Adj: make([][]int, len(paths))}
-	for i := range paths {
-		for j := i + 1; j < len(paths); j++ {
-			if Conflicts(paths[i], paths[j]) {
-				g.Adj[i] = append(g.Adj[i], j)
-				g.Adj[j] = append(g.Adj[j], i)
+	// Each ring gets a contiguous range of buckets covering the segment
+	// indices its paths use.
+	type segRange struct{ base, lo, hi int }
+	rings := make(map[int]*segRange)
+	for _, p := range paths {
+		for _, s := range p.Segs {
+			r := rings[p.RingID]
+			if r == nil {
+				rings[p.RingID] = &segRange{lo: s, hi: s}
+				continue
 			}
+			r.lo, r.hi = min(r.lo, s), max(r.hi, s)
 		}
 	}
-	for i := range g.Adj {
-		sort.Ints(g.Adj[i])
+	nb := 0
+	for _, r := range rings {
+		r.base = nb
+		nb += r.hi - r.lo + 1
+	}
+	// Path i's segment s falls in bucket off[i] + s.
+	off := make([]int, len(paths))
+	for i, p := range paths {
+		if r := rings[p.RingID]; r != nil {
+			off[i] = r.base - r.lo
+		}
+	}
+	start := make([]int, nb+1)
+	for i := range paths {
+		for _, s := range paths[i].Segs {
+			start[off[i]+s+1]++
+		}
+	}
+	for b := 0; b < nb; b++ {
+		start[b+1] += start[b]
+	}
+	members := make([]int, start[nb])
+	fill := slices.Clone(start[:nb])
+	for i := range paths {
+		for _, s := range paths[i].Segs {
+			b := off[i] + s
+			members[fill[b]] = i
+			fill[b]++
+		}
+	}
+
+	stamp := make([]int, len(paths))
+	var buf []int
+	ends := make([]int, len(paths))
+	for i := range paths {
+		stamp[i] = i + 1 // a path never conflicts with itself
+		from := len(buf)
+		for _, s := range paths[i].Segs {
+			b := off[i] + s
+			for _, j := range members[start[b]:start[b+1]] {
+				if stamp[j] != i+1 {
+					stamp[j] = i + 1
+					buf = append(buf, j)
+				}
+			}
+		}
+		slices.Sort(buf[from:])
+		ends[i] = len(buf)
+	}
+	from := 0
+	for i, end := range ends {
+		if end > from {
+			g.Adj[i] = buf[from:end:end]
+		}
+		from = end
 	}
 	return g
 }

@@ -2,6 +2,8 @@ package ring
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -267,6 +269,51 @@ func TestBuildConflictGraph(t *testing.T) {
 	}
 	if g.MaxDegree() != 1 {
 		t.Errorf("MaxDegree = %d, want 1", g.MaxDegree())
+	}
+}
+
+// TestConflictGraphMatchesPairwise checks the segment-indexed
+// BuildConflictGraph against the definition: Adj[i] lists, ascending, every
+// j != i with Conflicts(paths[i], paths[j]), and is nil when there is none.
+// The paths are seeded random arcs on rings of assorted sizes, plus
+// arbitrary segment lists (repeated and out-of-order segments, empty
+// paths, sparse ring IDs) that no real arc produces.
+func TestConflictGraphMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		ringIDs := []int{0, 1, 2, 7}[:1+rng.Intn(4)]
+		sizes := make(map[int]int)
+		for _, id := range ringIDs {
+			sizes[id] = 2 + rng.Intn(12)
+		}
+		paths := make([]Path, rng.Intn(60))
+		for i := range paths {
+			id := ringIDs[rng.Intn(len(ringIDs))]
+			n := sizes[id]
+			var segs []int
+			if rng.Intn(5) == 0 {
+				for k := rng.Intn(4); k > 0; k-- {
+					segs = append(segs, rng.Intn(n))
+				}
+			} else {
+				src := rng.Intn(n)
+				for s, l := src, 1+rng.Intn(n-1); l > 0; s, l = (s+1)%n, l-1 {
+					segs = append(segs, s)
+				}
+			}
+			paths[i] = Path{RingID: id, Segs: segs}
+		}
+		want := make([][]int, len(paths))
+		for i := range paths {
+			for j := range paths {
+				if j != i && Conflicts(paths[i], paths[j]) {
+					want[i] = append(want[i], j)
+				}
+			}
+		}
+		if got := BuildConflictGraph(paths).Adj; !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: adjacency\n got %v\nwant %v\npaths %v", trial, got, want, paths)
+		}
 	}
 }
 

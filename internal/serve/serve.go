@@ -305,7 +305,7 @@ func (s *Server) parseRequest(req *Request) (*netlist.Application, pipeline.Opti
 	if ro.TreeHeight < 0 || ro.ClusterTrials < 0 || ro.MaxChords < 0 || ro.Parallelism < 0 || ro.MILPTimeLimitMS < 0 {
 		return nil, opt, errors.New("options must be non-negative")
 	}
-	if err := wavelength.CheckOracle(ro.Oracle); err != nil {
+	if err := wavelength.CheckOracle(ro.Oracle, ro.UseMILP); err != nil {
 		return nil, opt, err
 	}
 	opt.TreeHeight = ro.TreeHeight

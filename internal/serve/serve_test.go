@@ -98,6 +98,7 @@ var badRequests = []struct {
 	{"negative parallelism", `{"app":"MWD","method":"SRing","options":{"parallelism":-1}}`, 400, "non-negative"},
 	{"unknown field", `{"app":"MWD","method":"SRing","bogus":1}`, 400, "bogus"},
 	{"unknown oracle", `{"app":"MWD","method":"SRing","options":{"use_milp":true,"oracle":"bogus"}}`, 400, "unknown oracle"},
+	{"oracle without milp", `{"app":"MWD","method":"SRing","options":{"oracle":"cp"}}`, 400, "MILP"},
 	{"removed decompose option", `{"app":"MWD","method":"SRing","options":{"use_milp":true,"decompose":true}}`, 400, "decompose"},
 	{"not json", `{{{`, 400, "bad request body"},
 }

@@ -165,8 +165,15 @@ func (e *evaluator) score(a *Assignment, w Weights) Objective {
 		SumPerLambda: sum,
 		Splitters:    e.nSplit,
 	}
-	obj.Value = w.Alpha*float64(used) + w.Beta*worst + w.Gamma*sum
+	obj.Value = w.value(used, worst, sum)
 	return obj
+}
+
+// value is Eq. 8: α·i_wl + β·il^Smax + γ·Σ il_λ^max. The evaluator and the
+// hill climb's incremental scoring both go through it, so equal operands
+// give bit-equal values.
+func (w Weights) value(used int, worst, sum float64) float64 {
+	return w.Alpha*float64(used) + w.Beta*worst + w.Gamma*sum
 }
 
 // splitterNodes appends the nodes marked by the last scoring call to dst,

@@ -18,10 +18,14 @@ var oracleH = obs.Default().Histogram("wavelength.oracle.ns")
 const OracleCP = "cp"
 
 // CheckOracle rejects an Options.Oracle name other than empty (no oracle)
-// and OracleCP.
-func CheckOracle(name string) error {
+// and OracleCP, and an oracle without the exact stage (useMILP false): the
+// oracle only runs after the MILP, so it would be silently ignored.
+func CheckOracle(name string, useMILP bool) error {
 	if name != "" && name != OracleCP {
 		return fmt.Errorf("wavelength: unknown oracle %q (want %q or empty)", name, OracleCP)
+	}
+	if name != "" && !useMILP {
+		return fmt.Errorf("wavelength: oracle %q runs only with the exact MILP assignment enabled", name)
 	}
 	return nil
 }
@@ -29,10 +33,10 @@ func CheckOracle(name string) error {
 // cpProblem translates the assignment instance into the oracle's terms.
 // Both solvers see the same conflict adjacency and price splitters the same
 // way, so their objectives are directly comparable.
-func cpProblem(infos []PathInfo, numLambda int, w Weights) cpcheck.Problem {
+func cpProblem(infos []PathInfo, adj [][]int, numLambda int, w Weights) cpcheck.Problem {
 	p := cpcheck.Problem{
 		Paths:     make([]cpcheck.Path, len(infos)),
-		Adj:       conflictAdj(infos),
+		Adj:       adj,
 		MaxLambda: numLambda,
 		W: cpcheck.Weights{
 			Alpha: w.Alpha, Beta: w.Beta, Gamma: w.Gamma,
@@ -53,6 +57,11 @@ func cpProblem(infos []PathInfo, numLambda int, w Weights) cpcheck.Problem {
 // palette, seeded with the incumbent assignment (nil for none). It is the
 // exported entry the cross-check tests drive directly.
 func SolveCP(ctx context.Context, infos []PathInfo, numLambda int, w Weights, seed *Assignment, limit time.Duration) (cpcheck.Result, error) {
+	return solveCP(ctx, infos, conflictAdj(infos), numLambda, w, seed, limit)
+}
+
+// solveCP is SolveCP over the conflict adjacency of infos.
+func solveCP(ctx context.Context, infos []PathInfo, adj [][]int, numLambda int, w Weights, seed *Assignment, limit time.Duration) (cpcheck.Result, error) {
 	if numLambda > cpcheck.MaxLambdaLimit {
 		return cpcheck.Result{}, fmt.Errorf("wavelength: palette %d exceeds the CP oracle's %d-wavelength limit", numLambda, cpcheck.MaxLambdaLimit)
 	}
@@ -64,7 +73,7 @@ func SolveCP(ctx context.Context, infos []PathInfo, numLambda int, w Weights, se
 	if limit > 0 {
 		deadline = time.Now().Add(limit)
 	}
-	return cpcheck.Solve(ctx, cpProblem(infos, numLambda, w), seedLambda, deadline)
+	return cpcheck.Solve(ctx, cpProblem(infos, adj, numLambda, w), seedLambda, deadline)
 }
 
 // runOracle is the -oracle=cp fallback inside AssignContext: when the MILP
@@ -72,7 +81,7 @@ func SolveCP(ctx context.Context, infos []PathInfo, numLambda int, w Weights, se
 // budget, seeded with the best assignment so far. A CP improvement replaces
 // the incumbent; a CP proof of optimality (or a stronger CP bound) tightens
 // the reported bound and gap.
-func runOracle(ctx context.Context, infos []PathInfo, best *Assignment, numLambda int, w Weights, opt Options, stats *Stats, sp *obs.Span) (*Assignment, error) {
+func runOracle(ctx context.Context, infos []PathInfo, adj [][]int, best *Assignment, numLambda int, w Weights, opt Options, stats *Stats, sp *obs.Span) (*Assignment, error) {
 	limit := opt.MILPTimeLimit
 	if limit <= 0 {
 		limit = milp.DefaultTimeLimit
@@ -81,7 +90,7 @@ func runOracle(ctx context.Context, infos []PathInfo, best *Assignment, numLambd
 	defer osp.End()
 	osp.Count("wavelength.oracle.runs", 1)
 	start := time.Now()
-	res, err := SolveCP(ctx, infos, numLambda, w, best, limit)
+	res, err := solveCP(ctx, infos, adj, numLambda, w, best, limit)
 	oracleH.RecordSince(start)
 	osp.Count("wavelength.oracle.nodes", res.Nodes)
 	if err != nil && ctx.Err() == nil {
@@ -103,7 +112,7 @@ func runOracle(ctx context.Context, infos []PathInfo, best *Assignment, numLambd
 	if res.Lambda != nil {
 		cand := &Assignment{Lambda: append([]int(nil), res.Lambda...), NumLambda: numLambda}
 		cand.Normalize()
-		if err := Verify(infos, cand); err != nil {
+		if err := verify(adj, cand); err != nil {
 			return best, fmt.Errorf("wavelength: CP oracle produced invalid assignment: %w", err)
 		}
 		if o := Evaluate(infos, cand, w); o.Value < stats.Final.Value-1e-9 {

@@ -126,7 +126,7 @@ func TestOracleFallbackImproves(t *testing.T) {
 }
 
 // An Oracle name other than "" and OracleCP is an error, not a silent
-// no-op.
+// no-op, and so is an oracle without UseMILP, which would never run.
 func TestAssignRejectsUnknownOracle(t *testing.T) {
 	infos, w := cpInstance(t, netlist.MWD())
 	for _, name := range []string{"bogus", "CP", "milp"} {
@@ -135,8 +135,38 @@ func TestAssignRejectsUnknownOracle(t *testing.T) {
 			t.Errorf("Oracle %q: err = %v, want an unknown-oracle error", name, err)
 		}
 	}
-	if _, _, err := wavelength.Assign(infos, wavelength.Options{Weights: w, Oracle: wavelength.OracleCP}); err != nil {
-		t.Errorf("Oracle %q: %v", wavelength.OracleCP, err)
+	if _, _, err := wavelength.Assign(infos, wavelength.Options{Weights: w, Oracle: wavelength.OracleCP}); err == nil || !strings.Contains(err.Error(), "MILP") {
+		t.Errorf("Oracle %q without UseMILP: err = %v, want an error naming the MILP", wavelength.OracleCP, err)
+	}
+	if _, _, err := wavelength.Assign(infos, wavelength.Options{Weights: w, UseMILP: true, Oracle: wavelength.OracleCP}); err != nil {
+		t.Errorf("Oracle %q with UseMILP: %v", wavelength.OracleCP, err)
+	}
+}
+
+// TestMILPSkipReported: on D26 the heuristic palette puts |S| x |Λ| above
+// the MILP size gate, and Stats says so instead of leaving the skip to a
+// span attribute; on MWD the MILP runs.
+func TestMILPSkipReported(t *testing.T) {
+	infos, w := cpInstance(t, netlist.D26())
+	_, st, err := wavelength.Assign(infos, wavelength.Options{Weights: w, UseMILP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.MILPSkipped || st.MILPRan {
+		t.Fatalf("D26: MILPSkipped = %v, MILPRan = %v; want a skipped MILP", st.MILPSkipped, st.MILPRan)
+	}
+	if want := st.Heuristic.NumLambda + 1; st.MILPPalette != want {
+		t.Errorf("D26: MILPPalette = %d, want the heuristic's %d wavelengths plus one", st.MILPPalette, want-1)
+	}
+	t.Logf("D26: |S|x|Λ| = %dx%d = %d", len(infos), st.MILPPalette, len(infos)*st.MILPPalette)
+
+	infos, w = cpInstance(t, netlist.MWD())
+	_, st, err = wavelength.Assign(infos, wavelength.Options{Weights: w, UseMILP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MILPSkipped || !st.MILPRan {
+		t.Errorf("MWD: MILPSkipped = %v, MILPRan = %v; want the MILP to run", st.MILPSkipped, st.MILPRan)
 	}
 }
 

@@ -17,6 +17,7 @@ package wavelength
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -77,21 +78,21 @@ func (a *Assignment) Normalize() {
 // wavelength in range and no two conflicting paths (overlapping arcs on the
 // same ring) share one.
 func Verify(infos []PathInfo, a *Assignment) error {
-	if len(a.Lambda) != len(infos) {
-		return fmt.Errorf("wavelength: assignment covers %d paths, want %d", len(a.Lambda), len(infos))
+	return verify(conflictAdj(infos), a)
+}
+
+// verify is Verify over the conflict adjacency of the paths.
+func verify(adj [][]int, a *Assignment) error {
+	if len(a.Lambda) != len(adj) {
+		return fmt.Errorf("wavelength: assignment covers %d paths, want %d", len(a.Lambda), len(adj))
 	}
 	for i, l := range a.Lambda {
 		if l < 0 || l >= a.NumLambda {
 			return fmt.Errorf("wavelength: path %d assigned out-of-range wavelength %d", i, l)
 		}
 	}
-	paths := make([]ring.Path, len(infos))
-	for i, pi := range infos {
-		paths[i] = pi.Path
-	}
-	g := ring.BuildConflictGraph(paths)
-	for i, adj := range g.Adj {
-		for _, j := range adj {
+	for i, nb := range adj {
+		for _, j := range nb {
 			if j > i && a.Lambda[i] == a.Lambda[j] {
 				return fmt.Errorf("wavelength: conflicting paths %d and %d share wavelength %d", i, j, a.Lambda[i])
 			}
@@ -169,19 +170,28 @@ func conflictAdj(infos []PathInfo) [][]int {
 // heuristic, deterministically. The result is a valid assignment with a
 // small (not necessarily minimal) number of wavelengths.
 func DSATUR(infos []PathInfo) *Assignment {
-	n := len(infos)
-	adj := conflictAdj(infos)
+	return dsatur(conflictAdj(infos))
+}
+
+// dsatur is DSATUR over a conflict adjacency. A vertex's saturation set,
+// the colours of its coloured neighbours, is a bitset over the palette:
+// no colour exceeds the maximum degree, so each set spans at most
+// maxDegree+1 bits.
+func dsatur(adj [][]int) *Assignment {
+	n := len(adj)
 	lambda := make([]int, n)
 	for i := range lambda {
 		lambda[i] = -1
 	}
-	satur := make([]map[int]bool, n)
-	for i := range satur {
-		satur[i] = make(map[int]bool)
+	maxDeg := 0
+	for _, nb := range adj {
+		maxDeg = max(maxDeg, len(nb))
 	}
-	colored := 0
+	words := maxDeg/64 + 1
+	seen := make([]uint64, n*words) // vertex i's set at [i*words, (i+1)*words)
+	satur := make([]int, n)         // set sizes
 	maxColor := -1
-	for colored < n {
+	for colored := 0; colored < n; colored++ {
 		// Pick uncoloured vertex with max saturation, tie: max degree,
 		// tie: lowest index.
 		best := -1
@@ -193,24 +203,28 @@ func DSATUR(infos []PathInfo) *Assignment {
 				best = i
 				continue
 			}
-			si, sb := len(satur[i]), len(satur[best])
+			si, sb := satur[i], satur[best]
 			if si > sb || (si == sb && len(adj[i]) > len(adj[best])) {
 				best = i
 			}
 		}
 		// Smallest feasible colour.
 		c := 0
-		for satur[best][c] {
-			c++
+		for k, set := range seen[best*words : (best+1)*words] {
+			if set != ^uint64(0) {
+				c = 64*k + bits.TrailingZeros64(^set)
+				break
+			}
 		}
 		lambda[best] = c
-		if c > maxColor {
-			maxColor = c
-		}
+		maxColor = max(maxColor, c)
+		bit := uint64(1) << (c % 64)
 		for _, j := range adj[best] {
-			satur[j][c] = true
+			if set := &seen[j*words+c/64]; *set&bit == 0 {
+				*set |= bit
+				satur[j]++
+			}
 		}
-		colored++
 	}
 	a := &Assignment{Lambda: lambda, NumLambda: maxColor + 1}
 	a.Normalize()
@@ -223,47 +237,81 @@ func DSATUR(infos []PathInfo) *Assignment {
 // usage, the behaviour the paper reports at high communication density).
 // It returns the improved assignment; the input is not modified.
 func Improve(infos []PathInfo, start *Assignment, w Weights) *Assignment {
+	a, _ := improve(infos, conflictAdj(infos), start, w)
+	return a
+}
+
+// climbWork counts the hill climb's work units: recolour trials scored,
+// and how many of them the incremental state could not price (a sender's
+// splitter status flips) and handed to the full evaluator.
+type climbWork struct {
+	trials, rescored int64
+}
+
+// improve is Improve over a prebuilt conflict adjacency of infos. Trials
+// are priced by a climbState; the assignment it returns is the one a climb
+// that rescored every trial with the evaluator would return, bit for bit.
+func improve(infos []PathInfo, adj [][]int, start *Assignment, w Weights) (*Assignment, climbWork) {
+	var work climbWork
 	cur := start.Clone()
 	cur.Normalize()
-	adj := conflictAdj(infos)
 	ev := newEvaluator(infos)
 	curObj := ev.score(cur, w)
+	st := newClimbState(ev, w)
 
-	feasible := func(i, c int) bool {
-		for _, j := range adj[i] {
-			if cur.Lambda[j] == c {
-				return false
-			}
+	// forbid[c] == stamp marks the colours of path i's neighbours, so a
+	// recolour's feasibility is one lookup. The marks are redone whenever
+	// an accepted move renumbers the palette.
+	var forbid []int
+	stamp := 0
+	markForbidden := func(i int) {
+		if len(forbid) < cur.NumLambda+1 {
+			forbid = make([]int, 2*cur.NumLambda+1)
 		}
-		return true
+		stamp++
+		for _, j := range adj[i] {
+			forbid[cur.Lambda[j]] = stamp
+		}
 	}
 
 	const maxPasses = 60
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
+		st.rebuild(cur)
 		for i := range infos {
 			old := cur.Lambda[i]
+			markForbidden(i)
 			// Try every existing colour plus one fresh colour.
 			for c := 0; c <= cur.NumLambda; c++ {
-				if c == old || !feasible(i, c) {
+				if c == old || forbid[c] == stamp {
 					continue
 				}
+				work.trials++
 				num := cur.NumLambda
-				cur.Lambda[i] = c
-				if c == num {
-					cur.NumLambda = c + 1
-				}
-				cand := ev.score(cur, w)
-				if cand.Value < curObj.Value-1e-9 {
-					curObj = cand
-					improved = true
-					cur.Normalize()
-					old = cur.Lambda[i]
-				} else {
-					// cur is normalised before every trial, so undoing the
-					// recolour restores the normalised assignment exactly.
+				cand, ok := st.trial(cur, i, c)
+				if !ok {
+					work.rescored++
+					cur.Lambda[i] = c
+					if c == num {
+						cur.NumLambda = c + 1
+					}
+					cand = ev.score(cur, w)
 					cur.Lambda[i] = old
 					cur.NumLambda = num
+				}
+				if cand.Value < curObj.Value-1e-9 {
+					// curObj keeps the value scored before renumbering:
+					// later trials compare against exactly that value.
+					curObj = cand
+					improved = true
+					cur.Lambda[i] = c
+					if c == num {
+						cur.NumLambda = c + 1
+					}
+					cur.Normalize()
+					old = cur.Lambda[i]
+					st.rebuild(cur)
+					markForbidden(i)
 				}
 			}
 		}
@@ -282,7 +330,7 @@ func Improve(infos []PathInfo, start *Assignment, w Weights) *Assignment {
 		}
 	}
 	cur.Normalize()
-	return cur
+	return cur, work
 }
 
 // eliminateSplitters tries, for each node currently needing a PDN splitter,
@@ -418,7 +466,8 @@ type Options struct {
 	// OracleCP ("cp") runs the constraint-propagation search in cpcheck with
 	// the same time budget, seeded with the incumbent; an improvement
 	// replaces the assignment and a stronger bound tightens the reported
-	// gap. Empty disables; any other name is an error.
+	// gap. Empty disables; any other name, or an oracle without UseMILP,
+	// is an error.
 	Oracle string
 }
 
@@ -428,6 +477,13 @@ type Stats struct {
 	Final     Objective
 	MILPRan   bool
 	MILPExact bool // true if the MILP proved optimality
+	// MILPSkipped reports that UseMILP was set but the size gate skipped
+	// the exact solve: |S| × MILPPalette binaries would exceed its limit.
+	MILPSkipped bool
+	// MILPPalette is |Λ|, the wavelength palette the exact stage searched,
+	// or would have searched had the size gate not skipped it (set
+	// whenever UseMILP).
+	MILPPalette int
 	// MILPBound is the proven lower bound on the Eq. 8 objective over the
 	// MILP's palette (valid when MILPRan).
 	MILPBound float64
@@ -476,7 +532,7 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 	if len(infos) == 0 {
 		return nil, nil, fmt.Errorf("wavelength: no paths to assign")
 	}
-	if err := CheckOracle(opt.Oracle); err != nil {
+	if err := CheckOracle(opt.Oracle, opt.UseMILP); err != nil {
 		return nil, nil, err
 	}
 	sp := opt.Obs.StartSpan("wavelength.assign")
@@ -486,9 +542,14 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 	if w == (Weights{}) {
 		w = DefaultWeights()
 	}
+	// One conflict graph serves the heuristic, every verification and the
+	// CP oracle.
+	adj := conflictAdj(infos)
 	hsp := sp.StartSpan("wavelength.heuristic")
-	best := Improve(infos, DSATUR(infos), w)
-	if err := Verify(infos, best); err != nil {
+	best, work := improve(infos, adj, dsatur(adj), w)
+	hsp.Count("wavelength.improve_trials", work.trials)
+	hsp.Count("wavelength.improve_rescored", work.rescored)
+	if err := verify(adj, best); err != nil {
 		return nil, nil, fmt.Errorf("wavelength: heuristic produced invalid assignment: %w", err)
 	}
 	stats := &Stats{Heuristic: Evaluate(infos, best, w)}
@@ -504,6 +565,7 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 			extra = 1
 		}
 		numLambda := best.NumLambda + extra
+		stats.MILPPalette = numLambda
 		if len(infos)*numLambda <= maxBinaries {
 			milpA, info, err := SolveMILP(ctx, infos, numLambda, w, best, opt.MILPTimeLimit, opt.Parallelism, opt.CutRounds, sp)
 			if err != nil {
@@ -518,7 +580,7 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 			stats.MILPNodeFingerprint = info.NodeFingerprint
 			stats.Cancelled = info.Cancelled
 			if milpA != nil {
-				if err := Verify(infos, milpA); err != nil {
+				if err := verify(adj, milpA); err != nil {
 					return nil, nil, fmt.Errorf("wavelength: MILP produced invalid assignment: %w", err)
 				}
 				if o := Evaluate(infos, milpA, w); o.Value < stats.Final.Value-1e-9 {
@@ -529,12 +591,13 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 		} else {
 			// The exact solve would not finish within budget at this size;
 			// make the skip visible instead of silent.
+			stats.MILPSkipped = true
 			sp.SetBool("milp_skipped", true)
 		}
 		if opt.Oracle == OracleCP && !stats.MILPExact &&
 			ctx.Err() == nil && numLambda <= cpcheck.MaxLambdaLimit {
 			var err error
-			best, err = runOracle(ctx, infos, best, numLambda, w, opt, stats, sp)
+			best, err = runOracle(ctx, infos, adj, best, numLambda, w, opt, stats, sp)
 			if err != nil {
 				return nil, nil, err
 			}

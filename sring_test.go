@@ -31,10 +31,14 @@ func TestUnknownMethod(t *testing.T) {
 		t.Fatal("unknown method accepted")
 	}
 	// ORNoC brings its own assignment, so only the pipeline's up-front
-	// check can reject an unknown oracle name for it.
+	// check can reject an unknown oracle name, or an oracle without the
+	// MILP, for it.
 	for _, m := range []Method{MethodSRing, MethodORNoC} {
 		if _, err := Synthesize(MWD(), m, Options{UseMILP: true, Oracle: "bogus"}); err == nil {
 			t.Errorf("%s: unknown oracle accepted", m)
+		}
+		if _, err := Synthesize(MWD(), m, Options{Oracle: "cp"}); err == nil {
+			t.Errorf("%s: oracle without UseMILP accepted", m)
 		}
 	}
 }
