@@ -120,7 +120,7 @@ func BenchmarkFig7(b *testing.B) {
 
 // BenchmarkFig8 regenerates the Fig. 8 sampling study: per iteration, 1000
 // random solutions of MWD / VOPD, reporting the feasibility rate. (The
-// paper draws 100000 — run cmd/experiments -fig8 for the full study.)
+// paper draws 100000 — run cmd/experiments fig8 for the full study.)
 func BenchmarkFig8(b *testing.B) {
 	for _, name := range []string{"MWD", "VOPD"} {
 		name := name

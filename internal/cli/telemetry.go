@@ -1,7 +1,8 @@
 // Package cli holds the small helpers shared by the repository's command
 // binaries: wiring the opt-in -telemetry endpoint with its post-run hold
-// window. It exists so the four commands expose identical observability
-// flags without four copies of the start/hold/shutdown choreography.
+// window. It exists so the three commands that take -telemetry (sring,
+// serve, experiments) expose identical observability flags without three
+// copies of the start/hold/shutdown choreography.
 package cli
 
 import (

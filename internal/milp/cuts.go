@@ -41,10 +41,11 @@ import (
 )
 
 const (
-	// defaultCutRounds / defaultMaxCutsPerRound back the zero values of
-	// Options.CutRounds / Options.MaxCutsPerRound.
-	defaultCutRounds       = 30
-	defaultMaxCutsPerRound = 8
+	// defaultCutRounds backs the zero value of Options.CutRounds.
+	defaultCutRounds = 30
+	// maxCutsPerRound caps how many cuts a round appends (highest efficacy
+	// — norm-scaled violation — first).
+	maxCutsPerRound = 8
 	// cutMaxDepth bounds how deep in the tree separation still runs: the
 	// root gets the full round budget, nodes at depth <= cutMaxDepth one
 	// round, deeper nodes none (their bounds move mostly by inheritance).
@@ -204,9 +205,9 @@ type candidate struct {
 type cutter struct {
 	pp *prepped
 	rs *relaxSolver // dedicated arena: tableau re-establishment + cut rounds
-	// rounds / perRound are the resolved knob values.
-	rounds, perRound int
-	sp               *obs.Span
+	// rounds is the resolved Options.CutRounds.
+	rounds int
+	sp     *obs.Span
 
 	bySig  map[uint64]*cut // every cut ever admitted, by signature
 	global []*cut          // active global pool, admission order
@@ -223,20 +224,12 @@ func newCutter(pp *prepped, rs *relaxSolver, opt Options, sp *obs.Span) *cutter 
 	if rounds == 0 {
 		rounds = defaultCutRounds
 	}
-	per := opt.MaxCutsPerRound
-	switch {
-	case per == 0:
-		per = defaultMaxCutsPerRound
-	case per < 0:
-		per = math.MaxInt32
-	}
 	return &cutter{
-		pp:       pp,
-		rs:       rs,
-		rounds:   rounds,
-		perRound: per,
-		sp:       sp,
-		bySig:    make(map[uint64]*cut),
+		pp:     pp,
+		rs:     rs,
+		rounds: rounds,
+		sp:     sp,
+		bySig:  make(map[uint64]*cut),
 	}
 }
 
@@ -465,10 +458,10 @@ func (ct *cutter) anyAdoptable(sol *lp.Solution, cur []*cut) bool {
 }
 
 // separate generates candidate cuts at the current fractional point and
-// returns the efficacy-selected batch (at most perRound): fresh Gomory and
-// cover cuts, plus violated global pool cuts the node's LP does not carry
-// yet. Fresh selections are admitted to the pool here. With adoptOnly the
-// fresh separators are skipped — only the pool scan runs.
+// returns the efficacy-selected batch (at most maxCutsPerRound): fresh
+// Gomory and cover cuts, plus violated global pool cuts the node's LP does
+// not carry yet. Fresh selections are admitted to the pool here. With
+// adoptOnly the fresh separators are skipped — only the pool scan runs.
 func (ct *cutter) separate(sol *lp.Solution, cur []*cut, adoptOnly bool) []*cut {
 	inLP := make(map[uint64]bool, len(cur))
 	for _, c := range cur {
@@ -509,8 +502,8 @@ func (ct *cutter) separate(sol *lp.Solution, cur []*cut, adoptOnly bool) []*cut 
 		}
 		return cands[i].c.sig < cands[j].c.sig
 	})
-	if len(cands) > ct.perRound {
-		cands = cands[:ct.perRound]
+	if len(cands) > maxCutsPerRound {
+		cands = cands[:maxCutsPerRound]
 	}
 	sel := make([]*cut, len(cands))
 	for i, cd := range cands {
@@ -561,7 +554,7 @@ func (ct *cutter) audit(c *cut, sol *lp.Solution) {
 // gmiRowBudget bounds how many tableau rows are extracted per round; the
 // most fractional basic integers go first.
 func (ct *cutter) gmiRowBudget() int {
-	b := 4 * ct.perRound
+	b := 4 * maxCutsPerRound
 	if b < 16 {
 		b = 16
 	}

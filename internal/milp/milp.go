@@ -87,9 +87,6 @@ type Options struct {
 	// before dependent assignment variables can shrink the tree by orders
 	// of magnitude.
 	BranchPriority []int
-	// Gap is the relative optimality gap at which the search stops early.
-	// Zero means solve to proven optimality.
-	Gap float64
 	// CutRounds caps the cutting-plane rounds run when the root relaxation
 	// comes back fractional; nodes below the root run none (cutMaxDepth is
 	// 0). Zero means the default (30); negative disables cut separation
@@ -98,10 +95,6 @@ type Options struct {
 	// goroutine, so any Parallelism setting reproduces the same cuts —
 	// and the same NodeFingerprint — bit for bit.
 	CutRounds int
-	// MaxCutsPerRound caps how many cuts are appended per round (highest
-	// efficacy — norm-scaled violation — first). Zero means the default
-	// (8); negative means no cap.
-	MaxCutsPerRound int
 	// DisablePresolve skips the bound-propagation reduction.
 	DisablePresolve bool
 	// Obs, when non-nil, is the parent span under which the solve records
@@ -123,7 +116,7 @@ var (
 type Status int
 
 const (
-	// Optimal: proven optimal within the requested gap.
+	// Optimal: proven optimal.
 	Optimal Status = iota
 	// Feasible: a limit was reached; the returned solution is the best
 	// incumbent but optimality is unproven.
@@ -700,10 +693,6 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 				}
 				sp.Event("incumbent", res.Objective, bound)
 			}
-			if opt.Gap > 0 && gapClosed(res, open, opt.Gap) {
-				res.Status = Optimal
-				return res, nil
-			}
 			continue
 		}
 		if nd.depth == 0 && res.Nodes == 1 {
@@ -815,20 +804,6 @@ func mostFractional(p *Problem, prio []int, x []float64) int {
 		}
 	}
 	return best
-}
-
-// gapClosed reports whether the incumbent is within the relative gap of the
-// best open bound.
-func gapClosed(res *Result, open *nodeHeap, gap float64) bool {
-	if open.Len() == 0 {
-		return true
-	}
-	bound := (*open)[0].bound
-	if math.IsInf(bound, -1) {
-		return false
-	}
-	denom := math.Max(math.Abs(res.Objective), 1e-9)
-	return (res.Objective-bound)/denom <= gap
 }
 
 // checkIncumbent verifies feasibility and integrality of a candidate

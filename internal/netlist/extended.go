@@ -4,8 +4,7 @@ package netlist
 // style of the common NoC synthesis literature (picture-in-picture, H.263
 // codec, MP3 decoder, and a combined multimedia system). The SRing paper
 // evaluates only the seven Table-I benchmarks; these extend the evaluation
-// surface for downstream users and for the density analysis in
-// cmd/sweep.
+// surface for downstream users and for `experiments -extended`.
 
 // PIP returns an 8-node, 8-message picture-in-picture application: two
 // scaler pipelines sharing a memory.

@@ -6,7 +6,7 @@ import (
 )
 
 // The builtin-app registry: the single place commands (cmd/sring,
-// cmd/serve, cmd/sweep) resolve named applications from, instead of
+// cmd/serve, cmd/experiments) resolve named applications from, instead of
 // per-command switch statements. It spans the seven paper benchmarks, the
 // four extension task graphs, and the large synthetic scale apps.
 

@@ -7,7 +7,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -224,23 +223,4 @@ func Summary(metric string, reference float64, values []float64) string {
 	}
 	return fmt.Sprintf("%s: SRing %.3g %s best random %.3g (of %d feasible)\n",
 		metric, reference, verdict, best, len(values))
-}
-
-// SortRows orders rows by benchmark (in the given order) then by method (in
-// the given order), for stable table rendering.
-func SortRows(rows []Row, benchOrder, methodOrder []string) {
-	bi := make(map[string]int, len(benchOrder))
-	for i, b := range benchOrder {
-		bi[b] = i
-	}
-	mi := make(map[string]int, len(methodOrder))
-	for i, m := range methodOrder {
-		mi[m] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if bi[rows[i].Benchmark] != bi[rows[j].Benchmark] {
-			return bi[rows[i].Benchmark] < bi[rows[j].Benchmark]
-		}
-		return mi[rows[i].Method] < mi[rows[j].Method]
-	})
 }

@@ -135,18 +135,3 @@ func TestIntHistogramValues(t *testing.T) {
 		t.Errorf("IntHistogramValues = %v", out)
 	}
 }
-
-func TestSortRows(t *testing.T) {
-	rows := []Row{
-		{Benchmark: "VOPD", Method: "SRing"},
-		{Benchmark: "MWD", Method: "SRing"},
-		{Benchmark: "MWD", Method: "ORNoC"},
-	}
-	SortRows(rows, []string{"MWD", "VOPD"}, []string{"ORNoC", "SRing"})
-	if rows[0].Benchmark != "MWD" || rows[0].Method != "ORNoC" {
-		t.Errorf("SortRows order wrong: %+v", rows)
-	}
-	if rows[2].Benchmark != "VOPD" {
-		t.Errorf("SortRows order wrong: %+v", rows)
-	}
-}

@@ -23,22 +23,24 @@ import (
 	"sring/internal/design"
 )
 
+// The physical parameters of every run.
+const (
+	// bitrateGbps is the modulation rate per wavelength.
+	bitrateGbps float64 = 10
+	// packetBits is the packet size.
+	packetBits = 512
+	// propagationPSPerMM is the waveguide group delay (paper Sec. I).
+	propagationPSPerMM float64 = 10.45
+	// eoConversionPS and oeConversionPS are the fixed sender/receiver
+	// conversion latencies.
+	eoConversionPS float64 = 100
+	oeConversionPS float64 = 100
+	// durationNS is the simulated injection window (1 µs).
+	durationNS float64 = 1000
+)
+
 // Config parameterises a simulation run.
 type Config struct {
-	// BitrateGbps is the modulation rate per wavelength. Zero means 10.
-	BitrateGbps float64
-	// PacketBits is the packet size. Zero means 512.
-	PacketBits int
-	// PropagationPSPerMM is the waveguide group delay. Zero means 10.45
-	// (paper Sec. I).
-	PropagationPSPerMM float64
-	// EOConversionPS and OEConversionPS are the fixed sender/receiver
-	// conversion latencies. Zeros mean 100 each.
-	EOConversionPS float64
-	OEConversionPS float64
-	// DurationNS is the simulated injection window in nanoseconds. Zero
-	// means 1000 (1 µs).
-	DurationNS float64
 	// Load is the offered load per message as a fraction of a wavelength's
 	// capacity, in (0, 1]. Zero means 0.5.
 	Load float64
@@ -46,37 +48,11 @@ type Config struct {
 	Seed int64
 }
 
-func (c *Config) fill() {
-	if c.BitrateGbps == 0 {
-		c.BitrateGbps = 10
-	}
-	if c.PacketBits == 0 {
-		c.PacketBits = 512
-	}
-	if c.PropagationPSPerMM == 0 {
-		c.PropagationPSPerMM = 10.45
-	}
-	if c.EOConversionPS == 0 {
-		c.EOConversionPS = 100
-	}
-	if c.OEConversionPS == 0 {
-		c.OEConversionPS = 100
-	}
-	if c.DurationNS == 0 {
-		c.DurationNS = 1000
-	}
-	if c.Load == 0 {
-		c.Load = 0.5
-	}
-}
-
 // Validate rejects unusable configurations.
 func (c Config) Validate() error {
-	c.fill()
-	if c.BitrateGbps <= 0 || c.PacketBits <= 0 || c.DurationNS <= 0 {
-		return fmt.Errorf("sim: non-positive rate/size/duration")
-	}
-	if c.Load <= 0 || c.Load > 1 {
+	// The negated test also rejects NaN, which would never end the
+	// arrival loop.
+	if !(c.Load >= 0 && c.Load <= 1) {
 		return fmt.Errorf("sim: load %v outside (0, 1]", c.Load)
 	}
 	return nil
@@ -125,13 +101,15 @@ func Run(d *design.Design, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.fill()
+	if cfg.Load == 0 {
+		cfg.Load = 0.5
+	}
 	met, err := d.Metrics()
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	serNS := float64(cfg.PacketBits) / cfg.BitrateGbps // bits / (Gbit/s) = ns
+	serNS := float64(packetBits) / bitrateGbps // bits / (Gbit/s) = ns
 
 	res := &Result{PerMessage: make([]MessageStats, len(d.Infos))}
 	// occupancy[(ring, seg, λ)] collects per-packet intervals for the
@@ -140,8 +118,8 @@ func Run(d *design.Design, cfg Config) (*Result, error) {
 
 	var totalLatency float64
 	for mi, pi := range d.Infos {
-		propNS := pi.Path.Length*cfg.PropagationPSPerMM/1000 +
-			(cfg.EOConversionPS+cfg.OEConversionPS)/1000
+		propNS := pi.Path.Length*propagationPSPerMM/1000 +
+			(eoConversionPS+oeConversionPS)/1000
 		st := &res.PerMessage[mi]
 		st.PropagationNS = propNS
 
@@ -152,7 +130,7 @@ func Run(d *design.Design, cfg Config) (*Result, error) {
 		lastFree := 0.0
 		for {
 			t += rng.ExpFloat64() * meanGapNS
-			if t > cfg.DurationNS {
+			if t > durationNS {
 				break
 			}
 			start := math.Max(t, lastFree)
@@ -167,7 +145,7 @@ func Run(d *design.Design, cfg Config) (*Result, error) {
 				st.WorstLatencyNS = latency
 			}
 			res.PacketsDelivered++
-			res.BitsDelivered += int64(cfg.PacketBits)
+			res.BitsDelivered += int64(packetBits)
 			totalLatency += latency
 			if latency > res.WorstLatencyNS {
 				res.WorstLatencyNS = latency
@@ -205,7 +183,7 @@ func Run(d *design.Design, cfg Config) (*Result, error) {
 	if res.PacketsDelivered > 0 {
 		res.AvgLatencyNS = totalLatency / float64(res.PacketsDelivered)
 	}
-	horizonNS := cfg.DurationNS + res.WorstLatencyNS
+	horizonNS := durationNS + res.WorstLatencyNS
 	res.WavelengthUtilization = make([]float64, d.Assignment.NumLambda)
 	for l := range res.WavelengthUtilization {
 		res.WavelengthUtilization[l] = math.Min(1, busiest[l]/horizonNS)

@@ -170,8 +170,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(d, Config{Load: -0.1}); err == nil {
 		t.Error("negative load accepted")
 	}
-	if _, err := Run(d, Config{DurationNS: -5}); err == nil {
-		t.Error("negative duration accepted")
+	if _, err := Run(d, Config{Load: math.NaN()}); err == nil {
+		t.Error("NaN load accepted")
 	}
 }
 
@@ -191,7 +191,7 @@ func TestAllMethodsCollisionFree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app.Name, name, err)
 			}
-			res, err := Run(d, Config{Seed: 5, Load: 0.8, DurationNS: 300})
+			res, err := Run(d, Config{Seed: 5, Load: 0.8})
 			if err != nil {
 				t.Fatal(err)
 			}
