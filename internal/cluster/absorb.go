@@ -237,24 +237,36 @@ func farthest(app *netlist.Application, c netlist.NodeID, order []netlist.NodeID
 // candidate) and returns the valid absorption minimising the longest signal
 // path, the first such trial in (candidate, position) order. The sub-ring's
 // members are exactly the nodes of order, and no candidate is a member.
+// candidates maps each candidate to a lower bound on its trials, -Inf when
+// none is known; the step stores there the smallest incremental value of
+// every candidate it evaluates.
 //
-// Trials are evaluated min-first: every incremental value goes into a
-// buffer, with m the smallest, and only trials at or below
-// min(lmax, m+absorbEps)+absorbEps are re-scanned exactly, in the original
-// order under the paper's l <= lmax && l < longest rule. The first exact
-// minimum L* lies under that threshold: its incremental value is within
-// absorbEps of L* <= lmax, and L* is at most m+absorbEps when m's trial is
-// valid, below lmax otherwise. A candidate whose farthest partner is more
-// than min(lmax, m+absorbEps)+2·absorbEps away (m the running minimum) is
-// skipped outright, since none of its trials can be valid and at most L*.
-// So the selection is bit-identical to evaluating every trial with
-// ringOrderLongest (DESIGN.md §14.2 spells the argument out).
+// Trials are evaluated min-first. A candidate's key is the larger of its
+// carried bound and its distance to its farthest member partner. Pass 1
+// evaluates the candidate with the smallest key first, then the rest in ID
+// order, writing every incremental value into a buffer, with m the running
+// minimum; it skips a candidate whose key exceeds
+// min(lmax, m+absorbEps)+2·absorbEps, since none of its trials can be
+// valid and at most the first exact minimum L*. Pass 2 re-scans exactly,
+// in (candidate, position) order under the paper's l <= lmax && l < longest
+// rule, only the trials at or below min(lmax, m+absorbEps)+absorbEps, m now
+// the smallest value. L* lies under that threshold: its incremental value
+// is within absorbEps of L* <= lmax, and L* is at most m+absorbEps when m's
+// trial is valid, below lmax otherwise. So the selection is bit-identical
+// to evaluating every trial with ringOrderLongest.
+//
+// A carried bound stays valid while the ring grows: inserting a vertex
+// never shortens a path (Manhattan distance obeys the triangle
+// inequality), and a new member only adds paths, so a candidate's trials
+// never fall from one step to the next. Up to rounding, a carried value
+// sits at most 2r above the current incremental value, r ≈ 1e-11, far
+// inside the 2·absorbEps slack (DESIGN.md §14.2 spells the argument out).
 //
 // All working buffers live in rs, whose position table is left all -1 on
 // return. The returned order is a buffer the caller owns; handing the order
 // it replaces back through rs.recycle lets a warmed step allocate nothing.
 func bestAbsorption(app *netlist.Application, order []netlist.NodeID,
-	candidates map[netlist.NodeID]bool, lmax float64, rs *ringScratch) (newOrder []netlist.NodeID, longest float64, cand netlist.NodeID, ok bool) {
+	candidates map[netlist.NodeID]float64, lmax float64, rs *ringScratch) (newOrder []netlist.NodeID, longest float64, cand netlist.NodeID, ok bool) {
 
 	cands := rs.cands[:0]
 	for c := range candidates {
@@ -297,35 +309,51 @@ func bestAbsorption(app *netlist.Application, order []netlist.NodeID,
 	rs.unplace(order)
 
 	// Pass 1: the incremental value of every trial of every unscreened
-	// candidate; live lists those candidates, vals their trials row by row.
-	n := len(order)
-	m := math.Inf(1)
-	live, vals := rs.live[:0], rs.vals[:0]
+	// candidate k, row by row in vals from row[k] (-1 when screened).
+	keys := resize(rs.keys, len(cands))
+	first := 0
 	for k, c := range cands {
-		cTo, cFrom := rs.cTo[k], rs.cFrom[k]
-		if farthest(app, c, order, cTo, cFrom) > math.Min(lmax, m+absorbEps)+2*absorbEps {
-			continue
-		}
-		live = append(live, k)
-		vals = sc.appendInsertions(vals, c, cTo, cFrom)
-		for _, v := range vals[len(vals)-n:] {
-			m = min(m, v)
+		keys[k] = max(farthest(app, c, order, rs.cTo[k], rs.cFrom[k]), candidates[c])
+		if keys[k] < keys[first] {
+			first = k
 		}
 	}
-	rs.live, rs.vals = live, vals
+	row := resize(rs.row, len(cands))
+	rs.keys, rs.row, rs.vals = keys, row, rs.vals[:0]
+	m := math.Inf(1)
+	if len(cands) > 0 {
+		row[first] = 0
+		m = rs.evalRow(candidates, first)
+	}
+	for k := range cands {
+		if k == first {
+			continue
+		}
+		if keys[k] > math.Min(lmax, m+absorbEps)+2*absorbEps {
+			row[k] = -1
+			continue
+		}
+		row[k] = len(rs.vals)
+		m = min(m, rs.evalRow(candidates, k))
+	}
+	vals := rs.vals
 	threshold := math.Min(lmax, m+absorbEps) + absorbEps
 
 	// Pass 2: exact re-checks. Extending the member messages by c's own
 	// messages to and from members gives the messages within
 	// members ∪ {c}. win and trial swap on every win, so the losing
 	// buffer is reused.
+	n := len(order)
 	nMember := len(msgs)
 	win, trial := rs.spare[:0], rs.trial
 	longest = math.Inf(1)
-	for i, k := range live {
+	for k, r := range row {
+		if r < 0 {
+			continue
+		}
 		c, cTo, cFrom := cands[k], rs.cTo[k], rs.cFrom[k]
 		extended := false
-		for pos, v := range vals[i*n : (i+1)*n] {
+		for pos, v := range vals[r : r+n] {
 			if v > threshold {
 				continue
 			}
@@ -359,4 +387,19 @@ func bestAbsorption(app *netlist.Application, order []netlist.NodeID,
 	}
 	rs.spare = nil
 	return win, longest, cand, true
+}
+
+// evalRow appends the incremental values of candidate k's trials, one per
+// ring position, to rs.vals, carries their minimum in candidates as k's
+// bound and returns it.
+func (rs *ringScratch) evalRow(candidates map[netlist.NodeID]float64, k int) float64 {
+	c, start := rs.cands[k], len(rs.vals)
+	rs.vals = rs.abs.appendInsertions(rs.vals, c, rs.cTo[k], rs.cFrom[k])
+	low := math.Inf(1)
+	for _, v := range rs.vals[start:] {
+		low = min(low, v)
+	}
+	rs.trials += int64(len(rs.vals) - start)
+	candidates[c] = low
+	return low
 }

@@ -139,7 +139,7 @@ func (sc *refAbsorbScratch) insertionLongest(c netlist.NodeID, pos int, cTo, cFr
 // refBestAbsorption screens each trial against the running bound
 // min(lmax, longest) + absorbEps and rescans every survivor exactly.
 func refBestAbsorption(app *netlist.Application, order []netlist.NodeID,
-	candidates map[netlist.NodeID]bool, lmax float64, rs *ringScratch) (newOrder []netlist.NodeID, longest float64, cand netlist.NodeID, ok bool) {
+	candidates map[netlist.NodeID]float64, lmax float64, rs *ringScratch) (newOrder []netlist.NodeID, longest float64, cand netlist.NodeID, ok bool) {
 
 	var cands []netlist.NodeID
 	for c := range candidates {
@@ -384,17 +384,17 @@ func refGrowInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.Nod
 		// Candidates: remaining nodes adjacent to a member; if none, all
 		// remaining (the inter graph may be disconnected, but a single
 		// ring must still carry everything).
-		candidates := make(map[netlist.NodeID]bool)
+		candidates := make(map[netlist.NodeID]float64)
 		for m := range members {
 			for _, u := range adj[m] {
 				if remaining[u] {
-					candidates[u] = true
+					candidates[u] = math.Inf(-1)
 				}
 			}
 		}
 		if len(candidates) == 0 {
 			for u := range remaining {
-				candidates[u] = true
+				candidates[u] = math.Inf(-1)
 			}
 		}
 		order2, longest2, cand, ok := absorbStep(app, order, candidates, lmax, rs)
@@ -416,7 +416,7 @@ func refGrowInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.Nod
 // candidates, and random messages. The palette's non-dyadic fractions make collinear nodes, equal
 // distances and tied trials common, and make the incremental and exact
 // values disagree in their last bits.
-func randomRing(rng *rand.Rand) (*netlist.Application, []netlist.NodeID, map[netlist.NodeID]bool) {
+func randomRing(rng *rand.Rand) (*netlist.Application, []netlist.NodeID, map[netlist.NodeID]float64) {
 	n := 3 + rng.Intn(12)
 	if rng.Intn(4) == 0 { // a quarter of the rings run to 42 nodes
 		n = 3 + rng.Intn(40)
@@ -442,10 +442,10 @@ func randomRing(rng *rand.Rand) (*netlist.Application, []netlist.NodeID, map[net
 	for i := range order {
 		order[i] = netlist.NodeID(perm[i])
 	}
-	candidates := map[netlist.NodeID]bool{}
+	candidates := map[netlist.NodeID]float64{}
 	for _, c := range perm[k:] {
 		if rng.Intn(4) != 0 {
-			candidates[netlist.NodeID(c)] = true
+			candidates[netlist.NodeID(c)] = math.Inf(-1)
 		}
 	}
 	return app, order, candidates
@@ -454,7 +454,7 @@ func randomRing(rng *rand.Rand) (*netlist.Application, []netlist.NodeID, map[net
 // trialValues returns the exact longest path of every (candidate, position)
 // trial in (candidate, position) order, the values an lmax can sit on
 // exactly.
-func trialValues(app *netlist.Application, order []netlist.NodeID, candidates map[netlist.NodeID]bool, rs *ringScratch) []float64 {
+func trialValues(app *netlist.Application, order []netlist.NodeID, candidates map[netlist.NodeID]float64, rs *ringScratch) []float64 {
 	var cands []netlist.NodeID
 	for c := range candidates {
 		cands = append(cands, c)
@@ -478,7 +478,7 @@ func trialValues(app *netlist.Application, order []netlist.NodeID, candidates ma
 }
 
 // checkAbsorption compares one production step with the reference step.
-func checkAbsorption(t *testing.T, app *netlist.Application, order []netlist.NodeID, candidates map[netlist.NodeID]bool, lmax float64, rs *ringScratch) {
+func checkAbsorption(t *testing.T, app *netlist.Application, order []netlist.NodeID, candidates map[netlist.NodeID]float64, lmax float64, rs *ringScratch) {
 	t.Helper()
 	// Synthesize validates first; distinct positions keep every ring
 	// segment longer than geom.Eps, which the incremental values rely on.
@@ -557,6 +557,147 @@ func TestAbsorptionMatchesOracle(t *testing.T) {
 		checkAggregates(t, app, order, rs)
 		for _, lmax := range lmaxes {
 			checkAbsorption(t, app, order, candidates, lmax, rs)
+		}
+	}
+}
+
+// refRowMins returns, for every candidate, the smallest reference
+// incremental value of its trials on order: the value its carried bound
+// stands for, computed afresh.
+func refRowMins(app *netlist.Application, order []netlist.NodeID, candidates map[netlist.NodeID]float64) map[netlist.NodeID]float64 {
+	pos := make([]int, len(app.Nodes))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, id := range order {
+		pos[id] = i
+	}
+	var msgs []netlist.Message
+	cTo, cFrom := map[netlist.NodeID][]int{}, map[netlist.NodeID][]int{}
+	for _, m := range app.Messages {
+		ps, pd := pos[m.Src], pos[m.Dst]
+		switch {
+		case ps >= 0 && pd >= 0:
+			msgs = append(msgs, m)
+		case ps < 0 && pd >= 0:
+			cTo[m.Src] = append(cTo[m.Src], pd)
+		case ps >= 0 && pd < 0:
+			cFrom[m.Dst] = append(cFrom[m.Dst], ps)
+		}
+	}
+	sc := &refAbsorbScratch{}
+	refPrepareAbsorb(sc, app, order, msgs, pos)
+	mins := make(map[netlist.NodeID]float64, len(candidates))
+	for c := range candidates {
+		low := math.Inf(1)
+		for p := range order {
+			low = min(low, sc.insertionLongest(c, p, cTo[c], cFrom[c]))
+		}
+		mins[c] = low
+	}
+	return mins
+}
+
+// checkCarriedGrowth runs g to its end under lmax, one step at a time,
+// dropping each candidate with probability 1/64 between steps (from the
+// candidates and the available nodes, as growLevel prunes the nodes
+// another cluster took). Before every step it checks each carried bound
+// against the candidate's fresh row minimum, and the step against the
+// reference step on the same ring with no bounds carried.
+func checkCarriedGrowth(t *testing.T, g *growth, lmax float64, rng *rand.Rand, rs *ringScratch) {
+	t.Helper()
+	app := g.app
+	for step := 0; ; step++ {
+		fresh := refRowMins(app, g.order, g.candidates)
+		unbounded := make(map[netlist.NodeID]float64, len(g.candidates))
+		for c, b := range g.candidates {
+			if b > fresh[c]+2*absorbEps {
+				t.Fatalf("%s lmax %v step %d: candidate %d carries bound %v, fresh row minimum %v",
+					app.Name, lmax, step, c, b, fresh[c])
+			}
+			unbounded[c] = math.Inf(-1)
+		}
+		wantOrder, wantLongest, wantCand, wantOK := refBestAbsorption(app, slices.Clone(g.order), unbounded, lmax, newRingScratch(app))
+		cand, ok := g.step(lmax, rs)
+		if ok != wantOK {
+			t.Fatalf("%s lmax %v step %d: ok %v, oracle %v", app.Name, lmax, step, ok, wantOK)
+		}
+		if !ok {
+			return
+		}
+		if cand != wantCand || !slices.Equal(g.order, wantOrder) ||
+			math.Float64bits(g.longest) != math.Float64bits(wantLongest) {
+			t.Fatalf("%s lmax %v step %d: absorbed %d into %v (longest %v), oracle %d into %v (longest %v)",
+				app.Name, lmax, step, cand, g.order, g.longest, wantCand, wantOrder, wantLongest)
+		}
+		var cands []netlist.NodeID
+		for c := range g.candidates {
+			cands = append(cands, c)
+		}
+		slices.Sort(cands)
+		for _, c := range cands {
+			if rng.Intn(64) == 0 {
+				delete(g.candidates, c)
+				delete(g.avail, c)
+			}
+		}
+	}
+}
+
+// TestCarriedBoundsMatchOracle: a growth whose candidates carry their
+// bounds from step to step makes, at every step, the reference step's
+// selection on fresh state (candidate, order and longest-path bits), and
+// no carried bound exceeds its candidate's fresh row minimum by more than
+// 2·absorbEps: a candidate's trials never fall as its ring grows. Inputs:
+// growths from seeded random rings, and D128 and D256 grown from their 8
+// sampled trial vertices under +Inf and under the L_max the construction
+// selects.
+func TestCarriedBoundsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for it := 0; it < 400; it++ {
+		app, order, candidates := randomRing(rng)
+		if err := app.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		members := map[netlist.NodeID]bool{}
+		avail := map[netlist.NodeID]bool{}
+		for _, id := range order {
+			members[id] = true
+		}
+		for _, n := range app.Nodes {
+			avail[n.ID] = true
+		}
+		lmax := math.Inf(1)
+		if vals := trialValues(app, order, candidates, newRingScratch(app)); it%2 == 1 && len(vals) > 0 {
+			lmax = vals[rng.Intn(len(vals))]
+		}
+		rs := newRingScratch(app)
+		g := &growth{space: &space{app: app, adj: app.Adjacency(), avail: avail},
+			order: slices.Clone(order), members: members, candidates: candidates}
+		g.longest, _ = ringOrderLongest(app, g.order, messagesWithin(app, members), rs)
+		checkCarriedGrowth(t, g, lmax, rng, rs)
+	}
+	for _, name := range []string{"D128", "D256"} {
+		app, err := netlist.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Synthesize(app, Options{MaxInitialTrials: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := app.Adjacency()
+		rs := newRingScratch(app)
+		for _, v := range sampleTrials(app.ActiveNodes(), 8) {
+			for _, lmax := range []float64{math.Inf(1), res.Lmax} {
+				avail := map[netlist.NodeID]bool{}
+				for _, id := range app.ActiveNodes() {
+					avail[id] = true
+				}
+				if g := startGrowth(&space{app: app, adj: adj, avail: avail}, v, rs); g != nil {
+					checkCarriedGrowth(t, g, lmax, rng, rs)
+				}
+			}
 		}
 	}
 }
@@ -789,26 +930,30 @@ func oracleSynthesize(t *testing.T, app *netlist.Application, opt Options) *Resu
 	return res
 }
 
-// TestClusterWorkUnits pins the absorptions and abandoned growths one
-// Synthesize performs, at Parallelism 1, 2 and 8: both are charged at
-// consumption, so they read the same whichever probe computed the work. A
-// growth that a later growLevel round can reuse is not grown, and so not
-// counted, again; an absorption along a trajectory shared across L_max
-// probes (round 1, inter rings) is counted once per construction; and a
-// trial that can no longer win its round stops growing.
+// TestClusterWorkUnits pins the absorptions, abandoned growths and
+// incremental trials one Synthesize performs, at Parallelism 1, 2 and 8:
+// all three are charged at consumption, so they read the same whichever
+// probe computed the work. A growth that a later growLevel round can reuse
+// is not grown, and so not counted, again; an absorption along a
+// trajectory shared across L_max probes (round 1, inter rings) is counted
+// once per construction, with its step's trials; a trial that can no
+// longer win its round stops growing; and a candidate whose carried bound
+// cannot win a step is not evaluated.
 func TestClusterWorkUnits(t *testing.T) {
 	forceProbes(t)
 	for _, tc := range []struct {
-		name             string
-		trials           int
-		absorbs, abandon int64
+		name                      string
+		trials                    int
+		absorbs, abandon, evalled int64
 	}{
 		// Absorptions: 3931 when every round of every probe regrew every
 		// trial, 3401 when later rounds reused growths, 1657 with round 1
 		// shared across probes, before trials were abandoned and inter
 		// rings shared.
-		{"D26", 0, 1312, 96},
-		{"D128", 8, 4998, 302}, // 10603, 7901 and 6785 likewise
+		// Trials: 58598 and 483658 before candidates carried their
+		// bounds across steps.
+		{"D26", 0, 1312, 96, 40781},
+		{"D128", 8, 4998, 302, 165571}, // 10603, 7901 and 6785 likewise
 	} {
 		app, err := netlist.ByName(tc.name)
 		if err != nil {
@@ -829,6 +974,9 @@ func TestClusterWorkUnits(t *testing.T) {
 			if got := c["cluster.growths_abandoned"]; got != tc.abandon {
 				t.Errorf("%s (trials %d, parallelism %d): %d growths abandoned, want %d", tc.name, tc.trials, workers, got, tc.abandon)
 			}
+			if got := c["cluster.trials_evaluated"]; got != tc.evalled {
+				t.Errorf("%s (trials %d, parallelism %d): %d trials evaluated, want %d", tc.name, tc.trials, workers, got, tc.evalled)
+			}
 		}
 	}
 }
@@ -839,9 +987,9 @@ func TestAbsorptionStepAllocatesNothing(t *testing.T) {
 	app := netlist.D26()
 	active := app.ActiveNodes()
 	order := active[:len(active)/2]
-	candidates := map[netlist.NodeID]bool{}
+	candidates := map[netlist.NodeID]float64{}
 	for _, id := range active[len(active)/2:] {
-		candidates[id] = true
+		candidates[id] = math.Inf(-1)
 	}
 	rs := newRingScratch(app)
 	step := func() {

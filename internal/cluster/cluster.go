@@ -131,6 +131,7 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	iters := sp.Counter("cluster.search.iterations")
 	absorb := sp.Counter("cluster.absorptions")
 	abandoned := sp.Counter("cluster.growths_abandoned")
+	trials := sp.Counter("cluster.trials_evaluated")
 
 	d1 := app.MaxCommDistance()
 	d2 := conventionalRingBound(app)
@@ -154,12 +155,14 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	}
 
 	// consume records one probe's verdict in the search's selection order,
-	// charging its absorptions and abandoned growths only now (see
+	// charging its absorptions, trials and abandoned growths only now (see
 	// problem.charge).
 	p := &problem{app: app, adj: adj, maxTrials: opt.MaxInitialTrials,
 		round1: newRoundOne(app, adj, opt.MaxInitialTrials), inter: map[string]*interSet{}}
 	consume := func(lmax float64, pr *probe) *Result {
-		absorb.Add(p.charge(pr))
+		a, tr := p.charge(pr)
+		absorb.Add(a)
+		trials.Add(tr)
 		abandoned.Add(pr.work.abandoned)
 		recordBound(lmax, pr.sol)
 		return pr.sol
@@ -309,9 +312,13 @@ type ringScratch struct {
 	cands      []netlist.NodeID
 	cTo, cFrom [][]int
 	msgs       []netlist.Message
-	live       []int
+	keys       []float64
+	row        []int
 	vals       []float64
 	abs        absorbScratch
+	// trials is the running total of the (candidate, position) trials
+	// bestAbsorption has evaluated incrementally.
+	trials int64
 	// trial is the losing trial order's buffer; spare is a dead order
 	// handed back by recycle, the next winner's buffer.
 	trial, spare []netlist.NodeID
@@ -419,13 +426,14 @@ type space struct {
 }
 
 // growth is a sub-ring in the middle of growing by absorption: its ring
-// order and members, the available non-members adjacent to a member, and
-// the order's longest signal path.
+// order and members, the available non-members adjacent to a member, each
+// with the lower bound on its trials that bestAbsorption carries from step
+// to step, and the order's longest signal path.
 type growth struct {
 	*space
 	order      []netlist.NodeID
 	members    map[netlist.NodeID]bool
-	candidates map[netlist.NodeID]bool
+	candidates map[netlist.NodeID]float64
 	longest    float64
 	held       bool // the last absorption passed grow's cut and is uncounted
 }
@@ -446,7 +454,7 @@ func startGrowth(s *space, initial netlist.NodeID, rs *ringScratch) *growth {
 		space:      s,
 		order:      []netlist.NodeID{initial, nearest},
 		members:    map[netlist.NodeID]bool{initial: true, nearest: true},
-		candidates: make(map[netlist.NodeID]bool),
+		candidates: make(map[netlist.NodeID]float64),
 	}
 	g.longest, _ = ringOrderLongest(s.app, g.order, messagesWithin(s.app, g.members), rs)
 	g.addCandidates(initial)
@@ -479,11 +487,12 @@ func nearestOf(s *space, v netlist.NodeID, from []netlist.NodeID) netlist.NodeID
 	return nearest
 }
 
-// addCandidates makes v's available non-member partners candidates.
+// addCandidates makes v's available non-member partners candidates. A new
+// candidate has no bound yet; an existing one keeps its own.
 func (g *growth) addCandidates(v netlist.NodeID) {
 	for _, u := range g.adj[v] {
-		if g.avail[u] && !g.members[u] {
-			g.candidates[u] = true
+		if _, ok := g.candidates[u]; !ok && g.avail[u] && !g.members[u] {
+			g.candidates[u] = math.Inf(-1)
 		}
 	}
 }
@@ -497,7 +506,7 @@ func (g *growth) step(lmax float64, rs *ringScratch) (cand netlist.NodeID, ok bo
 	if len(g.candidates) == 0 && g.fill {
 		for u := range g.avail {
 			if !g.members[u] {
-				g.candidates[u] = true
+				g.candidates[u] = math.Inf(-1)
 			}
 		}
 		filled = true
@@ -648,7 +657,10 @@ func growLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 			if bi >= 0 {
 				cut = best.longest + absorbEps
 			}
-			if !g.grow(lmax, cut, &w.absorbs, rs) {
+			before := rs.trials
+			done := g.grow(lmax, cut, &w.absorbs, rs)
+			w.trials += rs.trials - before
+			if !done {
 				paused[v] = g
 				w.abandoned++
 				continue
@@ -730,10 +742,12 @@ type problem struct {
 	inter     map[string]*interSet
 }
 
-// work is what one probe tallies: the absorptions it performed itself, the
-// growths it abandoned, and how far it read along each shared trajectory.
+// work is what one probe tallies: the absorptions it performed itself and
+// the trials its own steps evaluated, the growths it abandoned, and how far
+// it read along each shared trajectory.
 type work struct {
 	absorbs   obs.Counter
+	trials    int64
 	abandoned int64
 	reads     []read
 }
@@ -754,13 +768,15 @@ func (p *problem) run(lmax float64) *probe {
 	return pr
 }
 
-// charge returns the absorptions to count for a consumed probe. Only the
-// search goroutine calls it, in its selection order, so the count matches
-// the sequential run at any Parallelism: unconsumed probes add nothing, and
-// each absorption along a shared trajectory is charged to the first
-// consumed probe that needs it, whichever probe computed it.
-func (p *problem) charge(pr *probe) int64 {
-	return pr.work.absorbs.Value() + chargeReads(pr.work.reads)
+// charge returns the absorptions and trials to count for a consumed probe.
+// Only the search goroutine calls it, in its selection order, so the counts
+// match the sequential run at any Parallelism: unconsumed probes add
+// nothing, and each absorption along a shared trajectory, with the trials
+// of its step, is charged to the first consumed probe that needs it,
+// whichever probe computed it.
+func (p *problem) charge(pr *probe) (absorbs, trials int64) {
+	absorbs, trials = chargeReads(pr.work.reads)
+	return absorbs + pr.work.absorbs.Value(), trials + pr.work.trials
 }
 
 // buildSolution attempts a full clustering under lmax. It returns nil if

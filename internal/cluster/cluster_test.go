@@ -282,7 +282,7 @@ func TestBestAbsorptionPicksMinimalIncrease(t *testing.T) {
 		},
 	}
 	order := []netlist.NodeID{1, 0} // initial cluster {v2, v1}
-	candidates := map[netlist.NodeID]bool{2: true, 3: true}
+	candidates := map[netlist.NodeID]float64{2: math.Inf(-1), 3: math.Inf(-1)}
 	rs := newRingScratch(app)
 	newOrder, longest, cand, ok := bestAbsorption(app, order, candidates, 8, rs)
 	// The scratch's position table must come back all -1: the next step

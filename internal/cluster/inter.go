@@ -93,8 +93,8 @@ func (p *problem) interRing(nodes map[netlist.NodeID]bool, lmax float64, w *work
 		if complete && longest < bestLongest {
 			best, bestLongest = slices.Clone(t.g.order), longest
 		}
+		w.reads = append(w.reads, t.readTo(k))
 		t.mu.Unlock()
-		w.reads = append(w.reads, read{t, k})
 		if abandoned {
 			w.abandoned++
 		}
@@ -115,16 +115,16 @@ func (t *trajectory) verdict(lmax, cut float64) (longest float64, k int, complet
 	if t.pair > cut {
 		return 0, 0, false, t.pair <= lmax
 	}
-	for k < len(t.vals) && t.vals[k] <= cut {
+	for k < len(t.steps) && t.steps[k].longest <= cut {
 		k++
 	}
-	if k < len(t.vals) {
-		return 0, k, false, t.vals[k] <= lmax
+	if k < len(t.steps) {
+		return 0, k, false, t.steps[k].longest <= lmax
 	}
 	// Every step is within cut, so extend ran the trajectory to its end.
 	longest = t.pair
 	if k > 0 {
-		longest = t.vals[k-1]
+		longest = t.steps[k-1].longest
 	}
 	return longest, k, true, false
 }

@@ -44,11 +44,11 @@ func TestParallelProbesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestParallelProbeTelemetryMatchesSequential: absorption, abandoned-growth
-// and iteration counters accumulate at consumption time, so they must match
-// the sequential run exactly (spec.* diagnostics excluded), even though
-// concurrent probes extend the shared round-1 and inter-ring trajectories in
-// whatever order they run.
+// TestParallelProbeTelemetryMatchesSequential: absorption, abandoned-growth,
+// trial and iteration counters accumulate at consumption time, so they must
+// match the sequential run exactly (spec.* diagnostics excluded), even
+// though concurrent probes extend the shared round-1 and inter-ring
+// trajectories in whatever order they run.
 func TestParallelProbeTelemetryMatchesSequential(t *testing.T) {
 	forceProbes(t)
 	clustered, err := netlist.Clustered(3, 4, 3, 5)
@@ -80,7 +80,7 @@ func TestParallelProbeTelemetryMatchesSequential(t *testing.T) {
 		seq := run(1)
 		for _, workers := range tc.workers {
 			par := run(workers)
-			for _, name := range []string{"cluster.search.iterations", "cluster.absorptions", "cluster.growths_abandoned"} {
+			for _, name := range []string{"cluster.search.iterations", "cluster.absorptions", "cluster.growths_abandoned", "cluster.trials_evaluated"} {
 				if s, g := seq[name], par[name]; s != g {
 					t.Errorf("%s counter %s: parallelism %d %d, sequential %d", tc.app.Name, name, workers, g, s)
 				}

@@ -25,24 +25,33 @@ import (
 
 // trajectory is the unbounded growth from one initial vertex, computed as
 // far as some probe has needed it. mu guards every field but initial and
-// charged.
+// the charged ones.
 type trajectory struct {
 	mu      sync.Mutex
 	initial netlist.NodeID
 	started bool
 	g       *growth // nil once started if initial has no available partner
 	partner netlist.NodeID
-	// pair is the initial pair's longest path; vals[k] the longest path
-	// after absorption k+1, which absorbed absorbed[k]; top is the largest
-	// of pair and vals.
-	pair     float64
-	vals     []float64
-	absorbed []netlist.NodeID
-	top      float64
-	done     bool // no candidate is left
-	// charged is the absorptions along the trajectory already counted;
-	// only the search goroutine touches it.
-	charged int
+	// pair is the initial pair's longest path; steps[k] is absorption
+	// k+1; top is the largest of pair and the steps' longest paths.
+	pair  float64
+	steps []trajStep
+	top   float64
+	done  bool // no candidate is left
+	// charged is the absorptions along the trajectory already counted,
+	// and chargedTrials their steps' trials; only the search goroutine
+	// touches them.
+	charged       int
+	chargedTrials int64
+}
+
+// trajStep is one absorption along a trajectory: the vertex it absorbed,
+// the longest path after it, and the trials evaluated along the trajectory
+// up to and including it.
+type trajStep struct {
+	absorbed netlist.NodeID
+	longest  float64
+	trials   int64
 }
 
 // extend computes absorptions, each under an unbounded L_max, until one
@@ -59,13 +68,14 @@ func (t *trajectory) extend(s *space, limit float64, rs *ringScratch) {
 		t.top = t.pair
 	}
 	for !t.done && t.top <= limit {
+		before := rs.trials
 		cand, ok := t.g.step(math.Inf(1), rs)
 		if !ok {
 			t.done = true
 			break
 		}
-		t.vals = append(t.vals, t.g.longest)
-		t.absorbed = append(t.absorbed, cand)
+		trials := t.trialsTo(len(t.steps)) + rs.trials - before
+		t.steps = append(t.steps, trajStep{absorbed: cand, longest: t.g.longest, trials: trials})
 		t.top = max(t.top, t.g.longest)
 	}
 }
@@ -79,14 +89,14 @@ func (t *trajectory) prefix(lmax float64) (grown, int) {
 		return grown{members: map[netlist.NodeID]bool{t.initial: true}}, 0
 	}
 	k := 0
-	for k < len(t.vals) && t.vals[k] <= lmax {
+	for k < len(t.steps) && t.steps[k].longest <= lmax {
 		k++
 	}
 	members := make(map[netlist.NodeID]bool, k+2)
 	members[t.initial] = true
 	members[t.partner] = true
-	for _, id := range t.absorbed[:k] {
-		members[id] = true
+	for _, st := range t.steps[:k] {
+		members[st.absorbed] = true
 	}
 	order := make([]netlist.NodeID, 0, k+2)
 	for _, id := range t.g.order {
@@ -96,32 +106,48 @@ func (t *trajectory) prefix(lmax float64) (grown, int) {
 	}
 	longest := t.pair
 	if k > 0 {
-		longest = t.vals[k-1]
+		longest = t.steps[k-1].longest
 	}
 	return grown{order: order, members: members, longest: longest}, k
 }
 
 // read is how far one probe read along a shared trajectory: the
-// absorptions its growth there took.
+// absorptions its growth there took, and the trials their steps evaluated.
 type read struct {
-	t *trajectory
-	k int
+	t      *trajectory
+	k      int
+	trials int64
 }
 
-// chargeReads returns the absorptions a consumed probe adds: along each
-// trajectory it read, those beyond what earlier consumed probes were
-// charged. Called in the search's consumption order, it counts what the
-// sequential search computes, whichever probe actually extended a
-// trajectory first.
-func chargeReads(reads []read) int64 {
-	var n int64
+// trialsTo returns the trials evaluated by the trajectory's first k
+// absorbing steps. The caller holds t.mu.
+func (t *trajectory) trialsTo(k int) int64 {
+	if k == 0 {
+		return 0
+	}
+	return t.steps[k-1].trials
+}
+
+// readTo records a read of the trajectory's first k absorptions. The
+// caller holds t.mu.
+func (t *trajectory) readTo(k int) read {
+	return read{t, k, t.trialsTo(k)}
+}
+
+// chargeReads returns the absorptions a consumed probe adds, and the trials
+// their steps evaluated: along each trajectory it read, those beyond what
+// earlier consumed probes were charged. Called in the search's consumption
+// order, it counts what the sequential search computes, whichever probe
+// actually extended a trajectory first.
+func chargeReads(reads []read) (absorbs, trials int64) {
 	for _, r := range reads {
 		if r.k > r.t.charged {
-			n += int64(r.k - r.t.charged)
-			r.t.charged = r.k
+			absorbs += int64(r.k - r.t.charged)
+			trials += r.trials - r.t.chargedTrials
+			r.t.charged, r.t.chargedTrials = r.k, r.trials
 		}
 	}
-	return n
+	return absorbs, trials
 }
 
 // roundOne holds the round-1 trajectories of one SynthesizeContext call,
@@ -153,11 +179,12 @@ func newRoundOne(app *netlist.Application, adj map[netlist.NodeID][]netlist.Node
 // out.
 func (r *roundOne) growths(lmax float64, w *work, rs *ringScratch) []grown {
 	out := make([]grown, len(r.trajs))
-	needs := make([]int, len(r.trajs))
+	reads := make([]read, len(r.trajs))
 	grow := func(i int) {
 		t := &r.trajs[i]
 		t.extend(&r.space, lmax, rs)
-		out[i], needs[i] = t.prefix(lmax)
+		g, k := t.prefix(lmax)
+		out[i], reads[i] = g, t.readTo(k)
 		t.mu.Unlock()
 	}
 	var busy []int
@@ -172,8 +199,6 @@ func (r *roundOne) growths(lmax float64, w *work, rs *ringScratch) []grown {
 		r.trajs[i].mu.Lock()
 		grow(i)
 	}
-	for i, k := range needs {
-		w.reads = append(w.reads, read{&r.trajs[i], k})
-	}
+	w.reads = append(w.reads, reads...)
 	return out
 }

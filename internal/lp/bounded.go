@@ -16,22 +16,18 @@ package lp
 //
 // The pivot loops are linear-algebra agnostic: they read reduced costs from
 // Solver.d, fetch tableau columns/rows from a kernel, and tell the kernel
-// when a basis exchange happened. One production kernel and one oracle
-// implement that contract:
-//
-//   - ftKernel (forrest_tomlin.go, sparse.go): the sparse revised simplex —
-//     compressed sparse columns and rows, an LU factorisation of the basis
-//     kept current by Forrest-Tomlin updates between refactorisations, and
-//     partial (sparse) pricing updates of the reduced-cost row. NewSolver
-//     builds it.
-//   - denseKernel (this file): the dense Gauss-Jordan tableau. Every pivot
-//     rewrites the full m x nCols block. NewDenseSolver builds it; it is
-//     the reference the FT kernel is cross-checked against.
+// when a basis exchange happened. The one production kernel is ftKernel
+// (forrest_tomlin.go, sparse.go), the sparse revised simplex: compressed
+// sparse columns and rows, an LU factorisation of the basis kept current by
+// Forrest-Tomlin updates between refactorisations, and partial (sparse)
+// pricing updates of the reduced-cost row. NewSolver builds it. The tests
+// cross-check it against a dense Gauss-Jordan tableau kernel that
+// implements the same contract (dense_oracle_test.go).
 //
 // All pivot *selection* (entering/leaving rules, tie-breaking, Bland
 // switching, the bound-flipping dual ratio test, the deterministic cost
-// perturbation) lives in the Solver and is shared verbatim by both kernels,
-// which is what keeps their pivot sequences aligned.
+// perturbation) lives in the Solver and is shared verbatim by every
+// kernel, which is what keeps their pivot sequences aligned.
 //
 // Two entry points:
 //
@@ -176,7 +172,7 @@ type Solver struct {
 	inBasis []bool    // len nCols
 	lo, hi  []float64 // len nCols: bounds of the current solve
 
-	k kernel // linear-algebra engine (FT unless built by NewDenseSolver)
+	k kernel // linear-algebra engine, built by newKernel
 
 	// pert is a second reduced-cost row holding a tiny deterministic cost
 	// perturbation, active only while usePert is set (the dual simplex
@@ -231,20 +227,6 @@ func NewSolver(p *Problem) (*Solver, error) {
 		return nil, err
 	}
 	s.newKernel = func(s *Solver, p *Problem) kernel { return newFTKernel(s, p) }
-	s.k = s.newKernel(s, p)
-	return s, nil
-}
-
-// NewDenseSolver is NewSolver with the dense full-tableau kernel: every
-// pivot rewrites the whole m x nCols tableau. It is the test oracle the FT
-// kernel is cross-checked against; both kernels share every pivot rule, so
-// their pivot sequences coincide up to floating-point tie noise.
-func NewDenseSolver(p *Problem) (*Solver, error) {
-	s, err := newSolverCore(p)
-	if err != nil {
-		return nil, err
-	}
-	s.newKernel = func(s *Solver, p *Problem) kernel { return newDenseKernel(s, p) }
 	s.k = s.newKernel(s, p)
 	return s, nil
 }
@@ -962,177 +944,3 @@ func (s *Solver) finish(sol *Solution) *Solution {
 
 // NumVars returns the structural variable count the Solver was built for.
 func (s *Solver) NumVars() int { return s.nStruct }
-
-// denseKernel is the dense Gauss-Jordan oracle: the full
-// m x nCols tableau B^-1 [A|I] is materialised and every pivot rewrites all
-// of it (plus the reduced-cost rows). Simple and predictable, but each
-// pivot costs O(m*nCols) regardless of sparsity.
-type denseKernel struct {
-	s     *Solver
-	rows  [][]float64 // m x nStruct pristine structural coefficients
-	a     [][]float64 // m x nCols tableau
-	cells []float64   // backing storage for a
-	col   []float64   // len m: column scratch handed to the pivot loops
-	perm  []int32     // len m: refactorisation scratch
-}
-
-func newDenseKernel(s *Solver, p *Problem) *denseKernel {
-	m, n := s.m, s.nStruct
-	k := &denseKernel{
-		s:    s,
-		col:  make([]float64, m),
-		perm: make([]int32, m),
-	}
-	k.rows = make([][]float64, m)
-	rowCells := make([]float64, m*n)
-	for i, c := range p.Constraints {
-		k.rows[i] = rowCells[i*n : (i+1)*n]
-		for v, coeff := range c.Coeffs {
-			k.rows[i][v] = coeff
-		}
-	}
-	k.a = make([][]float64, m)
-	k.cells = make([]float64, m*s.nCols)
-	for i := range k.a {
-		k.a[i] = k.cells[i*s.nCols : (i+1)*s.nCols]
-	}
-	return k
-}
-
-func (k *denseKernel) beginSolve() {}
-
-// fillPristine loads A|I into the tableau.
-func (k *denseKernel) fillPristine() {
-	s := k.s
-	for i := 0; i < s.m; i++ {
-		row := k.a[i]
-		copy(row, k.rows[i])
-		for j := s.nStruct; j < s.nCols; j++ {
-			row[j] = 0
-		}
-		row[s.nStruct+i] = 1
-	}
-}
-
-func (k *denseKernel) loadSlack() { k.fillPristine() }
-
-// pivotTableau performs a Gauss-Jordan pivot on (row, col) over the
-// coefficient columns, the reduced-cost row(s) and rhsBar.
-func (k *denseKernel) pivotTableau(row, col int) {
-	s := k.s
-	pr := k.a[row]
-	inv := 1 / pr[col]
-	for j := 0; j < s.nCols; j++ {
-		pr[j] *= inv
-	}
-	pr[col] = 1
-	s.rhsBar[row] *= inv
-	for i := 0; i < s.m; i++ {
-		if i == row {
-			continue
-		}
-		f := k.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ri := k.a[i]
-		for j := 0; j < s.nCols; j++ {
-			ri[j] -= f * pr[j]
-		}
-		ri[col] = 0
-		s.rhsBar[i] -= f * s.rhsBar[row]
-	}
-	if f := s.d[col]; f != 0 {
-		for j := 0; j < s.nCols; j++ {
-			s.d[j] -= f * pr[j]
-		}
-		s.d[col] = 0
-	}
-	if s.usePert {
-		if f := s.pert[col]; f != 0 {
-			for j := 0; j < s.nCols; j++ {
-				s.pert[j] -= f * pr[j]
-			}
-			s.pert[col] = 0
-		}
-	}
-}
-
-func (k *denseKernel) refactorize(bas *Basis) bool {
-	s := k.s
-	k.fillPristine()
-	copy(s.d, s.obj)
-	s.initRHSBar()
-
-	// Eliminate basic columns in ascending order; perm[r] < 0 marks rows
-	// still available as pivot rows.
-	for i := range k.perm {
-		k.perm[i] = -1
-	}
-	done := 0
-	for j := 0; j < s.nCols && done < s.m; j++ {
-		if !s.inBasis[j] {
-			continue
-		}
-		best, bestAbs := -1, pivTol
-		for r := 0; r < s.m; r++ {
-			if k.perm[r] >= 0 {
-				continue
-			}
-			if abs := math.Abs(k.a[r][j]); abs > bestAbs {
-				best, bestAbs = r, abs
-			}
-		}
-		if best < 0 {
-			return false // singular within tolerance
-		}
-		k.pivotTableau(best, j)
-		k.perm[best] = int32(j)
-		done++
-	}
-	if done != s.m {
-		return false
-	}
-	for r := 0; r < s.m; r++ {
-		s.basis[r] = k.perm[r]
-	}
-	return true
-}
-
-func (k *denseKernel) column(j int) []float64 {
-	for i := 0; i < k.s.m; i++ {
-		k.col[i] = k.a[i][j]
-	}
-	return k.col
-}
-
-func (k *denseKernel) row(i int) []float64 { return k.a[i] }
-
-func (k *denseKernel) pivot(leave, enter int) bool {
-	k.pivotTableau(leave, enter)
-	return true
-}
-
-// computeXB recomputes the basic values from rhsBar (B^-1 b) and the
-// current nonbasic resting values: xB[i] = rhsBar[i] - sum over nonbasic j
-// of a[i][j] * x_j. The tableau rows must already be in basis form (B^-1 A).
-func (k *denseKernel) computeXB() {
-	s := k.s
-	copy(s.xB, s.rhsBar)
-	for j := 0; j < s.nCols; j++ {
-		if s.inBasis[j] {
-			continue
-		}
-		v := s.boundVal(j)
-		if v == 0 {
-			continue
-		}
-		for i := 0; i < s.m; i++ {
-			if aij := k.a[i][j]; aij != 0 {
-				s.xB[i] -= aij * v
-			}
-		}
-	}
-}
-
-func (k *denseKernel) solveStats(*Solution) {}

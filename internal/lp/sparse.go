@@ -3,10 +3,10 @@ package lp
 // Sparse matrix storage and LU factorisation under the Forrest-Tomlin
 // kernel (forrest_tomlin.go).
 //
-// The dense kernel materialises B^-1 [A|I] and rewrites all of it at every
-// pivot — O(m*nCols) per pivot however sparse the model is, and the
-// wavelength-MILP rows (clique aggregations, McCormick loss rows, degree
-// cuts) are overwhelmingly sparse. The revised simplex stores only the
+// The dense test kernel (dense_oracle_test.go) materialises B^-1 [A|I] and
+// rewrites all of it at every pivot — O(m*nCols) per pivot however sparse
+// the model is, and the wavelength-MILP rows (clique aggregations,
+// McCormick loss rows, degree cuts) are overwhelmingly sparse. The revised simplex stores only the
 // pristine matrix and a factorisation of the current basis, and computes
 // tableau slices on demand:
 //

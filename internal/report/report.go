@@ -120,7 +120,8 @@ func Fig7(rows []Row) string {
 // Histogram renders the distribution of values in nbins equal-width bins
 // between the data extremes, marking the reference value (e.g. SRing's
 // result) with "<-- SRing". Matches the paper's Fig. 8 presentation
-// (#fea_sol per bin).
+// (#fea_sol per bin). Each bin is labelled [lo, hi) as it is filled; the
+// last one, which also takes the maximum, is [lo, hi].
 func Histogram(title string, values []float64, reference float64, nbins int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (%d feasible solutions)\n", title, len(values))
@@ -178,8 +179,12 @@ func Histogram(title string, values []float64, reference float64, nbins int) str
 		if i == refBin {
 			mark = "  <-- SRing"
 		}
-		fmt.Fprintf(&b, "  (%7.3g, %7.3g] %6d |%-*s|%s\n",
-			lo+float64(i)*binW, lo+float64(i+1)*binW, c, width, strings.Repeat("#", bar), mark)
+		closing := ")"
+		if i == nbins-1 {
+			closing = "]"
+		}
+		fmt.Fprintf(&b, "  [%7.3g, %7.3g%s %6d |%-*s|%s\n",
+			lo+float64(i)*binW, lo+float64(i+1)*binW, closing, c, width, strings.Repeat("#", bar), mark)
 	}
 	return b.String()
 }

@@ -81,6 +81,25 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramIntegerBins: on integer data every value sits on a bin's
+// lower edge, so each label must include its lower edge and exclude its
+// upper one, except the last bin's, which holds the maximum.
+func TestHistogramIntegerBins(t *testing.T) {
+	out := Histogram("#wl", []float64{3, 3, 4, 5}, 2, 3)
+	for _, line := range []string{
+		"  [      2,       3)      0 |",
+		"  [      3,       4)      2 |",
+		"  [      4,       5]      2 |",
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("Histogram has no line %q:\n%s", line, out)
+		}
+	}
+	if !strings.Contains(out, "[      2,       3)      0 |                                        |  <-- SRing") {
+		t.Errorf("SRing's 2 is not marked in the bin [2, 3):\n%s", out)
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	out := Histogram("wl", nil, 4, 10)
 	if !strings.Contains(out, "no feasible solutions") || !strings.Contains(out, "SRing: 4") {
