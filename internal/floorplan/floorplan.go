@@ -18,12 +18,15 @@ import (
 	"sring/internal/netlist"
 )
 
+const (
+	// pitchMM is the grid pitch (the benchmark default).
+	pitchMM = 0.15
+	// iterations is the number of proposed moves.
+	iterations = 20000
+)
+
 // Options tunes the annealer.
 type Options struct {
-	// PitchMM is the grid pitch. Zero means 0.15 (the benchmark default).
-	PitchMM float64
-	// Iterations is the number of proposed moves. Zero means 20000.
-	Iterations int
 	// Seed drives the annealer.
 	Seed int64
 }
@@ -38,18 +41,6 @@ func Place(app *netlist.Application, opt Options) (*netlist.Application, error) 
 	if len(app.Messages) == 0 {
 		return nil, fmt.Errorf("floorplan: application has no messages")
 	}
-	pitch := opt.PitchMM
-	if pitch == 0 {
-		pitch = 0.15
-	}
-	if pitch < 0 {
-		return nil, fmt.Errorf("floorplan: negative pitch %v", pitch)
-	}
-	iterations := opt.Iterations
-	if iterations == 0 {
-		iterations = 20000
-	}
-
 	n := len(app.Nodes)
 	cols := 1
 	for cols*cols < n {
@@ -59,7 +50,7 @@ func Place(app *netlist.Application, opt Options) (*netlist.Application, error) 
 	slots := cols * rows
 	slotPos := make([]geom.Point, slots)
 	for s := range slotPos {
-		slotPos[s] = geom.Pt(float64(s%cols)*pitch, float64(s/cols)*pitch)
+		slotPos[s] = geom.Pt(float64(s%cols)*pitchMM, float64(s/cols)*pitchMM)
 	}
 
 	// slotOf[node] and nodeAt[slot] (-1 = empty).

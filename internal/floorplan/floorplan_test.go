@@ -113,9 +113,6 @@ func TestPlaceErrors(t *testing.T) {
 	if _, err := Place(noMsgs, Options{}); err == nil {
 		t.Error("app without messages accepted")
 	}
-	if _, err := Place(chainApp(4), Options{PitchMM: -1}); err == nil {
-		t.Error("negative pitch accepted")
-	}
 }
 
 func TestPlaceRespectsBandwidthWeights(t *testing.T) {

@@ -1,9 +1,9 @@
 package milp
 
-// Branch and cut: Gomory mixed-integer and lifted cover cut separation at
-// branch-and-bound nodes, with a deterministic cut pool.
+// Branch and cut: Gomory mixed-integer cut rounds at the root relaxation,
+// inherited down the tree and purged once they stay loose.
 //
-// Determinism. Every piece of mutable cutting state — the pool, the per-cut
+// Determinism. Every piece of mutable cutting state — the per-cut
 // age/tightness bookkeeping, the separation itself — lives on the main
 // branch-and-bound goroutine and is touched only inside cutter.run and
 // cutter.inherit, which the main loop calls at canonical node consumption.
@@ -16,13 +16,9 @@ package milp
 // depends on the basis *set*, not on which worker produced it — so the
 // separated cuts are identical whatever the parallelism.
 //
-// Locality. A Gomory cut's derivation shifts every nonbasic column to the
-// bound it rests at. When all of those bounds are root bounds the cut is
-// valid everywhere (global) and enters the pool for adoption by other
-// subtrees; when any is a branching tightening the cut is valid only below
-// this node (local) and travels solely by inheritance to the node's own
-// descendants. Cover cuts are derived from root binarity and original rows,
-// hence always global.
+// Validity. Separation runs at the root only, where every bound a Gomory
+// derivation shifts a column to is a root bound, so every cut is valid in
+// the whole tree.
 //
 // Warm starts. Children inherit exactly the cut rows of the LP that
 // produced their warm-start basis. When inheritance purges an aged slack-
@@ -46,14 +42,9 @@ const (
 	// maxCutsPerRound caps how many cuts a round appends (highest efficacy
 	// — norm-scaled violation — first).
 	maxCutsPerRound = 8
-	// cutMaxDepth bounds how deep in the tree separation still runs: the
-	// root gets the full round budget, nodes at depth <= cutMaxDepth one
-	// round, deeper nodes none (their bounds move mostly by inheritance).
-	cutMaxDepth = 0
-	// adoptMaxDepth bounds pool adoption at non-separating nodes: below it
-	// a purged-then-revived cut would thrash (re-adopted, re-purged) faster
-	// than it helps the bound.
-	adoptMaxDepth = 0
+	// gmiRowBudget bounds how many tableau rows are extracted per round;
+	// the most fractional basic integers go first.
+	gmiRowBudget = 4 * maxCutsPerRound
 	// gmiMinFrac rejects tableau rows whose basic value is too close to
 	// integral — the cut would be shallow and ill-conditioned.
 	gmiMinFrac = 0.01
@@ -72,11 +63,9 @@ const (
 	// cutMaxDynamism rejects cuts whose coefficient magnitude ratio would
 	// destabilise the basis factorisation.
 	cutMaxDynamism = 1e7
-	// cutDropAge / poolPurgeAge: a cut slack-basic (loose) for this many
-	// consecutive canonical consumptions is dropped from children / from
-	// the global pool.
-	cutDropAge   = 20
-	poolPurgeAge = 50
+	// cutDropAge: a cut slack-basic (loose) for this many consecutive
+	// canonical consumptions is dropped from children.
+	cutDropAge = 20
 )
 
 // CutAuditRecord describes one applied cut for the CutAudit test hook. All
@@ -84,16 +73,12 @@ const (
 // branch and bound runs in (the original space when presolve is disabled,
 // since row prepping never renumbers variables).
 type CutAuditRecord struct {
-	Kind   string // "gmi", "cover" or "pool" (a re-adopted global cut)
 	Coeffs map[int]float64
 	Rel    lp.Rel
 	RHS    float64
-	Global bool
 	// FracX is the fractional relaxation point the cut was separated from
-	// (violated by construction); Lower/Upper the node's variable bounds at
-	// that moment — the validity domain of a non-global cut.
-	FracX        []float64
-	Lower, Upper []float64
+	// (violated by construction).
+	FracX []float64
 }
 
 // CutAudit, when non-nil, receives every cut the moment it is applied to a
@@ -101,28 +86,22 @@ type CutAuditRecord struct {
 // it runs on the solver's main goroutine and must not retain the solver.
 var CutAudit func(CutAuditRecord)
 
-// cut is one separated cutting plane over structural variables. Immutable
-// after construction except for the pool bookkeeping fields, which only the
-// main goroutine touches.
+// cut is one separated cutting plane Σ coeffs[v]·x_v ≥ rhs over structural
+// variables. Immutable after construction except for lastTight, which only
+// the main goroutine touches.
 type cut struct {
-	id     int
-	kind   string // "gmi" | "cover"
 	coeffs map[int]float64
 	vars   []int // sorted keys of coeffs: deterministic iteration order
-	rel    lp.Rel
 	rhs    float64
 	norm   float64 // ||coeffs||_2, for efficacy scaling
 	sig    uint64  // content signature, for dedup and fingerprints
-	global bool
-	// pooled marks membership in the cutter's active global list.
-	pooled bool
-	// born / lastTight are canonical consumption indices: when the cut was
-	// admitted and when its row was last observed tight (slack nonbasic).
-	born, lastTight int
+	// lastTight is the canonical consumption index at which the cut's row
+	// was last observed tight (slack nonbasic), or at which it was admitted.
+	lastTight int
 }
 
 func (c *cut) row() lp.Constraint {
-	return lp.Constraint{Coeffs: c.coeffs, Rel: c.rel, RHS: c.rhs}
+	return lp.Constraint{Coeffs: c.coeffs, Rel: lp.GE, RHS: c.rhs}
 }
 
 // violation is positive when x violates the cut. Summation follows the
@@ -132,10 +111,7 @@ func (c *cut) violation(x []float64) float64 {
 	for _, v := range c.vars {
 		act += c.coeffs[v] * x[v]
 	}
-	if c.rel == lp.GE {
-		return c.rhs - act
-	}
-	return act - c.rhs
+	return c.rhs - act
 }
 
 // cutListEq reports whether two cut lists are element-wise identical; node
@@ -195,9 +171,8 @@ func cutSignature(rel lp.Rel, rhs float64, vars []int, coeffs map[int]float64) u
 // candidate is a separated-but-not-yet-selected cut with its efficacy at
 // the separating point.
 type candidate struct {
-	c     *cut
-	eff   float64
-	fresh bool // newly separated (vs re-adopted from the pool)
+	c   *cut
+	eff float64
 }
 
 // cutter owns all cutting-plane state of one solveBB run. Main goroutine
@@ -209,9 +184,6 @@ type cutter struct {
 	rounds int
 	sp     *obs.Span
 
-	bySig  map[uint64]*cut // every cut ever admitted, by signature
-	global []*cut          // active global pool, admission order
-	nextID int
 	// consume counts canonical node consumptions (cutter.run calls): the
 	// clock for age-based purging.
 	consume int
@@ -229,23 +201,11 @@ func newCutter(pp *prepped, rs *relaxSolver, opt Options, sp *obs.Span) *cutter 
 		rs:     rs,
 		rounds: rounds,
 		sp:     sp,
-		bySig:  make(map[uint64]*cut),
 	}
 }
 
 // cutsEnabled reports whether the options ask for cut separation at all.
 func cutsEnabled(opt Options) bool { return opt.CutRounds >= 0 }
-
-func (ct *cutter) roundsFor(depth int) int {
-	switch {
-	case depth == 0:
-		return ct.rounds
-	case depth <= cutMaxDepth:
-		return 1
-	default:
-		return 0
-	}
-}
 
 // flush publishes the run's counters.
 func (ct *cutter) flush() {
@@ -255,72 +215,34 @@ func (ct *cutter) flush() {
 	ct.sp.Count("milp.cuts.rounds", ct.roundsN)
 }
 
-// prunePool retires global cuts that have been loose for poolPurgeAge
-// consumptions. They stay in bySig (a re-separated duplicate is re-adopted
-// rather than duplicated) but stop being offered to new nodes.
-func (ct *cutter) prunePool() {
-	kept := ct.global[:0]
-	for _, c := range ct.global {
-		if ct.consume-c.lastTight > poolPurgeAge {
-			c.pooled = false
-			ct.purgedN++
-			continue
-		}
-		kept = append(kept, c)
-	}
-	ct.global = kept
-}
-
 // run performs the cutting-plane rounds for a consumed node whose
-// relaxation came back fractional. On success it extends nd.cuts with the
-// applied cuts and returns the re-solved relaxation (tighter bound, new
-// warm-start basis). A nil solution means no cuts were applied and the
-// caller's solution stands. pruned=true means the cut-augmented LP is
-// infeasible: valid cuts only remove fractional points, so the subtree
-// holds no integral solution and the node can be discarded.
-func (ct *cutter) run(nd *node, sol *lp.Solution, bas *lp.Basis, deadline time.Time) (*lp.Solution, *lp.Basis, bool) {
+// relaxation came back fractional. Every call ticks the consumption clock
+// that ages cuts in inherit; only the root separates. On success it extends
+// nd.cuts with the applied cuts and returns the re-solved relaxation
+// (tighter bound, new warm-start basis). A nil solution means no cuts were
+// applied and the caller's solution stands. pruned=true means the
+// cut-augmented LP is infeasible: valid cuts only remove fractional points,
+// so the tree holds no integral solution and the node can be discarded.
+func (ct *cutter) run(nd *node, bas *lp.Basis, deadline time.Time) (*lp.Solution, *lp.Basis, bool) {
 	ct.consume++
-	ct.prunePool()
-	rounds := ct.roundsFor(nd.depth)
-	adoptOnly := rounds == 0
-	if adoptOnly {
-		// Below the separation depth, nodes still adopt violated global
-		// pool cuts: a pool scan against the node's relaxation point (a
-		// deterministic function of the node, whichever worker solved it)
-		// costs no tableau work.
-		if nd.depth > adoptMaxDepth || len(ct.global) == 0 || !ct.anyAdoptable(sol, nd.cuts) {
-			return nil, nil, false
-		}
-		rounds = 1
+	if nd.depth > 0 {
+		return nil, nil, false
 	}
-	var curSol *lp.Solution
-	var curBas *lp.Basis
-	if adoptOnly {
-		// No tableau needed; the arena only has to carry the node's rows
-		// and bounds so the cut rounds can extend them.
-		if err := ct.rs.configure(nd.cuts); err != nil {
-			return nil, nil, false
-		}
-		ct.rs.setBounds(nd)
-		curSol, curBas = sol, bas
-	} else {
-		// Re-establish the node's tableau on the cutter's arena: a
-		// canonical refactorisation of the consumed basis, identical
-		// whichever worker arena produced bas.
-		probe := &node{lower: nd.lower, upper: nd.upper, basis: bas, cuts: nd.cuts}
-		var err error
-		curSol, curBas, err = ct.rs.solve(probe, deadline)
-		if err != nil || curSol.Status != lp.Optimal || curBas == nil {
-			return nil, nil, false
-		}
-		lp.AccumulateStats(ct.sp, curSol)
+	// Re-establish the root's tableau on the cutter's arena: a canonical
+	// refactorisation of the consumed basis, identical whichever worker
+	// arena produced bas.
+	probe := &node{lower: nd.lower, upper: nd.upper, basis: bas, cuts: nd.cuts}
+	curSol, curBas, err := ct.rs.solve(probe, deadline)
+	if err != nil || curSol.Status != lp.Optimal || curBas == nil {
+		return nil, nil, false
 	}
+	lp.AccumulateStats(ct.sp, curSol)
 	cur := nd.cuts
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < ct.rounds; r++ {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
-		sel := ct.separate(curSol, cur, adoptOnly)
+		sel := ct.separate(curSol, cur)
 		if len(sel) == 0 {
 			break
 		}
@@ -439,60 +361,24 @@ func shrinkBasis(bas *lp.Basis, nVars, base int, dropped []bool) *lp.Basis {
 	return out
 }
 
-// anyAdoptable reports whether the pool holds a global cut violated at x
-// that the node's LP does not already carry.
-func (ct *cutter) anyAdoptable(sol *lp.Solution, cur []*cut) bool {
-	inLP := make(map[uint64]bool, len(cur))
-	for _, c := range cur {
-		inLP[c.sig] = true
-	}
-	for _, c := range ct.global {
-		if inLP[c.sig] {
-			continue
-		}
-		if v := c.violation(sol.X); v >= cutViolTol*(1+math.Abs(c.rhs)) && v/c.norm >= cutEffTol {
-			return true
-		}
-	}
-	return false
-}
-
-// separate generates candidate cuts at the current fractional point and
-// returns the efficacy-selected batch (at most maxCutsPerRound): fresh
-// Gomory and cover cuts, plus violated global pool cuts the node's LP does
-// not carry yet. Fresh selections are admitted to the pool here. With
-// adoptOnly the fresh separators are skipped — only the pool scan runs.
-func (ct *cutter) separate(sol *lp.Solution, cur []*cut, adoptOnly bool) []*cut {
+// separate generates Gomory candidate cuts at the current fractional point
+// and returns the efficacy-selected batch (at most maxCutsPerRound), minus
+// cuts the LP already carries.
+func (ct *cutter) separate(sol *lp.Solution, cur []*cut) []*cut {
 	inLP := make(map[uint64]bool, len(cur))
 	for _, c := range cur {
 		inLP[c.sig] = true
 	}
 	var cands []candidate
 	seen := make(map[uint64]bool)
-	add := func(c *cut, eff float64, fresh bool) {
+	ct.separateGomory(sol, func(c *cut, eff float64) {
 		if inLP[c.sig] || seen[c.sig] {
 			return
 		}
 		seen[c.sig] = true
-		cands = append(cands, candidate{c: c, eff: eff, fresh: fresh})
-		if fresh {
-			ct.separatedN++
-		}
-	}
-	if !adoptOnly {
-		ct.separateGomory(sol, add)
-		ct.separateCovers(sol, add)
-	}
-	// Pool adoption: global cuts separated elsewhere that this node's
-	// point violates.
-	for _, c := range ct.global {
-		if inLP[c.sig] || seen[c.sig] {
-			continue
-		}
-		if v := c.violation(sol.X); v >= cutViolTol*(1+math.Abs(c.rhs)) && v/c.norm >= cutEffTol {
-			add(c, v/c.norm, false)
-		}
-	}
+		cands = append(cands, candidate{c: c, eff: eff})
+		ct.separatedN++
+	})
 	if len(cands) == 0 {
 		return nil
 	}
@@ -507,64 +393,32 @@ func (ct *cutter) separate(sol *lp.Solution, cur []*cut, adoptOnly bool) []*cut 
 	}
 	sel := make([]*cut, len(cands))
 	for i, cd := range cands {
-		c := cd.c
-		if cd.fresh {
-			if prev, ok := ct.bySig[c.sig]; ok {
-				c = prev // purged earlier, re-separated now: reuse
-			} else {
-				c.id = ct.nextID
-				ct.nextID++
-				c.born = ct.consume
-				ct.bySig[c.sig] = c
-			}
-			c.lastTight = ct.consume
-			if c.global && !c.pooled {
-				c.pooled = true
-				ct.global = append(ct.global, c)
-			}
-		}
-		sel[i] = c
+		cd.c.lastTight = ct.consume
+		sel[i] = cd.c
 		if CutAudit != nil {
-			ct.audit(c, sol)
+			audit(cd.c, sol)
 		}
 	}
 	return sel
 }
 
 // audit emits a CutAuditRecord for the test hook; copies everything.
-func (ct *cutter) audit(c *cut, sol *lp.Solution) {
+func audit(c *cut, sol *lp.Solution) {
 	coeffs := make(map[int]float64, len(c.coeffs))
 	for v, a := range c.coeffs {
 		coeffs[v] = a
 	}
 	CutAudit(CutAuditRecord{
-		Kind:   c.kind,
 		Coeffs: coeffs,
-		Rel:    c.rel,
+		Rel:    lp.GE,
 		RHS:    c.rhs,
-		Global: c.global,
 		FracX:  append([]float64(nil), sol.X...),
-		Lower:  append([]float64(nil), ct.rs.lo...),
-		Upper:  append([]float64(nil), ct.rs.hi...),
 	})
 }
 
 // --- Gomory mixed-integer cuts ---------------------------------------------
 
-// gmiRowBudget bounds how many tableau rows are extracted per round; the
-// most fractional basic integers go first.
-func (ct *cutter) gmiRowBudget() int {
-	b := 4 * maxCutsPerRound
-	if b < 16 {
-		b = 16
-	}
-	if b > 128 {
-		b = 128
-	}
-	return b
-}
-
-func (ct *cutter) separateGomory(sol *lp.Solution, add func(*cut, float64, bool)) {
+func (ct *cutter) separateGomory(sol *lp.Solution, add func(*cut, float64)) {
 	s := ct.rs.s
 	n := ct.pp.p.LP.NumVars
 	m := s.NumRows()
@@ -590,12 +444,12 @@ func (ct *cutter) separateGomory(sol *lp.Solution, add func(*cut, float64, bool)
 		}
 		return rows[i].r < rows[j].r
 	})
-	if b := ct.gmiRowBudget(); len(rows) > b {
-		rows = rows[:b]
+	if len(rows) > gmiRowBudget {
+		rows = rows[:gmiRowBudget]
 	}
 	for _, rc := range rows {
 		if c, eff := ct.gmiFromRow(rc.r, sol); c != nil {
-			add(c, eff, true)
+			add(c, eff)
 		}
 	}
 }
@@ -613,8 +467,7 @@ func nearInt(x float64) bool { return math.Abs(x-math.Round(x)) <= 1e-9 }
 // integer-shift columns (f_j = frac(a_j)) and γ_j = a_j (a_j ≥ 0) or
 // f0·(-a_j)/(1-f0) (a_j < 0) for continuous ones. Substituting the shifts
 // and the slack definitions s_i = rhs_i - A_i·x back yields a structural-
-// space inequality Σ c_v x_v ≥ rhs. The cut is global exactly when every
-// bound used in the shifts is the root bound.
+// space inequality Σ c_v x_v ≥ rhs.
 func (ct *cutter) gmiFromRow(r int, sol *lp.Solution) (*cut, float64) {
 	s := ct.rs.s
 	n := ct.pp.p.LP.NumVars
@@ -623,18 +476,13 @@ func (ct *cutter) gmiFromRow(r int, sol *lp.Solution) (*cut, float64) {
 	f0 := frac(b)
 	terms := make(map[int]float64)
 	rhs := f0
-	global := true
 	for j := range row {
 		if s.IsBasic(j) {
 			continue // basic columns: coefficient 0 (or 1 in its own row)
 		}
 		lo, hi := s.ColBounds(j)
 		if hi-lo < 1e-12 {
-			// Fixed column: t ≡ 0. Global only if fixed at the root too.
-			if j < n && (lo != ct.pp.lo[j] || hi != ct.pp.hi[j]) {
-				global = false
-			}
-			continue
+			continue // fixed column: t ≡ 0
 		}
 		// BTRAN roundoff leaves ~1e-13 ghosts on columns whose exact tableau
 		// coefficient is zero; treating them as entries would abort every cut
@@ -684,22 +532,15 @@ func (ct *cutter) gmiFromRow(r int, sol *lp.Solution) (*cut, float64) {
 			if atUp {
 				terms[j] -= g
 				rhs -= g * bound
-				if bound != ct.pp.hi[j] {
-					global = false
-				}
 			} else {
 				terms[j] += g
 				rhs += g * bound
-				if bound != ct.pp.lo[j] {
-					global = false
-				}
 			}
 			continue
 		}
 		// Slack shift: s_i = rhs_i - A_i·x, so t expands through row i's
 		// structural coefficients (cut rows are structural too, so this
-		// never recurses). Slack bounds encode the row relation and are
-		// root properties: no locality impact.
+		// never recurses).
 		cons := s.Row(j - n)
 		if atUp {
 			for v, av := range cons.Coeffs {
@@ -713,12 +554,12 @@ func (ct *cutter) gmiFromRow(r int, sol *lp.Solution) (*cut, float64) {
 			rhs -= g * (cons.RHS - bound)
 		}
 	}
-	return ct.finishCut("gmi", terms, lp.GE, rhs, global, sol)
+	return ct.finishCut(terms, rhs, sol)
 }
 
-// finishCut cleans, normalises, filters and packages a derived inequality;
+// finishCut cleans, normalises, filters and packages a derived ≥-inequality;
 // returns nil when it fails the numeric or violation gates.
-func (ct *cutter) finishCut(kind string, terms map[int]float64, rel lp.Rel, rhs float64, global bool, sol *lp.Solution) (*cut, float64) {
+func (ct *cutter) finishCut(terms map[int]float64, rhs float64, sol *lp.Solution) (*cut, float64) {
 	vars := make([]int, 0, len(terms))
 	for v := range terms {
 		vars = append(vars, v)
@@ -729,9 +570,8 @@ func (ct *cutter) finishCut(kind string, terms map[int]float64, rel lp.Rel, rhs 
 	sort.Ints(vars)
 	// Drop negligible coefficients — absolute noise and anything 9 orders
 	// below the largest entry (which would otherwise trip the dynamism
-	// gate) — with a right-hand-side compensation over the tightest finite
-	// range available (root if possible, else the node bounds — which makes
-	// the cut local).
+	// gate) — with a right-hand-side compensation over the variable's root
+	// range.
 	dropTol := cutCoeffDropTol
 	for _, v := range vars {
 		if a := math.Abs(terms[v]); a*1e-9 > dropTol {
@@ -750,25 +590,12 @@ func (ct *cutter) finishCut(kind string, terms map[int]float64, rel lp.Rel, rhs 
 			continue
 		}
 		lo, hi := ct.pp.lo[v], ct.pp.hi[v]
-		local := false
-		if math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-			lo, hi = ct.rs.lo[v], ct.rs.hi[v]
-			local = true
-		}
 		if math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 			kept = append(kept, v) // unbounded range: must keep the term
 			continue
 		}
-		// For a ≥-row dropping c·x costs at most max(c·lo, c·hi); for ≤
-		// at least min(c·lo, c·hi).
-		if rel == lp.GE {
-			rhs -= math.Max(c*lo, c*hi)
-		} else {
-			rhs -= math.Min(c*lo, c*hi)
-		}
-		if local {
-			global = false
-		}
+		// Dropping c·x from a ≥-row costs at most max(c·lo, c·hi).
+		rhs -= math.Max(c*lo, c*hi)
 		delete(terms, v)
 	}
 	vars = kept
@@ -798,12 +625,9 @@ func (ct *cutter) finishCut(kind string, terms map[int]float64, rel lp.Rel, rhs 
 		rhs *= inv
 	}
 	c := &cut{
-		kind:   kind,
 		coeffs: terms,
 		vars:   vars,
-		rel:    rel,
 		rhs:    rhs,
-		global: global,
 	}
 	var norm2 float64
 	for _, v := range vars {
@@ -818,110 +642,6 @@ func (ct *cutter) finishCut(kind string, terms map[int]float64, rel lp.Rel, rhs 
 	if eff < cutEffTol {
 		return nil, 0
 	}
-	c.sig = cutSignature(rel, rhs, vars, terms)
+	c.sig = cutSignature(lp.GE, rhs, vars, terms)
 	return c, eff
-}
-
-// --- Lifted cover cuts -----------------------------------------------------
-
-// separateCovers runs lifted cover separation on the rows the model tagged
-// as knapsacks (Problem.CoverRows, remapped through presolve and row
-// prepping). A ≥-row is negated to ≤ first; negative coefficients are
-// complemented away through root binarity, yielding Σ a'_j x̃_j ≤ b' with
-// a' > 0. A greedy minimal cover C (cheapest (1-x̃*)/a' first) gives
-// Σ_{C} x̃ ≤ |C|-1, extended with coefficient 1 over every variable whose
-// weight reaches max_{C} a' — the classic extended cover inequality. The
-// derivation uses only the original row and root bounds: always global.
-func (ct *cutter) separateCovers(sol *lp.Solution, add func(*cut, float64, bool)) {
-	for _, ri := range ct.pp.coverRows {
-		if c, eff := ct.coverFromRow(ri, sol); c != nil {
-			add(c, eff, true)
-		}
-	}
-}
-
-type coverItem struct {
-	v    int
-	a    float64 // complemented weight a' > 0
-	comp bool    // variable entered complemented (x̃ = 1 - x)
-	xt   float64 // x̃* at the fractional point
-}
-
-func (ct *cutter) coverFromRow(ri int, sol *lp.Solution) (*cut, float64) {
-	cons := ct.pp.p.LP.Constraints[ri]
-	sign := 1.0
-	switch cons.Rel {
-	case lp.LE, lp.EQ: // EQ relaxes to its ≤ half
-	case lp.GE:
-		sign = -1
-	}
-	b := sign * cons.RHS
-	items := make([]coverItem, 0, len(cons.Coeffs))
-	for v, a0 := range cons.Coeffs {
-		a := sign * a0
-		if a == 0 {
-			continue
-		}
-		// Knapsack structure needs root-binary variables.
-		if !ct.pp.p.Integer[v] || ct.pp.lo[v] != 0 || ct.pp.hi[v] != 1 {
-			return nil, 0
-		}
-		x := math.Min(1, math.Max(0, sol.X[v]))
-		if a > 0 {
-			items = append(items, coverItem{v: v, a: a, xt: x})
-		} else {
-			b -= a // complement: a·x = -(-a)·(1-x) + a
-			items = append(items, coverItem{v: v, a: -a, comp: true, xt: 1 - x})
-		}
-	}
-	if len(items) == 0 || b < 0 {
-		return nil, 0
-	}
-	var total float64
-	for _, it := range items {
-		total += it.a
-	}
-	if total <= b+1e-9 {
-		return nil, 0 // no cover exists
-	}
-	// Greedy minimal cover: cheapest violation contribution per unit of
-	// weight first; deterministic tie-break on the variable index.
-	sort.Slice(items, func(i, j int) bool {
-		ci := (1 - items[i].xt) / items[i].a
-		cj := (1 - items[j].xt) / items[j].a
-		if ci != cj {
-			return ci < cj
-		}
-		return items[i].v < items[j].v
-	})
-	var sum, maxA float64
-	cover := 0
-	for _, it := range items {
-		sum += it.a
-		cover++
-		if it.a > maxA {
-			maxA = it.a
-		}
-		if sum > b+1e-9 {
-			break
-		}
-	}
-	if sum <= b+1e-9 {
-		return nil, 0
-	}
-	// Extended cover: Σ_{C ∪ E} x̃ ≤ |C| - 1 with E = {j ∉ C : a'_j ≥ max_C a'}.
-	terms := make(map[int]float64, len(items))
-	rhs := float64(cover - 1)
-	for i, it := range items {
-		if i >= cover && it.a < maxA {
-			continue
-		}
-		if it.comp {
-			terms[it.v] -= 1
-			rhs -= 1
-		} else {
-			terms[it.v] += 1
-		}
-	}
-	return ct.finishCut("cover", terms, lp.LE, rhs, true, sol)
 }

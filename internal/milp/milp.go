@@ -1,5 +1,7 @@
 // Package milp implements a mixed-integer linear programming solver by
-// LP-based branch and bound on top of sring/internal/lp.
+// LP-based branch and bound on top of sring/internal/lp, tightened by
+// Gomory mixed-integer cut rounds at the root relaxation that the tree
+// inherits.
 //
 // It stands in for the commercial MILP solver (Gurobi) used by the SRing
 // paper: the wavelength-assignment model of paper Sec. III-B is built and
@@ -25,15 +27,6 @@ type Problem struct {
 	LP lp.Problem
 	// Integer[i] marks variable i as integral. Length must equal NumVars.
 	Integer []bool
-	// CoverRows optionally lists indices into LP.Constraints of rows with
-	// knapsack structure over binary variables — after negating a ≥-row and
-	// complementing negative coefficients they read Σ a'_j x̃_j ≤ b' with
-	// a' > 0 over 0/1 variables — that the branch-and-cut layer targets for
-	// lifted cover separation. Rows that turn out not to be knapsacks over
-	// root-binary variables are skipped at solve time; out-of-range indices
-	// fail Validate. The indices are remapped through presolve and row
-	// prepping automatically.
-	CoverRows []int
 }
 
 // Validate checks dimensions.
@@ -43,11 +36,6 @@ func (p *Problem) Validate() error {
 	}
 	if len(p.Integer) != p.LP.NumVars {
 		return fmt.Errorf("milp: Integer has length %d, want %d", len(p.Integer), p.LP.NumVars)
-	}
-	for _, r := range p.CoverRows {
-		if r < 0 || r >= len(p.LP.Constraints) {
-			return fmt.Errorf("milp: CoverRows index %d out of range [0,%d)", r, len(p.LP.Constraints))
-		}
 	}
 	return nil
 }
@@ -87,11 +75,11 @@ type Options struct {
 	// before dependent assignment variables can shrink the tree by orders
 	// of magnitude.
 	BranchPriority []int
-	// CutRounds caps the cutting-plane rounds run when the root relaxation
-	// comes back fractional; nodes below the root run none (cutMaxDepth is
-	// 0). Zero means the default (30); negative disables cut separation
-	// entirely. Cuts are separated,
-	// selected and purged only at canonical node consumption on the main
+	// CutRounds caps the Gomory cut rounds run when the root relaxation
+	// comes back fractional; nodes below the root separate none and only
+	// inherit the root's cuts, dropping those that stay loose. Zero means
+	// the default (30); negative disables cuts entirely. Cuts are
+	// separated and purged only at canonical node consumption on the main
 	// goroutine, so any Parallelism setting reproduces the same cuts —
 	// and the same NodeFingerprint — bit for bit.
 	CutRounds int
@@ -223,7 +211,7 @@ type node struct {
 	// produced basis, so the warm start stays shape-consistent. Fixed at
 	// node creation and immutable from then on (the cutter swaps in a new
 	// list after its rounds; it never mutates one), which is what lets
-	// speculative workers solve the node without any cut-pool
+	// speculative workers solve the node without any cut
 	// coordination. cutSig is foldCuts(cuts), precomputed for mixNode.
 	cuts   []*cut
 	cutSig uint64
@@ -646,7 +634,7 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 			// before branching. A pruned=true return means the cut-
 			// augmented LP is infeasible — valid cuts only remove
 			// fractional points, so the subtree holds no integral solution.
-			csol, cbas, pruned := ct.run(nd, sol, bas, deadline)
+			csol, cbas, pruned := ct.run(nd, bas, deadline)
 			if pruned {
 				continue
 			}

@@ -184,11 +184,7 @@ func buildReduced(p *Problem, fixed map[int]float64) presolveResult {
 			res.constant += p.LP.Objective[i] * fixed[i]
 		}
 	}
-	// rowMap records each original row's index in the reduced problem (-1:
-	// dropped as constant), so CoverRows survive the reduction.
-	rowMap := make([]int, len(p.LP.Constraints))
-	for ci, c := range p.LP.Constraints {
-		rowMap[ci] = -1
+	for _, c := range p.LP.Constraints {
 		terms := make(map[int]float64)
 		rhs := c.RHS
 		for v, a := range c.Coeffs {
@@ -214,13 +210,7 @@ func buildReduced(p *Problem, fixed map[int]float64) presolveResult {
 			}
 			continue
 		}
-		rowMap[ci] = len(red.LP.Constraints)
 		red.LP.Constraints = append(red.LP.Constraints, lp.Constraint{Coeffs: terms, Rel: c.Rel, RHS: rhs})
-	}
-	for _, r := range p.CoverRows {
-		if j := rowMap[r]; j >= 0 {
-			red.CoverRows = append(red.CoverRows, j)
-		}
 	}
 	res.reduced = red
 	return res

@@ -19,9 +19,6 @@ import (
 type prepped struct {
 	p      *Problem  // rows reduced; variables and objective untouched
 	lo, hi []float64 // root bounds (lo starts at 0 by the LP convention)
-	// coverRows is Problem.CoverRows remapped to the reduced row indices
-	// (deduplicated, ascending): the cover-cut separator's targets.
-	coverRows []int
 }
 
 // prepRelaxation converts the problem into bounded-variable form:
@@ -47,11 +44,7 @@ func prepRelaxation(p *Problem, sp *obs.Span) *prepped {
 	rows := make([]lp.Constraint, 0, len(p.LP.Constraints))
 	var removedRows, boundRows int64
 	seen := make(map[string]int) // canonical row key -> index in rows
-	// rowMap tracks where each original row ended up (-1: dropped; a
-	// duplicate maps to the kept copy) so CoverRows can be remapped.
-	rowMap := make([]int, len(p.LP.Constraints))
-	for ci, c := range p.LP.Constraints {
-		rowMap[ci] = -1
+	for _, c := range p.LP.Constraints {
 		if len(c.Coeffs) == 0 {
 			ok := true
 			switch c.Rel {
@@ -119,7 +112,6 @@ func prepRelaxation(p *Problem, sp *obs.Span) *prepped {
 		}
 		key := rowKey(&c)
 		if j, dup := seen[key]; dup {
-			rowMap[ci] = j
 			prev := &rows[j]
 			switch c.Rel {
 			case lp.LE:
@@ -139,24 +131,10 @@ func prepRelaxation(p *Problem, sp *obs.Span) *prepped {
 			continue
 		}
 		seen[key] = len(rows)
-		rowMap[ci] = len(rows)
 		rows = append(rows, c)
 	}
 	sp.Count("milp.presolve.rows_removed", removedRows)
 	sp.Count("milp.presolve.bound_rows", boundRows)
-	if len(p.CoverRows) > 0 {
-		mapped := make(map[int]bool, len(p.CoverRows))
-		for _, r := range p.CoverRows {
-			if j := rowMap[r]; j >= 0 {
-				mapped[j] = true
-			}
-		}
-		pr.coverRows = make([]int, 0, len(mapped))
-		for j := range mapped {
-			pr.coverRows = append(pr.coverRows, j)
-		}
-		sort.Ints(pr.coverRows)
-	}
 	pr.p = &Problem{
 		LP: lp.Problem{
 			NumVars:     n,

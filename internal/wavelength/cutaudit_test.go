@@ -3,7 +3,7 @@ package wavelength_test
 // Cut-validity property tests for the branch-and-cut engine. A cutting
 // plane is only sound if it separates the fractional relaxation point from
 // the integer hull without cutting off any integer-feasible solution; a bug
-// in the GMI tableau arithmetic or the cover lifting would instead silently
+// in the GMI tableau arithmetic would instead silently
 // prune the true optimum and the solver would still return "Optimal" — the
 // worst failure mode an exact solver has. So every cut the engine applies
 // on the real paper benchmarks is audited against both properties:
@@ -11,9 +11,9 @@ package wavelength_test
 //  1. violated by the fractional point it was separated from (otherwise it
 //     did no work and the efficacy selection is broken), and
 //  2. satisfied by known integer-feasible points — the heuristic incumbent
-//     lifted into the model space and the solver's own final solution —
-//     whenever the point lies in the cut's validity domain (everywhere for
-//     global cuts, the separating node's bound box for local ones).
+//     lifted into the model space and the solver's own final solution.
+//     Cuts are separated at the root only, so each one is valid in the
+//     whole tree and every point must satisfy it.
 //
 // The solve runs with presolve disabled so the audited coordinates stay in
 // BuildMILP's variable space and the hand-built incumbent vector can be
@@ -49,17 +49,6 @@ func cutViolation(r milp.CutAuditRecord, x []float64) float64 {
 	default:
 		return math.Inf(1) // equality cuts are never separated
 	}
-}
-
-// inBox reports whether x respects the record's node bounds — the validity
-// domain of a non-global cut.
-func inBox(r milp.CutAuditRecord, x []float64) bool {
-	for i := range x {
-		if x[i] < r.Lower[i]-1e-9 || x[i] > r.Upper[i]+1e-9 {
-			return false
-		}
-	}
-	return true
 }
 
 func TestCutValidityOnBenchmarks(t *testing.T) {
@@ -115,20 +104,16 @@ func TestCutValidityOnBenchmarks(t *testing.T) {
 				points = append(points, res.X)
 			}
 			for i, r := range records {
-				if len(r.FracX) != m.Prob.LP.NumVars || len(r.Lower) != m.Prob.LP.NumVars || len(r.Upper) != m.Prob.LP.NumVars {
-					t.Fatalf("cut %d (%s): audit vectors have wrong length", i, r.Kind)
+				if len(r.FracX) != m.Prob.LP.NumVars {
+					t.Fatalf("cut %d: audit vector has wrong length", i)
 				}
 				if v := cutViolation(r, r.FracX); v <= 0 {
-					t.Errorf("cut %d (%s, global=%v): not violated by its own fractional point (violation %g)",
-						i, r.Kind, r.Global, v)
+					t.Errorf("cut %d: not violated by its own fractional point (violation %g)", i, v)
 				}
 				for pi, x := range points {
-					if !r.Global && !inBox(r, x) {
-						continue // local cut, point outside its validity domain
-					}
 					if v := cutViolation(r, x); v > tol {
-						t.Errorf("cut %d (%s, global=%v) cuts off integer-feasible point %d by %g:\n  %s",
-							i, r.Kind, r.Global, pi, v, describeCut(r))
+						t.Errorf("cut %d cuts off integer-feasible point %d by %g:\n  %s",
+							i, pi, v, describeCut(r))
 					}
 				}
 			}
@@ -140,5 +125,5 @@ func TestCutValidityOnBenchmarks(t *testing.T) {
 }
 
 func describeCut(r milp.CutAuditRecord) string {
-	return fmt.Sprintf("kind=%s rel=%v rhs=%.9g terms=%d", r.Kind, r.Rel, r.RHS, len(r.Coeffs))
+	return fmt.Sprintf("rel=%v rhs=%.9g terms=%d", r.Rel, r.RHS, len(r.Coeffs))
 }

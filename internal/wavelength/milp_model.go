@@ -545,7 +545,6 @@ func BuildMILP(infos []PathInfo, numLambda int, w Weights) (*MILPModel, error) {
 				terms[bVar(s, l)] = 1
 			}
 			terms[spVar(i)] = -(ringCount - 1)
-			prob.CoverRows = append(prob.CoverRows, len(prob.LP.Constraints))
 			prob.LP.AddConstraint(lp.LE, 1, terms)
 		}
 		prob.LP.AddConstraint(lp.LE, 1, map[int]float64{spVar(i): 1})
@@ -591,7 +590,6 @@ func BuildMILP(infos []PathInfo, numLambda int, w Weights) (*MILPModel, error) {
 			terms[yVar(l)] = 1
 		}
 		terms[spVar(i)] = float64(outdeg - q1)
-		prob.CoverRows = append(prob.CoverRows, len(prob.LP.Constraints))
 		prob.LP.AddConstraint(lp.GE, float64(outdeg), terms)
 	}
 

@@ -83,7 +83,9 @@ func (mm *mpegBoundModel) solve(tb testing.TB, nodes int, span *obs.Span) *milp.
 
 // TestMPEGBoundWorkUnits pins MPEG's exact solve at a 50-node budget: the
 // explored-node fingerprint, incumbent objective, proven bound, simplex
-// pivots (phase 1 + phase 2 + dual) and LU refactorisations. Any change to
+// pivots (phase 1 + phase 2 + dual), LU refactorisations and the root cut
+// counters (cuts separated and applied, rounds run, and cuts dropped by
+// inheritance once they stay loose). Any change to
 // the LP kernel's pivot sequence, the factorisation, cut separation or the
 // branch-and-bound order moves at least one pin, so this is a bit-identity
 // guard for the whole exact-assignment stack.
@@ -120,6 +122,20 @@ func TestMPEGBoundWorkUnits(t *testing.T) {
 	}
 	if refactors != wantRefactors {
 		t.Errorf("%d refactorisations, want %d", refactors, wantRefactors)
+	}
+	counters := rec.Snapshot().Counters
+	for _, pin := range []struct {
+		name string
+		want int64
+	}{
+		{"milp.cuts.separated", 61},
+		{"milp.cuts.applied", 37},
+		{"milp.cuts.rounds", 5},
+		{"milp.cuts.purged", 115},
+	} {
+		if got := counters[pin.name]; got != pin.want {
+			t.Errorf("%s = %d, want %d", pin.name, got, pin.want)
+		}
 	}
 }
 
