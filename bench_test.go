@@ -378,10 +378,10 @@ func BenchmarkSynthesizeRecorder(b *testing.B) {
 // BenchmarkParallelOverheadMWD guards the speculation gate on the smallest
 // application: exact (MILP) synthesis of MWD at -j 4 must never be more
 // than 10% slower than the sequential run. Before the gate, handing
-// microsecond-scale LP relaxations to a worker pool made MWD 1.3–1.6×
-// slower at j=4 (BENCH_2026-08-06-warmstart.json); with small problems
-// routed to the inline evaluator, the j=4 path does the same MILP work on
-// the calling goroutine. Timing is best-of-rounds (the minimum is robust
+// microsecond-scale LP relaxations to a worker pool made MWD slower at
+// j=4 than at j=1; with small problems routed to the inline evaluator,
+// the j=4 path does the same MILP work on the calling goroutine. Timing is
+// best-of-rounds (the minimum is robust
 // to scheduling noise, which only ever inflates a round). The j1/j4
 // subtests report the two timings; the assertion runs after both.
 func BenchmarkParallelOverheadMWD(b *testing.B) {

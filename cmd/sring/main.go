@@ -43,7 +43,6 @@ func main() {
 		useMILP    = flag.Bool("milp", false, "enable the exact MILP wavelength assignment")
 		milpLimit  = flag.Duration("milp-timeout", sring.DefaultMILPTimeLimit, "MILP time limit")
 		oracle     = flag.String("oracle", "", `with -milp (an error without it), independent cross-check solver to run when the MILP cannot prove optimality ("cp": constraint-propagation search)`)
-		cutRounds  = flag.Int("cut-rounds", 0, "with -milp, cutting-plane rounds per fractional node (0: solver default, negative: disable cuts)")
 		jobs       = flag.Int("j", 0, "synthesis worker count (0 = all CPUs, 1 = sequential; same design either way)")
 		treeHeight = flag.Int("tree-height", 0, "SRing L_max search tree height h (0 = default 6)")
 		trials     = flag.Int("cluster-trials", 0, "cap SRing's initial clustering trials (0 = unlimited, the paper's behaviour)")
@@ -96,7 +95,6 @@ func main() {
 		UseMILP:       *useMILP,
 		MILPTimeLimit: *milpLimit,
 		Oracle:        *oracle,
-		CutRounds:     *cutRounds,
 		TreeHeight:    *treeHeight,
 		ClusterTrials: *trials,
 		Parallelism:   *jobs,

@@ -14,7 +14,6 @@ package design
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sring/internal/layout"
@@ -446,17 +445,4 @@ func (d *Design) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PathsOnRing returns the indices of messages routed on the given ring,
-// sorted.
-func (d *Design) PathsOnRing(ringID int) []int {
-	var out []int
-	for i, pi := range d.Infos {
-		if pi.Path.RingID == ringID {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

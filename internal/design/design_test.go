@@ -210,14 +210,3 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("Validate accepted corrupted path length")
 	}
 }
-
-func TestPathsOnRing(t *testing.T) {
-	d := buildSquareDesign(t, Options{})
-	got := d.PathsOnRing(0)
-	if len(got) != 4 {
-		t.Errorf("PathsOnRing(0) = %v", got)
-	}
-	if len(d.PathsOnRing(9)) != 0 {
-		t.Error("unknown ring should carry no paths")
-	}
-}

@@ -45,18 +45,8 @@ func (p Point) Eq(q Point) bool {
 func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
 
 // Segment is an axis-aligned waveguide segment between two points.
-// Construction via NewSegment guarantees axis alignment.
 type Segment struct {
 	A, B Point
-}
-
-// NewSegment builds an axis-aligned segment. It returns an error if the two
-// endpoints are neither horizontally nor vertically aligned.
-func NewSegment(a, b Point) (Segment, error) {
-	if math.Abs(a.X-b.X) > Eps && math.Abs(a.Y-b.Y) > Eps {
-		return Segment{}, fmt.Errorf("geom: segment %v-%v is not axis-aligned", a, b)
-	}
-	return Segment{A: a, B: b}, nil
 }
 
 // Horizontal reports whether the segment runs along the X axis.
@@ -110,23 +100,6 @@ func (s Segment) Crosses(t Segment) bool {
 	vLo, vHi := math.Min(v.A.Y, v.B.Y), math.Max(v.A.Y, v.B.Y)
 	// Strict interior intersection on both segments.
 	return vx > hLo+Eps && vx < hHi-Eps && hy > vLo+Eps && hy < vHi-Eps
-}
-
-// Overlaps reports whether two parallel axis-aligned segments share a
-// sub-segment of positive length on the same track.
-func (s Segment) Overlaps(t Segment) bool {
-	if s.ZeroLength() || t.ZeroLength() {
-		return false
-	}
-	if s.Horizontal() != t.Horizontal() {
-		return false
-	}
-	sLo, sHi, sFix, _ := s.span()
-	tLo, tHi, tFix, _ := t.span()
-	if math.Abs(sFix-tFix) > Eps {
-		return false
-	}
-	return math.Min(sHi, tHi)-math.Max(sLo, tLo) > Eps
 }
 
 // Contains reports whether point p lies on the segment (inclusive of
@@ -234,20 +207,6 @@ func CrossingCount(a, b []Segment) int {
 	for _, s := range a {
 		for _, t := range b {
 			if s.Crosses(t) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// SelfCrossingCount returns the number of transversal crossings among the
-// segments of a single set (each unordered pair counted once).
-func SelfCrossingCount(segs []Segment) int {
-	n := 0
-	for i := range segs {
-		for j := i + 1; j < len(segs); j++ {
-			if segs[i].Crosses(segs[j]) {
 				n++
 			}
 		}

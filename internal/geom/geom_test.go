@@ -62,18 +62,6 @@ func TestManhattanProperties(t *testing.T) {
 	}
 }
 
-func TestNewSegment(t *testing.T) {
-	if _, err := NewSegment(Pt(0, 0), Pt(1, 0)); err != nil {
-		t.Errorf("horizontal segment rejected: %v", err)
-	}
-	if _, err := NewSegment(Pt(0, 0), Pt(0, 2)); err != nil {
-		t.Errorf("vertical segment rejected: %v", err)
-	}
-	if _, err := NewSegment(Pt(0, 0), Pt(1, 1)); err == nil {
-		t.Error("diagonal segment accepted, want error")
-	}
-}
-
 func TestSegmentOrientation(t *testing.T) {
 	h := Segment{Pt(0, 1), Pt(5, 1)}
 	v := Segment{Pt(2, 0), Pt(2, 3)}
@@ -112,30 +100,6 @@ func TestCrosses(t *testing.T) {
 		}
 		if got := c.v.Crosses(h); got != c.want {
 			t.Errorf("%s (swapped): Crosses = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	a := Segment{Pt(0, 1), Pt(4, 1)}
-	cases := []struct {
-		name string
-		b    Segment
-		want bool
-	}{
-		{"full overlap", Segment{Pt(1, 1), Pt(3, 1)}, true},
-		{"partial overlap", Segment{Pt(3, 1), Pt(6, 1)}, true},
-		{"endpoint touch only", Segment{Pt(4, 1), Pt(6, 1)}, false},
-		{"different track", Segment{Pt(0, 2), Pt(4, 2)}, false},
-		{"perpendicular", Segment{Pt(2, 0), Pt(2, 3)}, false},
-		{"reversed direction overlap", Segment{Pt(3, 1), Pt(1, 1)}, true},
-	}
-	for _, c := range cases {
-		if got := a.Overlaps(c.b); got != c.want {
-			t.Errorf("%s: Overlaps = %v, want %v", c.name, got, c.want)
-		}
-		if got := c.b.Overlaps(a); got != c.want {
-			t.Errorf("%s (swapped): Overlaps = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -243,18 +207,6 @@ func TestCrossingCount(t *testing.T) {
 	// Seg b0 crosses both of a; b1 crosses a[0] only (ends at 1.5 < 2).
 	if got := CrossingCount(a, b); got != 3 {
 		t.Errorf("CrossingCount = %d, want 3", got)
-	}
-}
-
-func TestSelfCrossingCount(t *testing.T) {
-	segs := []Segment{
-		{Pt(0, 1), Pt(4, 1)},
-		{Pt(2, 0), Pt(2, 3)},
-		{Pt(0, 2), Pt(4, 2)},
-	}
-	// vertical crosses both horizontals; horizontals are parallel.
-	if got := SelfCrossingCount(segs); got != 2 {
-		t.Errorf("SelfCrossingCount = %d, want 2", got)
 	}
 }
 

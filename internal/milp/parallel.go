@@ -32,9 +32,10 @@ type evaluator interface {
 
 // specMinProblemSize gates speculation on LP size (vars × presolved rows).
 // Below it a relaxation solves in microseconds, so handing nodes to another
-// goroutine costs more than the overlap buys — the j=4 slowdown on MWD and
-// VOPD in BENCH_2026-08-06-warmstart.json. MWD (44×90) and VOPD (90×190)
-// fall under the threshold; MPEG (274×471) and the 8PM apps stay above it.
+// goroutine costs more than the overlap buys: without the gate MWD and
+// VOPD ran slower at j=4 than at j=1, which BenchmarkParallelOverheadMWD
+// guards against. MWD (44×90) and VOPD (90×190) fall under the threshold;
+// MPEG (274×471) and the 8PM apps stay above it.
 // A var only so tests can lower the gate to exercise the pool on
 // deliberately small instances.
 var specMinProblemSize = 50000

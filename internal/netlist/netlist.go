@@ -102,31 +102,6 @@ func (a *Application) Density() float64 {
 // Pos returns the position of node id.
 func (a *Application) Pos(id NodeID) geom.Point { return a.Nodes[id].Pos }
 
-// CommEdges returns the undirected communication edges of graph G = (V, E)
-// from the paper (Sec. III-A): one edge per node pair with traffic in either
-// direction, each pair reported once with the smaller ID first, sorted.
-func (a *Application) CommEdges() [][2]NodeID {
-	set := make(map[[2]NodeID]bool)
-	for _, m := range a.Messages {
-		u, v := m.Src, m.Dst
-		if u > v {
-			u, v = v, u
-		}
-		set[[2]NodeID{u, v}] = true
-	}
-	edges := make([][2]NodeID, 0, len(set))
-	for e := range set {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	return edges
-}
-
 // Adjacency returns, for each node, the sorted set of nodes it communicates
 // with in either direction (the adjacency of graph G).
 func (a *Application) Adjacency() map[NodeID][]NodeID {

@@ -133,26 +133,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestCommEdges(t *testing.T) {
-	app := &Application{
-		Name: "t",
-		Nodes: []Node{
-			{ID: 0, Pos: geom.Pt(0, 0)}, {ID: 1, Pos: geom.Pt(1, 0)}, {ID: 2, Pos: geom.Pt(2, 0)},
-		},
-		Messages: []Message{
-			{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, // same undirected edge
-			{Src: 2, Dst: 0},
-		},
-	}
-	edges := app.CommEdges()
-	if len(edges) != 2 {
-		t.Fatalf("CommEdges = %v, want 2 edges", edges)
-	}
-	if edges[0] != [2]NodeID{0, 1} || edges[1] != [2]NodeID{0, 2} {
-		t.Errorf("CommEdges = %v, want [[0 1] [0 2]]", edges)
-	}
-}
-
 func TestAdjacencySorted(t *testing.T) {
 	app := MWD()
 	for id, neigh := range app.Adjacency() {

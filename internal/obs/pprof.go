@@ -32,59 +32,21 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 
 // WriteHeapProfile writes a heap profile to path after a GC, so the profile
 // reflects live memory rather than garbage. Commands wire this behind a
-// -memprofile flag.
+// -memprofile flag. Close's error is reported too: that is where a
+// full-disk short write shows up.
 func WriteHeapProfile(path string) error {
-	return writeProfile("heap", path, func(f *os.File) error {
-		runtime.GC()
-		return pprof.WriteHeapProfile(f)
-	})
-}
-
-// SetBlockProfileRate enables goroutine-blocking profiling: one sample per
-// rate nanoseconds blocked (1 records every event, 0 disables). Call before
-// the workload whose contention — e.g. on the registry's histogram maps —
-// is being measured.
-func SetBlockProfileRate(rate int) { runtime.SetBlockProfileRate(rate) }
-
-// SetMutexProfileFraction enables mutex-contention profiling at 1/fraction
-// sampling (1 records every event, 0 disables). Returns the previous
-// setting.
-func SetMutexProfileFraction(fraction int) int {
-	return runtime.SetMutexProfileFraction(fraction)
-}
-
-// WriteBlockProfile writes the accumulated goroutine-blocking profile to
-// path. Profiling must have been enabled with SetBlockProfileRate; with the
-// default rate of 0 the profile is legitimately empty.
-func WriteBlockProfile(path string) error {
-	return writeProfile("block", path, func(f *os.File) error {
-		return pprof.Lookup("block").WriteTo(f, 0)
-	})
-}
-
-// WriteMutexProfile writes the accumulated mutex-contention profile to
-// path. Profiling must have been enabled with SetMutexProfileFraction.
-func WriteMutexProfile(path string) error {
-	return writeProfile("mutex", path, func(f *os.File) error {
-		return pprof.Lookup("mutex").WriteTo(f, 0)
-	})
-}
-
-// writeProfile creates path, runs write, and closes the file, reporting the
-// first error — including Close's, which is where a full-disk short write
-// shows up.
-func writeProfile(kind, path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("obs: %s profile: %w", kind, err)
+		return fmt.Errorf("obs: heap profile: %w", err)
 	}
-	werr := write(f)
+	runtime.GC()
+	werr := pprof.WriteHeapProfile(f)
 	cerr := f.Close()
 	if werr != nil {
-		return fmt.Errorf("obs: %s profile: %w", kind, werr)
+		return fmt.Errorf("obs: heap profile: %w", werr)
 	}
 	if cerr != nil {
-		return fmt.Errorf("obs: %s profile: %w", kind, cerr)
+		return fmt.Errorf("obs: heap profile: %w", cerr)
 	}
 	return nil
 }

@@ -3,9 +3,7 @@ package obs
 import (
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestCPUProfileStopReportsClose(t *testing.T) {
@@ -27,43 +25,13 @@ func TestCPUProfileStopReportsClose(t *testing.T) {
 	}
 }
 
-func TestHeapBlockMutexProfiles(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteHeapProfile(filepath.Join(dir, "heap.prof")); err != nil {
+func TestWriteHeapProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.prof")
+	if err := WriteHeapProfile(path); err != nil {
 		t.Fatalf("heap: %v", err)
 	}
-
-	// Generate a little contention so the block/mutex profiles have content;
-	// rate 1 samples every event.
-	SetBlockProfileRate(1)
-	defer SetBlockProfileRate(0)
-	prev := SetMutexProfileFraction(1)
-	defer SetMutexProfileFraction(prev)
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			time.Sleep(time.Millisecond)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-
-	for name, write := range map[string]func(string) error{
-		"block.prof": WriteBlockProfile,
-		"mutex.prof": WriteMutexProfile,
-	} {
-		path := filepath.Join(dir, name)
-		if err := write(path); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil || fi.Size() == 0 {
-			t.Fatalf("%s empty or missing: %v", name, err)
-		}
+	fi, err := os.Stat(path)
+	if err != nil || fi.Size() == 0 {
+		t.Fatalf("heap profile empty or missing: %v", err)
 	}
 }

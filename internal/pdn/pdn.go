@@ -54,9 +54,6 @@ type Config struct {
 	// node's two senders are joined by a splitter regardless of wavelength
 	// sharing (paper Sec. II-C).
 	ForceNodeSplitter bool
-	// LaserPos is the location of the laser coupler on the optical layer.
-	// The zero value (origin corner) is the conventional placement.
-	LaserPos geom.Point
 	// RoutePhysical constructs the distribution tree physically (median
 	// splits, rectilinear trunks; see BuildTree) and takes stage counts and
 	// feed lengths from the routed tree instead of the abstract
@@ -96,6 +93,9 @@ func Build(app *netlist.Application, senderNodes []netlist.NodeID,
 	if len(senderNodes) == 0 {
 		return nil, fmt.Errorf("pdn: no sender nodes")
 	}
+	// The laser coupler sits at the origin corner, the conventional
+	// placement.
+	var laser geom.Point
 	seen := make(map[netlist.NodeID]bool, len(senderNodes))
 	nw := &Network{
 		NodeSplitter: make(map[netlist.NodeID]bool),
@@ -109,11 +109,11 @@ func Build(app *netlist.Application, senderNodes []netlist.NodeID,
 			return nil, fmt.Errorf("pdn: duplicate sender node %d", n)
 		}
 		seen[n] = true
-		nw.FeedLengthMM[n] = cfg.LaserPos.Manhattan(app.Pos(n))
+		nw.FeedLengthMM[n] = laser.Manhattan(app.Pos(n))
 	}
 	nw.TreeStages = treeDepth(len(senderNodes))
 	if cfg.RoutePhysical {
-		tree, err := BuildTree(app, senderNodes, cfg.LaserPos)
+		tree, err := BuildTree(app, senderNodes, laser)
 		if err != nil {
 			return nil, err
 		}

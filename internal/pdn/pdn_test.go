@@ -172,13 +172,16 @@ func TestStyleString(t *testing.T) {
 	}
 }
 
+// The laser coupler sits at the origin corner, so each sender's feed is
+// its Manhattan distance from (0, 0).
 func TestLaserPosition(t *testing.T) {
 	a := app(2)
-	nw, err := Build(a, ids(2), nil, nil, Config{LaserPos: geom.Pt(1, 1)})
+	a.Nodes[1].Pos = geom.Pt(1, 0.5)
+	nw, err := Build(a, ids(2), nil, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(nw.FeedLengthMM[0]-2) > 1e-12 {
-		t.Errorf("feed length from (1,1) to (0,0) = %v, want 2", nw.FeedLengthMM[0])
+	if nw.FeedLengthMM[0] != 0 || math.Abs(nw.FeedLengthMM[1]-1.5) > 1e-12 {
+		t.Errorf("feed lengths %v, want 0 and 1.5 from the origin", nw.FeedLengthMM)
 	}
 }

@@ -54,16 +54,13 @@ func buildStageKeys(app *netlist.Application, method string, opt Options, tech l
 
 	// The assignment depends on the effective weights too, but those are a
 	// pure function of (construction, tech) — both already in the chain.
-	// assign/5: Stats gained MILPSkipped and MILPPalette, so persisted
-	// assign/4 entries, which lack them, never match. CutRounds is hashed even
-	// though cuts never change a proven optimum: an unproven incumbent can
-	// legitimately differ between cut budgets.
-	h = newKeyHasher("assign/5")
+	// assign/6: the cut budget is no longer an option and no longer hashed,
+	// so persisted assign/5 entries, whose keys include it, never match.
+	h = newKeyHasher("assign/6")
 	h.key(ks.loss)
 	h.bool(opt.UseMILP)
 	h.i64(int64(opt.MILPTimeLimit))
 	h.str(opt.Oracle)
-	h.i64(int64(opt.CutRounds))
 	ks.assign = h.sum()
 
 	h = newKeyHasher("pdn/1")

@@ -77,10 +77,6 @@ type Options struct {
 	// UseMILP; empty disables, and any other name, or an oracle without
 	// UseMILP, is an error.
 	Oracle string
-	// CutRounds is the exact solver's cutting-plane budget (wavelength
-	// Options.CutRounds → milp.Options.CutRounds): 0 means the solver
-	// default, negative disables cut separation.
-	CutRounds int
 	// PhysicalPDN routes the power-distribution tree physically instead of
 	// the abstract stage-count model.
 	PhysicalPDN bool
@@ -315,7 +311,6 @@ func run(ctx context.Context, app *netlist.Application, method string, ctor Cons
 					MILPTimeLimit: opt.MILPTimeLimit,
 					Parallelism:   opt.Parallelism,
 					Oracle:        opt.Oracle,
-					CutRounds:     opt.CutRounds,
 					Obs:           root,
 				})
 			}

@@ -316,43 +316,3 @@ func BuildConflictGraph(paths []Path) *ConflictGraph {
 	}
 	return g
 }
-
-// MaxDegree returns the maximum vertex degree (an upper bound on required
-// wavelengths is MaxDegree+1; a lower bound is CliqueLowerBound).
-func (g *ConflictGraph) MaxDegree() int {
-	max := 0
-	for _, adj := range g.Adj {
-		if len(adj) > max {
-			max = len(adj)
-		}
-	}
-	return max
-}
-
-// CliqueLowerBound returns the size of the largest set of paths pairwise
-// sharing one ring segment: for each (ring, segment) the number of paths
-// crossing it. Such paths form a clique in the conflict graph, so this is a
-// valid lower bound on the chromatic number (wavelength count).
-func (g *ConflictGraph) CliqueLowerBound() int {
-	load := make(map[[2]int]int)
-	best := 0
-	for _, p := range g.Paths {
-		for _, s := range p.Segs {
-			key := [2]int{p.RingID, s}
-			load[key]++
-			if load[key] > best {
-				best = load[key]
-			}
-		}
-	}
-	return best
-}
-
-// Edges returns the number of conflict edges.
-func (g *ConflictGraph) Edges() int {
-	n := 0
-	for _, adj := range g.Adj {
-		n += len(adj)
-	}
-	return n / 2
-}

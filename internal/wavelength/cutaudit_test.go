@@ -22,6 +22,7 @@ package wavelength_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -126,4 +127,59 @@ func TestCutValidityOnBenchmarks(t *testing.T) {
 
 func describeCut(r milp.CutAuditRecord) string {
 	return fmt.Sprintf("rel=%v rhs=%.9g terms=%d", r.Rel, r.RHS, len(r.Coeffs))
+}
+
+// Root cut rounds must be a pure search accelerant: on the apps whose
+// exact model the solver proves with and without cuts, both solves decode
+// to the same assignment with the same objective. The raw MILP objectives
+// are not compared, because they may differ in the last bits (VOPD:
+// 16.20749999999999 vs 16.2075).
+func TestCutsKeepProvenAssignments(t *testing.T) {
+	for _, name := range []string{"MWD", "VOPD", "8PM-24"} {
+		t.Run(name, func(t *testing.T) {
+			app, err := netlist.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos, w, err := pipeline.PathInfos(t.Context(), app, "SRing", pipeline.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			heur, _, err := wavelength.Assign(infos, wavelength.Options{Weights: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := wavelength.BuildMILP(infos, heur.NumLambda+1, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]*wavelength.Assignment
+			var values [2]float64
+			for i, rounds := range []int{0, -1} {
+				res, err := milp.SolveContext(t.Context(), m.Prob, milp.Options{
+					Parallelism:    1,
+					BranchPriority: m.Priority,
+					Incumbent:      m.IncumbentVector(infos, heur, w),
+					CutRounds:      rounds,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Status != milp.Optimal {
+					t.Fatalf("CutRounds %d: status %v, want optimal", rounds, res.Status)
+				}
+				if got[i], err = m.Decode(res.X); err != nil {
+					t.Fatal(err)
+				}
+				values[i] = wavelength.Evaluate(infos, got[i], w).Value
+				t.Logf("CutRounds %d: %d nodes, objective %.10f", rounds, res.Nodes, values[i])
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Errorf("cuts changed the proven assignment:\n  on:  %v\n  off: %v", got[0].Lambda, got[1].Lambda)
+			}
+			if values[0] != values[1] {
+				t.Errorf("cuts changed the proven objective: %.17g vs %.17g", values[0], values[1])
+			}
+		})
+	}
 }

@@ -98,7 +98,7 @@ func TestSolveMILPNoSolutionWithinLimits(t *testing.T) {
 	// A tiny time budget with no incumbent: the solver may return no
 	// assignment; Assign must then fall back to the heuristic.
 	infos := cliqueInfos(4)
-	a, _, err := SolveMILP(context.Background(), infos, 4, DefaultWeights(), nil, 1, 1, 0, nil)
+	a, _, err := SolveMILP(context.Background(), infos, 4, DefaultWeights(), nil, 1, 1, nil)
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestSolveMILPThreeRingSender(t *testing.T) {
 	if err := Verify(infos, inc); err != nil {
 		t.Fatal(err)
 	}
-	a, info, err := SolveMILP(context.Background(), infos, 3, DefaultWeights(), inc, 30*time.Second, 1, 0, nil)
+	a, info, err := SolveMILP(context.Background(), infos, 3, DefaultWeights(), inc, 30*time.Second, 1, nil)
 	if err != nil {
 		t.Fatalf("MILP rejected a 3-ring sender: %v", err)
 	}

@@ -49,9 +49,7 @@ var ErrInfeasible = errors.New("model infeasible")
 // the incumbent assignment (which must use at most numLambda wavelengths).
 // It returns the best assignment found and the solver telemetry. A zero
 // timeLimit means milp.DefaultTimeLimit; parallelism is the LP worker
-// count (0 = GOMAXPROCS, 1 = sequential), with no effect on the result;
-// cutRounds is milp.Options.CutRounds (0 the solver default, negative
-// disables cutting planes).
+// count (0 = GOMAXPROCS, 1 = sequential), with no effect on the result.
 // Cancelling ctx stops the search gracefully: the incumbent at that point
 // is returned with SolveInfo.Cancelled set. The solve records under parent
 // (model size, branch-and-bound progress, gap trajectory); a nil parent
@@ -69,7 +67,7 @@ var ErrInfeasible = errors.New("model infeasible")
 //     b_{s,λ} ≤ y_λ, plus symmetry-breaking y_λ ≥ y_{λ+1}.
 //   - Eq. 5's il_s is substituted directly into Eqs. 6-7: il_s = L_s +
 //     L_sp · b_sp^{n(s)}, removing one continuous variable per path.
-func SolveMILP(ctx context.Context, infos []PathInfo, numLambda int, w Weights, incumbent *Assignment, timeLimit time.Duration, parallelism, cutRounds int, parent *obs.Span) (*Assignment, SolveInfo, error) {
+func SolveMILP(ctx context.Context, infos []PathInfo, numLambda int, w Weights, incumbent *Assignment, timeLimit time.Duration, parallelism int, parent *obs.Span) (*Assignment, SolveInfo, error) {
 	if incumbent != nil && incumbent.NumLambda > numLambda {
 		return nil, SolveInfo{}, fmt.Errorf("wavelength: incumbent uses %d wavelengths, palette has %d", incumbent.NumLambda, numLambda)
 	}
@@ -77,7 +75,7 @@ func SolveMILP(ctx context.Context, infos []PathInfo, numLambda int, w Weights, 
 	if err != nil {
 		return nil, SolveInfo{}, err
 	}
-	return solveModel(ctx, m, infos, incumbent, w, timeLimit, parallelism, cutRounds, parent)
+	return solveModel(ctx, m, infos, incumbent, w, timeLimit, parallelism, parent)
 }
 
 // MILPModel is one instance's built Eq. 8 linearisation: the mixed-integer
@@ -665,7 +663,7 @@ func BuildMILP(infos []PathInfo, numLambda int, w Weights) (*MILPModel, error) {
 
 // solveModel runs the built model through the branch-and-cut solver and
 // decodes the result.
-func solveModel(ctx context.Context, m *MILPModel, infos []PathInfo, incumbent *Assignment, w Weights, timeLimit time.Duration, parallelism, cutRounds int, parent *obs.Span) (*Assignment, SolveInfo, error) {
+func solveModel(ctx context.Context, m *MILPModel, infos []PathInfo, incumbent *Assignment, w Weights, timeLimit time.Duration, parallelism int, parent *obs.Span) (*Assignment, SolveInfo, error) {
 	S, L := m.s, m.l
 	numLambda := L
 	msp := parent.StartSpan("wavelength.milp")
@@ -676,7 +674,7 @@ func solveModel(ctx context.Context, m *MILPModel, infos []PathInfo, incumbent *
 	msp.SetInt("constraints", int64(len(m.Prob.LP.Constraints)))
 	msp.SetBool("seeded", incumbent != nil)
 
-	opts := milp.Options{TimeLimit: timeLimit, Parallelism: parallelism, CutRounds: cutRounds, BranchPriority: m.Priority, Obs: msp}
+	opts := milp.Options{TimeLimit: timeLimit, Parallelism: parallelism, BranchPriority: m.Priority, Obs: msp}
 	if incumbent != nil {
 		opts.Incumbent = m.IncumbentVector(infos, incumbent, w)
 	}

@@ -308,3 +308,44 @@ func BenchmarkSolveCP(b *testing.B) {
 		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	})
 }
+
+// MPEG is the one paper app no shipped engine proves, yet its optimum is
+// known: the MILP's root bound, 51.0053, equals the value of the
+// 11-wavelength assignment below, found by listing every stable set of
+// MPEG's conflict graph and solving the set partition under each splitter
+// pattern. The gap is therefore on the primal side. The test pins that
+// assignment on today's construction; a construction change that moves it
+// fails here first.
+func TestMPEGKnownOptimum(t *testing.T) {
+	infos, w, err := pipeline.PathInfos(context.Background(), netlist.MPEG(), "SRing", pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 26 {
+		t.Fatalf("MPEG has %d SRing paths, want 26", len(infos))
+	}
+	a := &wavelength.Assignment{
+		Lambda:    []int{0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 6, 0, 0, 5, 7, 8, 9, 10, 1, 7, 10, 4, 8, 8, 4, 5},
+		NumLambda: 11,
+	}
+	if err := wavelength.Verify(infos, a); err != nil {
+		t.Fatal(err)
+	}
+	obj := wavelength.Evaluate(infos, a, w)
+	if obj.NumLambda != 11 || obj.Splitters != 0 {
+		t.Errorf("NumLambda=%d Splitters=%d, want 11 and 0", obj.NumLambda, obj.Splitters)
+	}
+	const tol = 1e-9
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"WorstIL", obj.WorstIL, 3.5099},
+		{"SumPerLambda", obj.SumPerLambda, 36.4954},
+		{"Value", obj.Value, 51.0053},
+	} {
+		if math.Abs(c.got-c.want) > tol {
+			t.Errorf("%s = %.10f, want %.4f", c.name, c.got, c.want)
+		}
+	}
+}

@@ -452,11 +452,6 @@ type Options struct {
 	// ExtraLambda lets the MILP use up to this many wavelengths beyond the
 	// heuristic's count, enabling the λ-for-splitter trade. Zero means 1.
 	ExtraLambda int
-	// CutRounds is the exact solver's cutting-plane budget, forwarded to
-	// milp.Options.CutRounds: 0 means the solver default, negative disables
-	// cut separation. Cuts only ever change the search path, never the
-	// optimum — the cuts-on-vs-off CI step relies on exactly that.
-	CutRounds int
 	// Obs, when non-nil, is the parent span under which the assignment
 	// records its telemetry: heuristic and MILP child spans, the
 	// heuristic-vs-MILP objective delta, and per-wavelength loss events.
@@ -567,7 +562,7 @@ func AssignContext(ctx context.Context, infos []PathInfo, opt Options) (*Assignm
 		numLambda := best.NumLambda + extra
 		stats.MILPPalette = numLambda
 		if len(infos)*numLambda <= maxBinaries {
-			milpA, info, err := SolveMILP(ctx, infos, numLambda, w, best, opt.MILPTimeLimit, opt.Parallelism, opt.CutRounds, sp)
+			milpA, info, err := SolveMILP(ctx, infos, numLambda, w, best, opt.MILPTimeLimit, opt.Parallelism, sp)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -235,7 +235,7 @@ func TestSolveMILPMatchesCliqueBound(t *testing.T) {
 	infos := cliqueInfos(3)
 	w := DefaultWeights()
 	inc := DSATUR(infos)
-	a, info, err := SolveMILP(context.Background(), infos, 3, w, inc, 30*time.Second, 1, 0, nil)
+	a, info, err := SolveMILP(context.Background(), infos, 3, w, inc, 30*time.Second, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestSolveMILPMatchesCliqueBound(t *testing.T) {
 func TestSolveMILPRemovesSplitter(t *testing.T) {
 	infos := twoSenderInfos()
 	w := DefaultWeights()
-	a, info, err := SolveMILP(context.Background(), infos, 2, w, nil, 30*time.Second, 1, 0, nil)
+	a, info, err := SolveMILP(context.Background(), infos, 2, w, nil, 30*time.Second, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +268,14 @@ func TestSolveMILPRemovesSplitter(t *testing.T) {
 
 func TestSolveMILPInfeasiblePalette(t *testing.T) {
 	infos := cliqueInfos(3)
-	if _, _, err := SolveMILP(context.Background(), infos, 2, DefaultWeights(), nil, 10*time.Second, 1, 0, nil); err == nil {
+	if _, _, err := SolveMILP(context.Background(), infos, 2, DefaultWeights(), nil, 10*time.Second, 1, nil); err == nil {
 		t.Error("3-clique with 2 wavelengths should be infeasible")
 	}
-	if _, _, err := SolveMILP(context.Background(), infos, 0, DefaultWeights(), nil, 0, 1, 0, nil); err == nil {
+	if _, _, err := SolveMILP(context.Background(), infos, 0, DefaultWeights(), nil, 0, 1, nil); err == nil {
 		t.Error("numLambda = 0 accepted")
 	}
 	big := &Assignment{Lambda: []int{0, 1, 2}, NumLambda: 3}
-	if _, _, err := SolveMILP(context.Background(), infos, 2, DefaultWeights(), big, 0, 1, 0, nil); err == nil {
+	if _, _, err := SolveMILP(context.Background(), infos, 2, DefaultWeights(), big, 0, 1, nil); err == nil {
 		t.Error("incumbent larger than palette accepted")
 	}
 }
