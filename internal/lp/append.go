@@ -3,100 +3,51 @@ package lp
 // Row mutation and tableau extraction: the API the branch-and-cut layer in
 // internal/milp is built on.
 //
-// A cutting plane is a row appended to an already-solved problem. The
-// append keeps every existing column index stable — the slack of row i is
-// column nStruct+i, so new slacks take the columns past the old ones — and
-// the prior optimal basis, extended with the new slacks basic, remains a
-// valid (dual-feasible, primal-violated exactly on the new rows) starting
-// point: SolveDual re-enters from it and drives the cut slacks feasible in
-// a handful of pivots instead of re-solving cold. Rebuilding the kernel
-// costs one CSR/CSC pass plus the refactorisation the changed matrix
-// signature forces anyway — the same order as a single periodic
-// refactorisation.
+// A cutting plane is a row appended to an already-solved problem
+// (ReplaceRows). The append keeps every existing column index stable —
+// the slack of row i is column nStruct+i, so new slacks take the columns
+// past the old ones — and the prior optimal basis, extended with the new
+// slacks basic, remains a valid (dual-feasible, primal-violated exactly on
+// the new rows) starting point: SolveDual re-enters from it and drives the
+// cut slacks feasible in a handful of pivots instead of re-solving cold. Rebuilding the kernel
+// costs one CSR/CSC pass into the buffers of the previous shape plus the
+// refactorisation the changed matrix signature forces anyway — the same
+// order as a single periodic refactorisation.
 //
 // The tableau accessors below read the simplex state left by the most
 // recent solve; the Gomory separator derives its cuts from TableauRow
 // (sparse BTRAN against the current Forrest-Tomlin factors) plus the basis
 // heading and bound-status accessors.
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// AppendRows adds constraint rows to the problem and rebuilds the solve
-// state. Existing column indices are unchanged (row i's slack stays column
-// nStruct+i); the new rows' slacks occupy the columns past the old ones.
-// Any Basis snapshot taken before the append is shape-stale — extend it
-// with ExtendBasis before warm-starting from it. The rows are copied
-// shallowly; callers must not mutate their Coeffs maps afterwards.
-func (s *Solver) AppendRows(rows []Constraint) error {
-	if len(rows) == 0 {
-		return nil
+// ReplaceRows keeps the first keep rows, drops the rest and appends rows,
+// rebuilding the solve state once: a branch-and-cut node switching cut
+// lists truncates to the construction-time rows and appends its own cuts
+// in one call. keep may not cut into the construction-time rows
+// (keep >= BaseRows) — the solver owns appended rows only. Kept rows'
+// column indices are unchanged (row i's slack stays column nStruct+i);
+// the new rows' slacks occupy the columns past them. Any Basis snapshot
+// taken before the call is shape-stale — extend it with ExtendBasis
+// before warm-starting from it when only rows were appended. The rows are
+// copied shallowly; callers must not mutate their Coeffs maps afterwards.
+func (s *Solver) ReplaceRows(keep int, rows []Constraint) error {
+	if keep < s.baseRows || keep > len(s.cons) {
+		return fmt.Errorf("lp: ReplaceRows keeps %d rows, outside [%d,%d]", keep, s.baseRows, len(s.cons))
 	}
 	for i := range rows {
 		if err := validateRow(&rows[i], s.nStruct); err != nil {
 			return fmt.Errorf("lp: appended row %d %w", i, err)
 		}
 	}
-	s.cons = append(s.cons, rows...)
-	s.reshape()
-	rowsAppendedC.Add(int64(len(rows)))
-	return nil
-}
-
-// TruncateRows drops every row past the first n, undoing appends. n may
-// not cut into the construction-time rows (n >= BaseRows) — the solver
-// owns appended rows only.
-func (s *Solver) TruncateRows(n int) error {
-	if n < s.baseRows || n > len(s.cons) {
-		return fmt.Errorf("lp: TruncateRows(%d) out of range [%d,%d]", n, s.baseRows, len(s.cons))
-	}
-	if n == len(s.cons) {
+	if keep == len(s.cons) && len(rows) == 0 {
 		return nil
 	}
-	s.cons = s.cons[:n]
-	s.reshape()
+	s.cons = append(s.cons[:keep], rows...)
+	s.shapeRows()
+	s.k.reshape()
+	rowsAppendedC.Add(int64(len(rows)))
 	return nil
-}
-
-// reshape rebuilds the row-dimensioned solve state and the kernel for the
-// current constraint list. Structural data (objective, variable count) is
-// untouched; the fresh kernel's matrix signature no longer matches any
-// memoised factor, so the next solve refactorises from pristine data.
-func (s *Solver) reshape() {
-	m := len(s.cons)
-	s.m = m
-	s.nCols = s.nStruct + m
-	s.rhs = make([]float64, m)
-	s.slackLo = make([]float64, m)
-	s.slackHi = make([]float64, m)
-	for i := range s.cons {
-		c := &s.cons[i]
-		s.rhs[i] = c.RHS
-		switch c.Rel {
-		case LE:
-			s.slackLo[i], s.slackHi[i] = 0, math.Inf(1)
-		case GE:
-			s.slackLo[i], s.slackHi[i] = math.Inf(-1), 0
-		case EQ:
-			s.slackLo[i], s.slackHi[i] = 0, 0
-		}
-	}
-	s.obj = make([]float64, s.nCols)
-	copy(s.obj, s.objStruct)
-	s.d = make([]float64, s.nCols)
-	s.rhsBar = make([]float64, m)
-	s.xB = make([]float64, m)
-	s.basis = make([]int32, m)
-	s.atUpper = make([]bool, s.nCols)
-	s.inBasis = make([]bool, s.nCols)
-	s.lo = make([]float64, s.nCols)
-	s.hi = make([]float64, s.nCols)
-	s.pert = make([]float64, s.nCols)
-	s.pert0 = make([]float64, s.nCols)
-	p := &Problem{NumVars: s.nStruct, Objective: s.objStruct, Constraints: s.cons}
-	s.k = s.newKernel(s, p)
 }
 
 // NumRows returns the current constraint count (construction rows plus

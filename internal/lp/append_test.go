@@ -2,6 +2,8 @@ package lp
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func TestAppendRowsWarmReentry(t *testing.T) {
 			bas := s.Basis()
 
 			// A cut violated at the optimum: x0+2*x1 <= 6.
-			if err := s.AppendRows([]Constraint{
+			if err := s.ReplaceRows(3, []Constraint{
 				{Coeffs: map[int]float64{0: 1, 1: 2}, Rel: LE, RHS: 6},
 			}); err != nil {
 				t.Fatal(err)
@@ -75,7 +77,7 @@ func TestAppendRowsWarmReentry(t *testing.T) {
 			}
 
 			// Truncating restores the original optimum.
-			if err := s.TruncateRows(3); err != nil {
+			if err := s.ReplaceRows(3, nil); err != nil {
 				t.Fatal(err)
 			}
 			sol3, err := s.SolveBounded(nil, nil, time.Time{})
@@ -97,13 +99,16 @@ func TestAppendRowsValidationAndCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obs.Default().Snapshot()
-	if err := s.AppendRows([]Constraint{{Coeffs: map[int]float64{7: 1}, Rel: LE, RHS: 1}}); err == nil {
+	if err := s.ReplaceRows(1, []Constraint{{Coeffs: map[int]float64{7: 1}, Rel: LE, RHS: 1}}); err == nil {
 		t.Fatal("out-of-range variable accepted")
 	}
-	if err := s.TruncateRows(0); err == nil {
-		t.Fatal("TruncateRows below BaseRows accepted")
+	if err := s.ReplaceRows(0, nil); err == nil {
+		t.Fatal("ReplaceRows below BaseRows accepted")
 	}
-	if err := s.AppendRows([]Constraint{
+	if err := s.ReplaceRows(2, nil); err == nil {
+		t.Fatal("ReplaceRows past the last row accepted")
+	}
+	if err := s.ReplaceRows(1, []Constraint{
 		{Coeffs: map[int]float64{0: 1}, Rel: LE, RHS: 10},
 		{Coeffs: map[int]float64{1: 1}, Rel: LE, RHS: 10},
 	}); err != nil {
@@ -144,6 +149,91 @@ func TestTableauRowIdentity(t *testing.T) {
 			if got := row[s.BasicVar(r)]; math.Abs(got-want) > 1e-9 {
 				t.Fatalf("row %d, basic col of row %d: %v, want %v", i, r, got, want)
 			}
+		}
+	}
+}
+
+// ReplaceRows rebuilds the solve state into the previous shape's buffers.
+// Cycling one solver through row sets that grow and shrink, each solve —
+// cold, and warm from a fresh copy of a basis — must match a solver built
+// fresh on the same rows field for field: values, pivots, factorisations.
+// A short refactorisation interval runs the mid-solve factor arenas too.
+func TestReplaceRowsMatchesFreshSolver(t *testing.T) {
+	const n = 8
+	rng := rand.New(rand.NewSource(5))
+	randRow := func(rel Rel) Constraint {
+		c := Constraint{Coeffs: map[int]float64{}, Rel: rel}
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				c.Coeffs[j] = float64(1 + rng.Intn(5))
+			}
+		}
+		c.Coeffs[rng.Intn(n)] = 1 // never empty
+		switch rel {
+		case LE:
+			c.RHS = float64(5 + rng.Intn(15))
+		default:
+			c.RHS = float64(1 + rng.Intn(4))
+		}
+		return c
+	}
+	base := &Problem{NumVars: n, Objective: make([]float64, n)}
+	for j := range base.Objective {
+		base.Objective[j] = float64(rng.Intn(9) - 6)
+	}
+	for i := 0; i < 6; i++ {
+		base.Constraints = append(base.Constraints, randRow([]Rel{LE, GE}[i%2]))
+	}
+	lo, hi := make([]float64, n), make([]float64, n)
+	for j := range hi {
+		hi[j] = 4
+	}
+	s, err := NewSolver(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.refactorEveryOverride = 2
+	for _, k := range []int{3, 1, 5, 0, 2, 6} {
+		rows := make([]Constraint, k)
+		for i := range rows {
+			rows[i] = randRow(LE)
+		}
+		if err := s.ReplaceRows(s.BaseRows(), rows); err != nil {
+			t.Fatal(err)
+		}
+		p := &Problem{NumVars: n, Objective: base.Objective, Constraints: append(append([]Constraint(nil), base.Constraints...), rows...)}
+		fresh, err := NewSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.refactorEveryOverride = 2
+		got, err := s.SolveBounded(lo, hi, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.SolveBounded(lo, hi, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d cut rows, cold: reshaped solver %+v, fresh %+v", k, got, want)
+		}
+		if want.Status != Optimal {
+			continue
+		}
+		bas := fresh.Basis()
+		hi2 := append([]float64(nil), hi...)
+		hi2[rng.Intn(n)] = 1
+		got, okGot, err := s.SolveDual(&Basis{Basic: bas.Basic, AtUpper: bas.AtUpper}, lo, hi2, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, okWant, err := fresh.SolveDual(&Basis{Basic: bas.Basic, AtUpper: bas.AtUpper}, lo, hi2, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if okGot != okWant || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d cut rows, warm: reshaped solver %v %+v, fresh %v %+v", k, okGot, got, okWant, want)
 		}
 	}
 }

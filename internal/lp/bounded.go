@@ -108,6 +108,12 @@ func (b *Basis) DropFactor() {
 // kernel owns the matrix representation plus the derived vectors rhsBar,
 // d and pert, which it must keep in sync at every pivot.
 type kernel interface {
+	// reshape rebuilds the kernel for the solver's current rows (s.cons,
+	// already sized by shapeRows), leaving it in the state of a freshly
+	// built one: the pristine matrix reloaded, the slack basis installed.
+	// The new matrix signature matches no memoised factor of another row
+	// set, so the next warm start refactorises from pristine data.
+	reshape()
 	// beginSolve resets per-solve statistics.
 	beginSolve()
 	// loadSlack installs the all-slack basis (B = I). Solver bookkeeping
@@ -151,19 +157,17 @@ type Solver struct {
 	slackHi []float64
 
 	// Row-mutation state (see append.go). cons is the solver-owned
-	// constraint list — a copy of the slice header taken at construction,
-	// appended to by AppendRows — and objStruct the structural objective,
-	// both retained so the kernel can be rebuilt after a row change.
-	// newKernel is the constructor the solver was built with, so a rebuilt
-	// kernel is the same engine; baseRows is the construction-time row
-	// count, the floor TruncateRows enforces.
+	// constraint list — a copy taken at construction, rewritten past
+	// baseRows by ReplaceRows — and objStruct the structural objective,
+	// both retained so the solve state can be rebuilt after a row change;
+	// baseRows is the construction-time row count, the floor ReplaceRows
+	// keeps.
 	cons      []Constraint
 	objStruct []float64
-	newKernel func(*Solver, *Problem) kernel
 	baseRows  int
 
-	// Scratch arena, allocated once in the constructor and overwritten per
-	// solve.
+	// Scratch arena, sized by shapeRows for the current rows and
+	// overwritten per solve.
 	d       []float64 // len nCols: reduced costs of the current basis
 	rhsBar  []float64 // len m: B^-1 b, maintained alongside the pivots
 	xB      []float64 // len m: value of the basic variable of each row
@@ -172,7 +176,7 @@ type Solver struct {
 	inBasis []bool    // len nCols
 	lo, hi  []float64 // len nCols: bounds of the current solve
 
-	k kernel // linear-algebra engine, built by newKernel
+	k kernel // linear-algebra engine
 
 	// pert is a second reduced-cost row holding a tiny deterministic cost
 	// perturbation, active only while usePert is set (the dual simplex
@@ -226,8 +230,7 @@ func NewSolver(p *Problem) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.newKernel = func(s *Solver, p *Problem) kernel { return newFTKernel(s, p) }
-	s.k = s.newKernel(s, p)
+	s.k = newFTKernel(s)
 	return s, nil
 }
 
@@ -236,34 +239,33 @@ func newSolverCore(p *Problem) (*Solver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m, n := len(p.Constraints), p.NumVars
 	s := &Solver{
-		m:       m,
-		nStruct: n,
-		nCols:   n + m,
-		obj:     make([]float64, n+m),
-		rhs:     make([]float64, m),
-		slackLo: make([]float64, m),
-		slackHi: make([]float64, m),
-		d:       make([]float64, n+m),
-		rhsBar:  make([]float64, m),
-		xB:      make([]float64, m),
-		basis:   make([]int32, m),
-		atUpper: make([]bool, n+m),
-		inBasis: make([]bool, n+m),
-		lo:      make([]float64, n+m),
-		hi:      make([]float64, n+m),
-		pert:    make([]float64, n+m),
-		pert0:   make([]float64, n+m),
+		nStruct:   p.NumVars,
+		cons:      append([]Constraint(nil), p.Constraints...),
+		baseRows:  len(p.Constraints),
+		objStruct: make([]float64, p.NumVars),
 	}
-	s.cons = append([]Constraint(nil), p.Constraints...)
-	s.baseRows = m
-	s.objStruct = make([]float64, n)
 	if p.Objective != nil {
-		copy(s.obj, p.Objective)
 		copy(s.objStruct, p.Objective)
 	}
-	for i, c := range p.Constraints {
+	s.shapeRows()
+	return s, nil
+}
+
+// shapeRows sizes the row-dimensioned solve state for the current
+// constraint list and loads the row data (right-hand sides, slack bounds,
+// the objective over structurals and slacks). Buffers of the previous
+// shape are reused where they are large enough; resize zeroes them, so
+// the state is the same as freshly allocated.
+func (s *Solver) shapeRows() {
+	m := len(s.cons)
+	s.m = m
+	s.nCols = s.nStruct + m
+	s.rhs = resize(s.rhs, m)
+	s.slackLo = resize(s.slackLo, m)
+	s.slackHi = resize(s.slackHi, m)
+	for i := range s.cons {
+		c := &s.cons[i]
 		s.rhs[i] = c.RHS
 		switch c.Rel {
 		case LE:
@@ -274,7 +276,30 @@ func newSolverCore(p *Problem) (*Solver, error) {
 			s.slackLo[i], s.slackHi[i] = 0, 0
 		}
 	}
-	return s, nil
+	s.obj = resize(s.obj, s.nCols)
+	copy(s.obj, s.objStruct)
+	s.rhsBar = resize(s.rhsBar, m)
+	s.xB = resize(s.xB, m)
+	s.basis = resize(s.basis, m)
+	s.d = resize(s.d, s.nCols)
+	s.atUpper = resize(s.atUpper, s.nCols)
+	s.inBasis = resize(s.inBasis, s.nCols)
+	s.lo = resize(s.lo, s.nCols)
+	s.hi = resize(s.hi, s.nCols)
+	s.pert = resize(s.pert, s.nCols)
+	s.pert0 = resize(s.pert0, s.nCols)
+}
+
+// resize returns b with length n and every element zero, reusing its
+// array when the capacity allows — a row change rebuilds the solve state
+// into the previous shape's buffers instead of allocating a fresh set.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // setBounds installs the solve's variable bounds (nil means the package

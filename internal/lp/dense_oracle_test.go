@@ -14,8 +14,7 @@ func NewDenseSolver(p *Problem) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.newKernel = func(s *Solver, p *Problem) kernel { return newDenseKernel(s, p) }
-	s.k = s.newKernel(s, p)
+	s.k = newDenseKernel(s)
 	return s, nil
 }
 
@@ -32,7 +31,7 @@ type denseKernel struct {
 	perm  []int32     // len m: refactorisation scratch
 }
 
-func newDenseKernel(s *Solver, p *Problem) *denseKernel {
+func newDenseKernel(s *Solver) *denseKernel {
 	m, n := s.m, s.nStruct
 	k := &denseKernel{
 		s:    s,
@@ -41,7 +40,7 @@ func newDenseKernel(s *Solver, p *Problem) *denseKernel {
 	}
 	k.rows = make([][]float64, m)
 	rowCells := make([]float64, m*n)
-	for i, c := range p.Constraints {
+	for i, c := range s.cons {
 		k.rows[i] = rowCells[i*n : (i+1)*n]
 		for v, coeff := range c.Coeffs {
 			k.rows[i][v] = coeff
@@ -54,6 +53,9 @@ func newDenseKernel(s *Solver, p *Problem) *denseKernel {
 	}
 	return k
 }
+
+// reshape rebuilds the oracle from scratch: it needs no buffer reuse.
+func (k *denseKernel) reshape() { *k = *newDenseKernel(k.s) }
 
 func (k *denseKernel) beginSolve() {}
 

@@ -107,8 +107,9 @@ type ftKernel struct {
 	rowOf       []int32   // len nCols: column -> current row, refactor scratch
 	rowValidFor int       // row index rowScratch currently holds, -1 if none
 
-	// Factor-build scratch (buildFactorInto), allocated with the ordering's
-	// index lists by allocRefactorScratch.
+	// Factor-build scratch (buildFactorInto), partitioned with the
+	// ordering's index lists out of refArena by allocRefactorScratch.
+	refArena []int32
 	stepOf   []int32 // len m: elimination step that pivoted row r, -1 if none
 	seen     []bool  // len m: row touched by the current column
 	touched  []int32 // rows touched by the current column
@@ -177,38 +178,61 @@ type ftKernel struct {
 	stFallbacks int
 }
 
-func newFTKernel(s *Solver, p *Problem) *ftKernel {
-	m := s.m
-	k := &ftKernel{
-		s:           s,
-		rowValidFor: -1,
-		colScratch:  make([]float64, m),
-		rowScratch:  make([]float64, s.nCols),
-		rho:         make([]float64, m),
-		work:        make([]float64, m),
-		xbScratch:   make([]float64, m),
-		rowOf:       make([]int32, s.nCols),
-		rcStart:     make([]int32, m+1),
-		colCnt:      make([]int32, s.nCols),
-		rowCnt:      make([]int32, m),
-		colActive:   make([]bool, s.nCols),
-		rowActive:   make([]bool, m),
-		slotPiv:     make([]int32, m),
-		slotInv:     make([]float64, m),
-		cowed:       make([]bool, m),
-		colRow:      make([][]int32, m),
-		colVal:      make([][]float64, m),
-		order:       make([]int32, m),
-		orderPos:    make([]int32, m),
-		rowSlot:     make([]int32, m),
-		rows:        make([][]ftEntry, m),
-		wScratch:    make([]float64, m),
-		posScratch:  make([]float64, m),
-	}
-	k.loadMatrix(p)
-	k.ftStart = append(k.ftStart, 0)
-	k.installBase(nil)
+func newFTKernel(s *Solver) *ftKernel {
+	k := &ftKernel{s: s, ftStart: []int32{0}}
+	k.reshape()
 	return k
+}
+
+// reshape sizes the kernel for the solver's current rows and loads their
+// matrix, reusing the previous shape's buffers: resize zeroes the flat
+// scratch, the per-slot and per-row lists are emptied, and the factor
+// arenas (midFactor, buildTmp) are rewritten from scratch by every build,
+// so the kernel behaves exactly like a freshly built one. No memoised
+// factor aliases these buffers: a memo is always an exact-size clone.
+func (k *ftKernel) reshape() {
+	m, nCols := k.s.m, k.s.nCols
+	k.rowValidFor = -1
+	k.colScratch = resize(k.colScratch, m)
+	k.rowScratch = resize(k.rowScratch, nCols)
+	k.rho = resize(k.rho, m)
+	k.work = resize(k.work, m)
+	k.xbScratch = resize(k.xbScratch, m)
+	k.rowOf = resize(k.rowOf, nCols)
+	k.rcStart = resize(k.rcStart, m+1)
+	k.colCnt = resize(k.colCnt, nCols)
+	k.rowCnt = resize(k.rowCnt, m)
+	k.colActive = resize(k.colActive, nCols)
+	k.rowActive = resize(k.rowActive, m)
+	k.slotPiv = resize(k.slotPiv, m)
+	k.slotInv = resize(k.slotInv, m)
+	k.cowed = resize(k.cowed, m)
+	k.colRow = emptyLists(k.colRow, m)
+	k.colVal = emptyLists(k.colVal, m)
+	k.order = resize(k.order, m)
+	k.orderPos = resize(k.orderPos, m)
+	k.rowSlot = resize(k.rowSlot, m)
+	k.rows = emptyLists(k.rows, m)
+	k.wScratch = resize(k.wScratch, m)
+	k.posScratch = resize(k.posScratch, m)
+	k.stepOf = nil // the ordering scratch is re-partitioned for m lazily
+	k.midNext = 0
+	k.rebuildCooloff = 0
+	k.loadMatrix()
+	k.installBase(nil)
+}
+
+// emptyLists returns ls with length n and every list emptied, keeping the
+// lists' arrays for reuse.
+func emptyLists[T any](ls [][]T, n int) [][]T {
+	if cap(ls) < n {
+		ls = append(ls[:cap(ls)], make([][]T, n-cap(ls))...)
+	}
+	ls = ls[:n]
+	for i := range ls {
+		ls[i] = ls[i][:0]
+	}
+	return ls
 }
 
 func (k *ftKernel) beginSolve() {

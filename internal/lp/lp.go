@@ -82,7 +82,7 @@ func (p *Problem) AddConstraint(rel Rel, rhs float64, terms map[int]float64) int
 
 // validateRow checks one constraint against a structural width of nVars:
 // every variable index in range and a known relation. It is the single
-// per-row check behind both Problem.Validate and Solver.AppendRows.
+// per-row check behind both Problem.Validate and Solver.ReplaceRows.
 func validateRow(c *Constraint, nVars int) error {
 	for v := range c.Coeffs {
 		if v < 0 || v >= nVars {

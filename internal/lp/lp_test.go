@@ -205,7 +205,7 @@ func TestValidateErrors(t *testing.T) {
 		t.Error("accepted out-of-range variable index")
 	}
 	// An unknown relation must be rejected, not solved as an equality —
-	// by Validate, by both constructors, and by AppendRows.
+	// by Validate, by both constructors, and by ReplaceRows.
 	p3 := &Problem{NumVars: 1, Objective: []float64{-1}}
 	p3.AddConstraint(Rel(7), 3, map[int]float64{0: 1})
 	if err := p3.Validate(); err == nil {
@@ -220,8 +220,8 @@ func TestValidateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRows([]Constraint{{Coeffs: map[int]float64{0: 1}, Rel: Rel(7), RHS: 3}}); err == nil {
-		t.Error("AppendRows accepted an unknown relation")
+	if err := s.ReplaceRows(0, []Constraint{{Coeffs: map[int]float64{0: 1}, Rel: Rel(7), RHS: 3}}); err == nil {
+		t.Error("ReplaceRows accepted an unknown relation")
 	}
 }
 

@@ -140,15 +140,17 @@ func (f *luFactor) btranLT(v []float64) {
 	}
 }
 
-// loadMatrix builds the pristine CSR and CSC copies of the constraint
-// matrix and its memo signature.
-func (k *ftKernel) loadMatrix(p *Problem) {
+// loadMatrix builds the pristine CSR and CSC copies of the solver's
+// constraint matrix, into the previous shape's arrays where they fit, and
+// its memo signature.
+func (k *ftKernel) loadMatrix() {
 	m, n := k.s.m, k.s.nStruct
 	// CSR: per-row column indices in ascending order (Coeffs is a map, so
 	// sort for a deterministic layout), zero coefficients dropped.
-	k.crStart = make([]int32, m+1)
+	k.crStart = resize(k.crStart, m+1)
+	k.crCol, k.crVal = k.crCol[:0], k.crVal[:0]
 	var cols []int
-	for i, c := range p.Constraints {
+	for i, c := range k.s.cons {
 		cols = cols[:0]
 		for v, coeff := range c.Coeffs {
 			if coeff != 0 {
@@ -166,15 +168,15 @@ func (k *ftKernel) loadMatrix(p *Problem) {
 
 	// CSC from CSR; row order within each column is ascending because the
 	// CSR rows are visited in ascending order.
-	k.ccStart = make([]int32, n+1)
+	k.ccStart = resize(k.ccStart, n+1)
 	for _, c := range k.crCol {
 		k.ccStart[c+1]++
 	}
 	for j := 0; j < n; j++ {
 		k.ccStart[j+1] += k.ccStart[j]
 	}
-	k.ccRow = make([]int32, k.nnz)
-	k.ccVal = make([]float64, k.nnz)
+	k.ccRow = resize(k.ccRow, k.nnz)
+	k.ccVal = resize(k.ccVal, k.nnz)
 	next := make([]int32, n)
 	copy(next, k.ccStart[:n])
 	for i := 0; i < m; i++ {
@@ -423,14 +425,15 @@ func (k *ftKernel) orderBasisColumns() {
 }
 
 // allocRefactorScratch allocates the scratch of the ordering and the
-// factor build on a kernel's first refactorisation. None of the index
-// lists ever outgrows m entries (each holds a row, a step or a basic
-// column at most once), so they share one arena of capped slices.
+// factor build on a kernel's first refactorisation after a reshape. None
+// of the index lists ever outgrows m entries (each holds a row, a step or
+// a basic column at most once), so they share one arena of capped slices,
+// kept across reshapes.
 func (k *ftKernel) allocRefactorScratch() {
 	m := k.s.m
-	k.seen = make([]bool, m)
-	arena := make([]int32, 9*m)
-	part := func(i int) []int32 { return arena[i*m : i*m : (i+1)*m] }
+	k.seen = resize(k.seen, m)
+	k.refArena = resize(k.refArena, 9*m)
+	part := func(i int) []int32 { return k.refArena[i*m : i*m : (i+1)*m] }
 	k.stepOf = part(0)[:m]
 	k.touched, k.stepHeap = part(1), part(2)
 	k.basicCols, k.ordCols, k.ordPref = part(3), part(4), part(5)

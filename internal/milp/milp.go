@@ -224,12 +224,6 @@ type node struct {
 	pcVar  int
 	pcUp   bool
 	pcFrac float64
-	// est is the pseudocost best-case objective estimate for the subtree
-	// (parent objective plus the summed cheaper-direction degradations of
-	// its fractional variables). The work-stealing pool ranks prefetch
-	// candidates by it; the heap and the commit order never look at it,
-	// so est cannot affect results.
-	est float64
 }
 
 // nodeLess is the canonical search order: best bound first, then deeper
@@ -366,25 +360,6 @@ func (pc *pseudocosts) selectBranchVar(p *Problem, prio []int, x []float64) int 
 		}
 	}
 	return best
-}
-
-// subtreeEstimate is the pseudocost best-case objective for a node about
-// to be branched: its relaxation objective plus, for every fractional
-// integer variable, the cheaper of the two per-direction degradations.
-// Used only to rank speculative work (node.est).
-func (pc *pseudocosts) subtreeEstimate(p *Problem, objective float64, x []float64) float64 {
-	est := objective
-	for i, isInt := range p.Integer {
-		if !isInt {
-			continue
-		}
-		f := x[i] - math.Floor(x[i])
-		if math.Min(f, 1-f) <= intTol {
-			continue
-		}
-		est += math.Min(pc.estimate(i, false)*f, pc.estimate(i, true)*(1-f))
-	}
-	return est
 }
 
 // Solve runs presolve followed by branch and bound with no cancellation
@@ -562,7 +537,7 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	unresolved := false // an LP hit its limit: the optimality proof is lost
 	pc := newPseudocosts(p.LP.NumVars)
 	res.NodeFingerprint = fnv64Offset
-	open := &nodeHeap{{lower: map[int]float64{}, upper: map[int]float64{}, bound: math.Inf(-1), pcVar: -1, est: math.Inf(-1)}}
+	open := &nodeHeap{{lower: map[int]float64{}, upper: map[int]float64{}, bound: math.Inf(-1), pcVar: -1}}
 	heap.Init(open)
 
 	// Each basis snapshot is shared by exactly two children; once both have
@@ -704,7 +679,6 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		}
 		v := sol.X[branchVar]
 		frac := v - math.Floor(v)
-		est := pc.subtreeEstimate(p, sol.Objective, sol.X)
 		// Children inherit the node's final cut rows (the LP that produced
 		// bas), minus aged loose cuts — inherit purges those together with
 		// a matching basis surgery, so the warm start stays shape-exact.
@@ -715,11 +689,11 @@ func solveBB(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		down := child(nd, &seq, sol.Objective)
 		down.upper[branchVar] = math.Floor(v)
 		down.basis, down.cuts, down.cutSig = childBas, childCuts, childSig
-		down.pcVar, down.pcUp, down.pcFrac, down.est = branchVar, false, frac, est
+		down.pcVar, down.pcUp, down.pcFrac = branchVar, false, frac
 		up := child(nd, &seq, sol.Objective)
 		up.lower[branchVar] = math.Ceil(v)
 		up.basis, up.cuts, up.cutSig = childBas, childCuts, childSig
-		up.pcVar, up.pcUp, up.pcFrac, up.est = branchVar, true, frac, est
+		up.pcVar, up.pcUp, up.pcFrac = branchVar, true, frac
 		if childBas != nil {
 			basisUses[childBas] = 2
 		}
@@ -756,7 +730,6 @@ func child(parent *node, seq *int, bound float64) *node {
 		bound: bound,
 		depth: parent.depth + 1,
 		pcVar: -1, // callers that branch overwrite; heuristic probes never observe
-		est:   bound,
 	}
 	for k, v := range parent.lower {
 		c.lower[k] = v

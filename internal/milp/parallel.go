@@ -2,7 +2,7 @@ package milp
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +93,9 @@ func (e *inlineEvaluator) close()          {}
 // lpFuture is one speculative relaxation solve. Its lifecycle is governed
 // by the claim word: 0 while queued on a deque, 1 once claimed — by the
 // worker that dequeued it (which then writes sol/err and closes done) or
-// by the main loop (which reclaims the node and solves it inline, leaving
-// the stale deque entry for some worker to dequeue and drop). The
+// by the main loop (which reclaims the node to solve it inline, or retires
+// the future once its node leaves the speculation window, leaving the
+// stale deque entry for some worker to dequeue and drop). The
 // compare-and-swap makes the two claims mutually exclusive, and the
 // channel close orders the worker's writes before the main loop's reads.
 type lpFuture struct {
@@ -112,16 +113,17 @@ type lpFuture struct {
 // of workers with per-worker deques and work stealing, while the main loop
 // runs the exact sequential control flow.
 //
-// Scheduling: the main loop ranks a prefix of the frontier by the
-// pseudocost subtree estimate (node.est), canonical nodeLess order
-// breaking ties, and places each node on the deque of worker
-// ((seq+1)/2) mod workers — siblings land on the same worker, so the
-// shared parent-basis LU memo is loaded from one arena instead of being
-// refactorised twice. An owner pops its own deque from the front (its
-// best-ranked work); an idle worker steals from the back of the first
-// non-empty deque after its own (the work its owner would reach last),
-// the classic deque discipline that keeps the two ends from contending
-// over the same entries.
+// Scheduling: at every node it consumes, the main loop takes the window
+// of the 2·workers open nodes it will pop next if no child overtakes them
+// — the heap's top in canonical nodeLess order — retires queued futures
+// whose node has dropped out of it, and places each uncovered window node
+// on the deque of worker ((seq+1)/2) mod workers. Siblings land on the
+// same worker, so the shared parent-basis LU memo is loaded from one arena
+// instead of being refactorised twice. An owner pops its own deque from
+// the front (its best-ranked work); an idle worker steals from the back of
+// the first non-empty deque after its own (the work its owner would reach
+// last), the classic deque discipline that keeps the two ends from
+// contending over the same entries.
 //
 // Determinism: the main loop alone pops nodes, prunes, branches, updates
 // pseudocosts and accepts incumbents — workers only ever run
@@ -168,13 +170,20 @@ type stealPool struct {
 	// workers.
 	incumbent atomic.Uint64
 
-	// futures is touched only by the main goroutine (solve/close); workers
-	// see futures solely through the deques.
+	// futures, queued, win and cand are touched only by the main goroutine
+	// (solve/close); workers see futures solely through the deques.
+	// futures maps every node with a live future; queued lists the futures
+	// not yet seen claimed, the ones prefetch may retire; win and cand are
+	// fillWindow's reused scratch.
 	futures   map[*node]*lpFuture
+	queued    []*lpFuture
+	win       []*node
+	cand      []int
 	scheduled int64
 	consumed  int64
 	stolen    int64
 	reclaimed int64
+	retired   int64
 }
 
 func newStealPool(pp *prepped, rs *relaxSolver, workers int, deadline time.Time, interrupt <-chan struct{}, sp *obs.Span) *stealPool {
@@ -269,46 +278,47 @@ func (f *stealPool) publish(objective float64) {
 	f.incumbent.Store(math.Float64bits(objective))
 }
 
-// prefetch schedules speculative solves for the nodes most likely to be
-// popped next: it scans a prefix of the heap's backing array (the heap
-// property keeps the best candidates near the front), ranks them by the
-// pseudocost subtree estimate with canonical nodeLess order breaking ties,
-// and places as many as fit the speculation window on their affine
-// workers' deques.
+// prefetch keeps the speculation window — the 2·workers open nodes the
+// main loop pops next, in canonical nodeLess order — covered by futures.
+// A queued future whose node has left the window is retired by the same
+// claim CAS solve uses to reclaim one, so the worker that dequeues the
+// stale entry drops it; a future a worker already holds runs to
+// completion and stays available should its node be popped after all.
+// Every window node without a future is then placed on its affine
+// worker's deque, best first.
 func (f *stealPool) prefetch(open *nodeHeap) {
 	if open.Len() < specMinOpenNodes {
 		return
 	}
-	window := 2 * f.workers
-	if len(f.futures) >= window {
-		return // speculation window full
-	}
-	if !f.started {
-		f.start()
-	}
-	scan := 4 * window
-	if scan > open.Len() {
-		scan = open.Len()
-	}
-	cand := make([]*node, 0, scan)
-	for _, nd := range (*open)[:scan] {
-		if _, ok := f.futures[nd]; !ok {
-			cand = append(cand, nd)
+	f.fillWindow(*open)
+	queued := f.queued[:0]
+	for _, fut := range f.queued {
+		switch {
+		case f.futures[fut.nd] != fut:
+			// Consumed by solve; its claim is settled there.
+		case slices.Contains(f.win, fut.nd):
+			queued = append(queued, fut)
+		case fut.claim.CompareAndSwap(0, 1):
+			delete(f.futures, fut.nd)
+			f.retired++
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].est != cand[j].est {
-			return cand[i].est < cand[j].est
+	f.queued = queued
+	scheduled := false
+	for _, nd := range f.win {
+		if _, ok := f.futures[nd]; ok {
+			continue
 		}
-		return nodeLess(cand[i], cand[j])
-	})
-	if room := window - len(f.futures); len(cand) > room {
-		cand = cand[:room]
-	}
-	f.mu.Lock()
-	for _, nd := range cand {
+		if !scheduled {
+			if !f.started {
+				f.start()
+			}
+			f.mu.Lock()
+			scheduled = true
+		}
 		fut := &lpFuture{nd: nd, done: make(chan struct{})}
 		f.futures[nd] = fut
+		f.queued = append(f.queued, fut)
 		f.scheduled++
 		// Sibling affinity: the down child (odd seq) and up child (even
 		// seq) of one branch share (seq+1)/2 and hence a deque, so the
@@ -316,8 +326,40 @@ func (f *stealPool) prefetch(open *nodeHeap) {
 		wid := ((nd.seq + 1) / 2) % f.workers
 		f.deques[wid] = append(f.deques[wid], fut)
 	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
+	if scheduled {
+		f.mu.Unlock()
+		f.cond.Broadcast()
+	}
+}
+
+// fillWindow sets win to the 2·workers smallest nodes of the binary heap
+// h in nodeLess order: a best-first walk down the heap tree whose
+// candidate set (cand, heap indices) holds the children of every node
+// taken so far. The smallest candidate is always the next-smallest heap
+// entry, because no heap node is smaller than its parent.
+func (f *stealPool) fillWindow(h nodeHeap) {
+	win, cand := f.win[:0], f.cand[:0]
+	if len(h) > 0 {
+		cand = append(cand, 0)
+	}
+	for len(win) < 2*f.workers && len(cand) > 0 {
+		b := 0
+		for c := 1; c < len(cand); c++ {
+			if nodeLess(h[cand[c]], h[cand[b]]) {
+				b = c
+			}
+		}
+		i := cand[b]
+		cand[b] = cand[len(cand)-1]
+		cand = cand[:len(cand)-1]
+		win = append(win, h[i])
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) {
+				cand = append(cand, c)
+			}
+		}
+	}
+	f.win, f.cand = win, cand
 }
 
 // solveInline runs nd on the main goroutine's own solver, attributing LP
@@ -380,4 +422,5 @@ func (f *stealPool) close() {
 	f.sp.Count("milp.steal.wasted", f.scheduled-f.consumed)
 	f.sp.Count("milp.steal.stolen", f.stolen)
 	f.sp.Count("milp.steal.reclaimed", f.reclaimed)
+	f.sp.Count("milp.steal.retired", f.retired)
 }

@@ -44,15 +44,52 @@ func hardKnapsack(rng *rand.Rand, n int) *Problem {
 		Integer: allInt(n),
 	}
 	terms := map[int]float64{}
+	var tot float64 // summed in index order: map order would vary the capacity's last bits
 	for j := 0; j < n; j++ {
 		p.LP.Objective[j] = -(1 + rng.Float64()*9) // maximise value
 		terms[j] = 1 + rng.Float64()*9
-	}
-	var tot float64
-	for _, w := range terms {
-		tot += w
+		tot += terms[j]
 	}
 	p.LP.AddConstraint(lp.LE, tot/2, terms)
+	binaryBox(&p.LP)
+	return p
+}
+
+// graphColoring builds a k-colouring model of a random graph on nv
+// vertices: x[v][c] assigns vertex v colour c, y[c] opens colour c, each
+// vertex takes one colour and adjacent vertices never share an open one.
+// The objective counts open colours plus small random assignment costs.
+// Like the wavelength model, its tree is wide and its bounds tie often.
+func graphColoring(rng *rand.Rand, nv, k int, density float64) *Problem {
+	n := nv*k + k
+	p := &Problem{
+		LP:      lp.Problem{NumVars: n, Objective: make([]float64, n)},
+		Integer: allInt(n),
+	}
+	x := func(v, c int) int { return v*k + c }
+	y := func(c int) int { return nv*k + c }
+	for c := 0; c < k; c++ {
+		p.LP.Objective[y(c)] = 1
+		for v := 0; v < nv; v++ {
+			p.LP.Objective[x(v, c)] = 0.01 * float64(1+rng.Intn(9))
+		}
+	}
+	for v := 0; v < nv; v++ {
+		terms := map[int]float64{}
+		for c := 0; c < k; c++ {
+			terms[x(v, c)] = 1
+		}
+		p.LP.AddConstraint(lp.EQ, 1, terms)
+	}
+	for u := 0; u < nv; u++ {
+		for v := u + 1; v < nv; v++ {
+			if rng.Float64() < density {
+				for c := 0; c < k; c++ {
+					p.LP.AddConstraint(lp.LE, 0, map[int]float64{x(u, c): 1, x(v, c): 1, y(c): -1})
+				}
+			}
+		}
+	}
 	binaryBox(&p.LP)
 	return p
 }
@@ -285,5 +322,39 @@ func TestParallelBruteForce(t *testing.T) {
 		if res.Status != Optimal || !approx(res.Objective, bestObj, 1e-6) {
 			t.Fatalf("trial %d: got %v obj %v, brute force %v", trial, res.Status, res.Objective, bestObj)
 		}
+	}
+}
+
+// TestSpeculationFollowsPopOrder: the speculation window must track the
+// nodes best-first pops next, so on a wide tree nearly every node that
+// reaches the heap's top gets a speculative solve first. A window ranked
+// by anything else (a pseudocost subtree estimate, say) fills with nodes
+// the search reaches late or never while the rest are solved inline,
+// scheduling 57 in this model's 200 nodes. The bound holds whatever the
+// worker timing: every node that enters the window is scheduled.
+func TestSpeculationFollowsPopOrder(t *testing.T) {
+	forceSpeculation(t)
+	p := graphColoring(rand.New(rand.NewSource(1)), 10, 4, 0.5)
+	seq, err := Solve(p, Options{Parallelism: 1, NodeLimit: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	sp := rec.StartSpan("test")
+	got, err := Solve(p, Options{Parallelism: 2, NodeLimit: 200, Obs: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	if got.Nodes != seq.Nodes || got.NodeFingerprint != seq.NodeFingerprint {
+		t.Fatalf("parallel explored %d nodes (fingerprint %#x), sequential %d (%#x)",
+			got.Nodes, got.NodeFingerprint, seq.Nodes, seq.NodeFingerprint)
+	}
+	c := rec.Snapshot().Counters
+	if n := c["milp.steal.scheduled"]; n < int64(got.Nodes/2) {
+		t.Errorf("scheduled %d speculative solves in %d nodes, want at least %d", n, got.Nodes, got.Nodes/2)
+	}
+	if w, s := c["milp.steal.wasted"], c["milp.steal.scheduled"]; w > s {
+		t.Errorf("wasted %d of %d scheduled", w, s)
 	}
 }

@@ -183,8 +183,11 @@ type relaxSolver struct {
 	// prepped constraints. Node cut lists are immutable and shared between
 	// siblings, so the pointer comparison in configure makes consecutive
 	// same-subtree solves (sibling affinity on the steal pool) skip the
-	// row rebuild entirely.
+	// row rebuild entirely. rows is configure's reused row scratch (the
+	// solver copies the slice, never the Coeffs maps it shares with the
+	// cuts).
 	cuts []*cut
+	rows []lp.Constraint
 }
 
 // newRelaxSolver builds a solver arena for pp. interrupt, when non-nil
@@ -204,25 +207,21 @@ func newRelaxSolver(pp *prepped, interrupt <-chan struct{}) (*relaxSolver, error
 	}, nil
 }
 
-// configure installs a node's cut rows: the solver is truncated back to
-// the prepped constraints and the cut list appended. A no-op when the list
-// is already installed (node cut lists are immutable, so an element-wise
-// pointer comparison is exact).
+// configure installs a node's cut rows past the prepped constraints,
+// replacing whatever list was installed in one rebuild. A no-op when the
+// list is already installed (node cut lists are immutable, so an
+// element-wise pointer comparison is exact).
 func (rs *relaxSolver) configure(cuts []*cut) error {
 	if cutListEq(rs.cuts, cuts) {
 		return nil
 	}
-	if err := rs.s.TruncateRows(rs.s.BaseRows()); err != nil {
-		return err
+	rows := rs.rows[:0]
+	for _, c := range cuts {
+		rows = append(rows, c.row())
 	}
-	if len(cuts) > 0 {
-		rows := make([]lp.Constraint, len(cuts))
-		for i, c := range cuts {
-			rows[i] = c.row()
-		}
-		if err := rs.s.AppendRows(rows); err != nil {
-			return err
-		}
+	rs.rows = rows
+	if err := rs.s.ReplaceRows(rs.s.BaseRows(), rows); err != nil {
+		return err
 	}
 	rs.cuts = cuts
 	return nil

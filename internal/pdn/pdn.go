@@ -113,7 +113,7 @@ func Build(app *netlist.Application, senderNodes []netlist.NodeID,
 	}
 	nw.TreeStages = treeDepth(len(senderNodes))
 	if cfg.RoutePhysical {
-		tree, err := BuildTree(app, senderNodes, laser)
+		tree, err := BuildTree(app, senderNodes)
 		if err != nil {
 			return nil, err
 		}

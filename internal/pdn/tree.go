@@ -26,11 +26,9 @@ func (t *TreeNode) IsLeaf() bool { return len(t.Children) == 0 }
 // Tree is a physically routed power-distribution tree.
 type Tree struct {
 	Root *TreeNode
-	// Laser is the source location the root trunk starts from.
-	Laser geom.Point
-	// FeedLengthMM is the total routed waveguide length from the laser to
-	// each sender leaf (trunk + every tree edge on the way, routed
-	// rectilinearly).
+	// FeedLengthMM is the total routed waveguide length from the laser at
+	// the origin corner to each sender leaf (trunk + every tree edge on the
+	// way, routed rectilinearly).
 	FeedLengthMM map[netlist.NodeID]float64
 	// Depth is the maximum number of splitters on any laser-to-leaf route.
 	Depth int
@@ -41,9 +39,10 @@ type Tree struct {
 // BuildTree routes a balanced splitter tree over the sender nodes: nodes
 // are recursively split at the median of their wider coordinate axis, a
 // splitter sits at each group's centroid, and edges are routed
-// rectilinearly (L-shapes). This realises the balanced-tree PDN of [22]
-// physically instead of only counting stages.
-func BuildTree(app *netlist.Application, senderNodes []netlist.NodeID, laser geom.Point) (*Tree, error) {
+// rectilinearly (L-shapes), the root trunk from the laser coupler at the
+// origin corner. This realises the balanced-tree PDN of [22] physically
+// instead of only counting stages.
+func BuildTree(app *netlist.Application, senderNodes []netlist.NodeID) (*Tree, error) {
 	if len(senderNodes) == 0 {
 		return nil, fmt.Errorf("pdn: BuildTree with no sender nodes")
 	}
@@ -63,10 +62,9 @@ func BuildTree(app *netlist.Application, senderNodes []netlist.NodeID, laser geo
 	root := buildSubtree(app, ids)
 	tree := &Tree{
 		Root:         root,
-		Laser:        laser,
 		FeedLengthMM: make(map[netlist.NodeID]float64, len(ids)),
 	}
-	trunk := laser.Manhattan(root.Pos)
+	trunk := geom.Point{}.Manhattan(root.Pos)
 	tree.TotalWireMM = trunk
 	tree.walk(root, trunk, 0)
 	return tree, nil
@@ -160,7 +158,7 @@ func (t *Tree) Segments() []geom.Segment {
 	add := func(a, b geom.Point) {
 		segs = append(segs, geom.LRoute(a, b).Segments()...)
 	}
-	add(t.Laser, t.Root.Pos)
+	add(geom.Point{}, t.Root.Pos) // the trunk from the laser at the origin
 	var rec func(n *TreeNode)
 	rec = func(n *TreeNode) {
 		for _, c := range n.Children {

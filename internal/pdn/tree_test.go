@@ -10,7 +10,7 @@ import (
 
 func TestBuildTreeBasics(t *testing.T) {
 	a := app(8)
-	tree, err := BuildTree(a, ids(8), geom.Pt(0, 0))
+	tree, err := BuildTree(a, ids(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBuildTreeDepthMatchesStageCount(t *testing.T) {
 	// by Build for every benchmark-scale size.
 	for _, n := range []int{2, 3, 4, 7, 8, 12, 16, 26} {
 		a := app(n)
-		tree, err := BuildTree(a, ids(n), geom.Pt(0, 0))
+		tree, err := BuildTree(a, ids(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,14 +55,13 @@ func TestBuildTreeDepthMatchesStageCount(t *testing.T) {
 
 func TestBuildTreeFeedLengths(t *testing.T) {
 	a := app(4)
-	laser := geom.Pt(0, 0)
-	tree, err := BuildTree(a, ids(4), laser)
+	tree, err := BuildTree(a, ids(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n, l := range tree.FeedLengthMM {
 		// Routed feed can never beat the direct Manhattan distance.
-		direct := laser.Manhattan(a.Pos(n))
+		direct := geom.Point{}.Manhattan(a.Pos(n)) // from the laser at the origin
 		if l < direct-geom.Eps {
 			t.Errorf("node %d: feed %v below direct distance %v", n, l, direct)
 		}
@@ -71,7 +70,7 @@ func TestBuildTreeFeedLengths(t *testing.T) {
 
 func TestBuildTreeSingleSender(t *testing.T) {
 	a := app(2)
-	tree, err := BuildTree(a, []netlist.NodeID{1}, geom.Pt(0, 0))
+	tree, err := BuildTree(a, []netlist.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,20 +85,20 @@ func TestBuildTreeSingleSender(t *testing.T) {
 
 func TestBuildTreeErrors(t *testing.T) {
 	a := app(4)
-	if _, err := BuildTree(a, nil, geom.Pt(0, 0)); err == nil {
+	if _, err := BuildTree(a, nil); err == nil {
 		t.Error("empty sender set accepted")
 	}
-	if _, err := BuildTree(a, []netlist.NodeID{9}, geom.Pt(0, 0)); err == nil {
+	if _, err := BuildTree(a, []netlist.NodeID{9}); err == nil {
 		t.Error("out-of-range sender accepted")
 	}
-	if _, err := BuildTree(a, []netlist.NodeID{0, 0}, geom.Pt(0, 0)); err == nil {
+	if _, err := BuildTree(a, []netlist.NodeID{0, 0}); err == nil {
 		t.Error("duplicate sender accepted")
 	}
 }
 
 func TestBuildTreeSegments(t *testing.T) {
 	a := app(4)
-	tree, err := BuildTree(a, ids(4), geom.Pt(0, 0))
+	tree, err := BuildTree(a, ids(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +120,11 @@ func TestBuildTreeSegments(t *testing.T) {
 
 func TestBuildTreeDeterministic(t *testing.T) {
 	a := app(12)
-	t1, err := BuildTree(a, ids(12), geom.Pt(0, 0))
+	t1, err := BuildTree(a, ids(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := BuildTree(a, ids(12), geom.Pt(0, 0))
+	t2, err := BuildTree(a, ids(12))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sring
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -136,6 +137,37 @@ func TestMPEGBoundWorkUnits(t *testing.T) {
 		if got := counters[pin.name]; got != pin.want {
 			t.Errorf("%s = %d, want %d", pin.name, got, pin.want)
 		}
+	}
+}
+
+// TestMPEGBoundSpeculates guards the work-stealing pool against stalling:
+// at Parallelism 2, MPEG's 50-node solve must keep the window of nodes
+// best-first pops next covered with speculative solves, scheduling more
+// than two windows' worth (4·workers). A pool that ranks its window by
+// anything but the pop order fills it once with nodes the search never
+// reaches and then solves every node inline, scheduling exactly 4. The
+// fingerprint pins that speculation leaves the search bit-identical.
+func TestMPEGBoundSpeculates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves MPEG's exact model to 50 nodes")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("speculation is capped at GOMAXPROCS, so one CPU solves inline")
+	}
+	const workers = 2 // mpegBoundModel.solve's Parallelism
+	rec := obs.New()
+	span := rec.StartSpan("mpeg-bound")
+	res := newMPEGBoundModel(t).solve(t, mpegBoundNodes, span)
+	span.End()
+	if res.NodeFingerprint != 0xf1bff249fd9341b0 {
+		t.Errorf("node fingerprint %#x, want 0xf1bff249fd9341b0", res.NodeFingerprint)
+	}
+	c := rec.Snapshot().Counters
+	t.Logf("milp.steal: scheduled %d, retired %d, wasted %d, reclaimed %d, stolen %d",
+		c["milp.steal.scheduled"], c["milp.steal.retired"], c["milp.steal.wasted"],
+		c["milp.steal.reclaimed"], c["milp.steal.stolen"])
+	if got := c["milp.steal.scheduled"]; got <= 4*workers {
+		t.Errorf("scheduled %d speculative solves in %d nodes, want more than %d", got, res.Nodes, 4*workers)
 	}
 }
 
